@@ -1,4 +1,5 @@
-"""Command-line driver: prime sweeps, suite selection, report emission.
+"""Command-line driver: argument parsing, one call of the suite runner,
+report emission.
 
     verify --primes LO:HI [--ids ID,ID,...|all] [--r-max N] [--wz-grid N]
            [--identities-n-max N] [--format jsonl|csv|table] [--jobs N|auto]
@@ -7,7 +8,9 @@
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage error,
 3 I/O or internal arithmetic error.
 
-Congruence rows report both residues at their modulus.  Identity and
+Every row is a congruences.Verdict.  Congruence rows report both residues at
+their modulus, at each odd prime the row is stated for (p = 2 is dropped
+with a warning; p = 3 is kept for the rows stated at 3).  Identity and
 grid-certificate rows are exact (no modulus); they report with p = 0, r = 0,
 modulus "exact", lhs = number of failing points and rhs = "0".
 """
@@ -21,19 +24,14 @@ import json
 import os
 import re
 import sys
-import time
 from dataclasses import dataclass
 
-from . import congruences, identities, wz
+from . import congruences
 from .exactnum import is_prime
-
-WZ_IDS = ("wz-pair", "wz-half-sum", "wz-full-sum", "wz-closed-form")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    prime_lo: int
-    prime_hi: int
     primes: tuple[int, ...]
     r_max: int
     ids: tuple[str, ...]
@@ -43,35 +41,6 @@ class RunConfig:
     jobs: int
     out_path: str | None
     no_timing: bool
-
-
-@dataclass(frozen=True)
-class ExactCheckRecord:
-    """Report row for an exact (modulus-free) family: a range-checked identity
-    or a grid certificate.  Passing means zero failing points."""
-
-    id: str
-    checked: int
-    failures: int
-    micros: int
-    p: int = 0
-    r: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-    def record(self, no_timing: bool = False) -> dict:
-        return {
-            "id": self.id,
-            "p": self.p,
-            "r": self.r,
-            "modulus": "exact",
-            "lhs": str(self.failures),
-            "rhs": "0",
-            "pass": self.passed,
-            "micros": 0 if no_timing else self.micros,
-        }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,10 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def all_known_ids() -> tuple[str, ...]:
-    return tuple(congruences.REGISTRY) + tuple(identities.REGISTRY) + WZ_IDS
-
-
 def parse_args(argv: list[str] | None = None) -> RunConfig:
     """Validated RunConfig; exits with code 2 on usage errors."""
     if argv is None:
@@ -121,20 +86,18 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         parser.error(f"empty prime range {lo}:{hi}")
     primes = []
     for n in range(max(lo, 2), hi + 1):
-        if is_prime(n):
-            if n <= 3:
-                print(f"warning: skipping p = {n} (statements require p > 3)",
-                      file=sys.stderr)
-            else:
-                primes.append(n)
+        if n == 2:
+            print("warning: skipping p = 2 (statements require odd p)", file=sys.stderr)
+        elif is_prime(n):
+            primes.append(n)
 
     if ns.ids.strip() == "all":
-        ids = all_known_ids()
+        ids = congruences.all_ids()
     else:
         ids = tuple(tok.strip() for tok in ns.ids.split(",") if tok.strip())
         if not ids:
             parser.error("--ids must name at least one id")
-        known = set(all_known_ids())
+        known = set(congruences.all_ids())
         for cid in ids:
             if cid not in known:
                 parser.error(f"unknown id {cid!r}")
@@ -157,8 +120,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
             parser.error(f"--jobs must be positive, got {jobs}")
 
     return RunConfig(
-        prime_lo=lo,
-        prime_hi=hi,
         primes=tuple(primes),
         r_max=ns.r_max,
         ids=ids,
@@ -171,80 +132,12 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     )
 
 
-def _identity_records(ids: list[str], n_max: int) -> list[ExactCheckRecord]:
-    out = []
-    for iid in ids:
-        spec = identities.REGISTRY[iid]
-        top = max(n_max, spec.n_min)
-        start = time.perf_counter_ns()
-        verdict = identities.check_identity_range(iid, top)
-        micros = (time.perf_counter_ns() - start) // 1000
-        out.append(ExactCheckRecord(iid, top - spec.n_min + 1, len(verdict.failures), micros))
-    return out
-
-
-def _wz_records(ids: list[str], grid: int) -> list[ExactCheckRecord]:
-    out = []
-    for wid in ids:
-        start = time.perf_counter_ns()
-        if wid == "wz-pair":
-            verdict = wz.check_pair_identity(grid, grid)
-            checked, failures = (grid + 1) * grid, len(verdict.failures)
-        elif wid == "wz-half-sum":
-            failures = sum(1 for m in range(1, grid + 1)
-                           if len(set(wz.telescope_half_sum(m))) != 1)
-            checked = grid
-        elif wid == "wz-full-sum":
-            top = max(2, 2 * grid)
-            failures = 0
-            for big_m in range(2, top + 1):
-                f_side, g_side = wz.telescope_full_sum(big_m)
-                if f_side != g_side:
-                    failures += 1
-                elif big_m % 2 and not wz.upper_tail_vanishes(big_m):
-                    failures += 1
-            checked = top - 1
-        else:  # wz-closed-form
-            top = min(2 * grid - 1, 99)
-            checked = failures = 0
-            for p_odd in range(5, top + 1, 2):
-                for k in range(1, (p_odd + 1) // 2 + 1):
-                    checked += 1
-                    if wz.closed_form_g(p_odd, k) != wz.eval_g((p_odd + 1) // 2, k):
-                        failures += 1
-        micros = (time.perf_counter_ns() - start) // 1000
-        out.append(ExactCheckRecord(wid, checked, failures, micros))
-    return out
-
-
-def collect_records(config: RunConfig) -> list:
-    """Run every selected family and merge the rows in deterministic
-    (id, p, r) order."""
-    congruence_ids = [i for i in config.ids if i in congruences.REGISTRY]
-    identity_ids = [i for i in config.ids if i in identities.REGISTRY]
-    wz_ids = [i for i in config.ids if i in WZ_IDS]
-
-    rows: list = list(congruences.run_suite(_congruence_config(config, congruence_ids)))
-    rows.extend(_identity_records(identity_ids, config.identities_n_max))
-    rows.extend(_wz_records(wz_ids, config.wz_grid))
-    rows.sort(key=lambda rec: (rec.id, rec.p, rec.r))
-    return rows
-
-
-def _congruence_config(config: RunConfig, congruence_ids: list[str]) -> RunConfig:
-    return RunConfig(
-        prime_lo=config.prime_lo,
-        prime_hi=config.prime_hi,
-        primes=config.primes,
-        r_max=config.r_max,
-        ids=tuple(congruence_ids),
-        wz_grid=config.wz_grid,
-        identities_n_max=config.identities_n_max,
-        fmt=config.fmt,
-        jobs=config.jobs,
-        out_path=config.out_path,
-        no_timing=config.no_timing,
-    )
+def collect_records(config: RunConfig) -> list[congruences.Verdict]:
+    """Every selected check of every family, in deterministic (id, p, r)
+    order."""
+    return congruences.run_suite(
+        config.ids, config.primes, r_max=config.r_max, jobs=config.jobs,
+        identities_n_max=config.identities_n_max, wz_grid=config.wz_grid)
 
 
 def _render(records: list[dict], fmt: str) -> str:

@@ -1,6 +1,12 @@
 """Registry of congruences at prime-power moduli, each bound to exact
-left/right evaluators, plus the suite runner that turns (id, p, r) triples
-into Verdicts.
+left/right evaluators; the one suite runner for every check family; and
+Verdict, the one record type of a report.
+
+Three families of checks exist, each with its own table keyed by id:
+congruences (REGISTRY here, checked per (p, r)), identities
+(identities.REGISTRY, checked for every n up to a depth) and the WZ grid
+certificates (wz.REGISTRY, checked up to a grid depth).  all_ids() lists
+the ids of all three, and run_suite() runs any selection of them.
 
 Left sides are accumulated as exact rationals and reduced once at the end;
 right sides are either exact rationals or residues computed directly mod p.
@@ -16,8 +22,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Union
+from typing import Callable, Union
 
+from . import identities, wz
 from .combinat import binomial, factorial, frac_part, harmonic
 from .exactnum import (
     ModulusMismatchError,
@@ -38,9 +45,6 @@ from .special import (
 )
 from .wz import eval_g
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .cli import RunConfig
-
 Side = Union[Fraction, int, Residue]
 
 
@@ -55,32 +59,42 @@ class EvaluatorError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Verdict:
-    """One check outcome; lhs/rhs are None only if evaluation itself failed,
-    in which case diagnostic says why."""
+    """One check outcome, and one row of a report.
+
+    A congruence row carries both residues at its modulus p^e.  An exact
+    (modulus-free) row, from an identity or a grid certificate, has
+    p = r = 0, modulus None, lhs = the number of failing points and rhs = 0,
+    so it passes when nothing failed.  lhs/rhs are None only if evaluation
+    itself failed, in which case diagnostic says why.
+    """
 
     id: str
     p: int
     r: int
-    lhs: Residue | None
-    rhs: Residue | None
-    modulus: int
+    lhs: Residue | int | None
+    rhs: Residue | int | None
+    modulus: int | None
     passed: bool
     micros: int
     diagnostic: str | None = None
 
     def record(self, no_timing: bool = False) -> dict:
-        e = 0
-        m = self.modulus
-        while m > 1:
-            m //= self.p
-            e += 1
+        if self.modulus is None:
+            modulus = "exact"
+        else:
+            e = 0
+            m = self.modulus
+            while m > 1:
+                m //= self.p
+                e += 1
+            modulus = f"{self.p}^{e}"
         return {
             "id": self.id,
             "p": self.p,
             "r": self.r,
-            "modulus": f"{self.p}^{e}",
-            "lhs": None if self.lhs is None else str(self.lhs.value),
-            "rhs": None if self.rhs is None else str(self.rhs.value),
+            "modulus": modulus,
+            "lhs": None if self.lhs is None else str(int(self.lhs)),
+            "rhs": None if self.rhs is None else str(int(self.rhs)),
             "pass": self.passed,
             "micros": 0 if no_timing else self.micros,
         }
@@ -717,7 +731,8 @@ REGISTRY: dict[str, CongruenceSpec] = {
 
 
 def all_ids() -> tuple[str, ...]:
-    return tuple(REGISTRY)
+    """Every check id: congruences, then identities, then WZ certificates."""
+    return (*REGISTRY, *identities.REGISTRY, *wz.REGISTRY)
 
 
 def _require(cid: str) -> CongruenceSpec:
@@ -787,41 +802,70 @@ def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
         return Verdict(cid, p, r, None, None, m, False, micros, str(exc))
 
 
-def _prime_tasks(config: "RunConfig") -> list[tuple[int, list[tuple[str, int]]]]:
-    ids = []
-    for cid in config.ids:
-        _require(cid)
-        ids.append(cid)
-    tasks = []
-    for p in config.primes:
-        id_rs = []
-        for cid in ids:
-            row = REGISTRY[cid]
-            for r in range(1, config.r_max + 1):
-                if row.applicable(p, r):
-                    id_rs.append((cid, r))
+# A task is (p, [(id, r), ...]) for the congruence rows at one prime, or
+# (0, [(id, depth)]) for one exact check.
+_Task = tuple[int, list[tuple[str, int]]]
+
+
+def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list[_Task]:
+    known = set(all_ids())
+    for cid in ids:
+        if cid not in known:
+            raise UnknownIdError(f"unknown check id: {cid}")
+    ids = sorted(ids)
+    tasks: list[_Task] = []
+    for cid in ids:
+        if cid in identities.REGISTRY:
+            tasks.append((0, [(cid, max(identities_n_max, identities.REGISTRY[cid].n_min))]))
+        elif cid in wz.REGISTRY:
+            tasks.append((0, [(cid, wz_grid)]))
+    for p in sorted(primes, reverse=True):
+        id_rs = [(cid, r) for cid in ids if cid in REGISTRY
+                 for r in range(1, r_max + 1) if REGISTRY[cid].applicable(p, r)]
         if id_rs:
             tasks.append((p, id_rs))
     return tasks
 
 
-def _check_chunk(task: tuple[int, list[tuple[str, int]]]) -> list[Verdict]:
-    p, id_rs = task
-    return [check_congruence(cid, p, r) for cid, r in id_rs]
+def _check_exact(cid: str, depth: int) -> Verdict:
+    start = time.perf_counter_ns()
+    if cid in identities.REGISTRY:
+        failures = len(identities.check_identity_range(cid, depth).failures)
+    else:
+        failures = wz.REGISTRY[cid](depth)
+    micros = (time.perf_counter_ns() - start) // 1000
+    return Verdict(cid, 0, 0, failures, 0, None, failures == 0, micros)
 
 
-def run_suite(config: "RunConfig") -> list[Verdict]:
-    """One Verdict per applicable (id, p, r) triple from the config's
-    congruence ids, in deterministic (id, p, r) order regardless of how the
-    per-prime chunks were scheduled."""
-    tasks = _prime_tasks(config)
-    if getattr(config, "jobs", 1) > 1 and len(tasks) > 1:
+def _run_task(task: _Task) -> list[Verdict]:
+    p, checks = task
+    if p == 0:
+        return [_check_exact(cid, depth) for cid, depth in checks]
+    return [check_congruence(cid, p, r) for cid, r in checks]
+
+
+def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
+              wz_grid: int) -> list[Verdict]:
+    """One Verdict per selected exact check and per applicable (id, p, r)
+    congruence triple, in (id, p, r) order.
+
+    Identities are checked for n up to identities_n_max and WZ certificates
+    to depth wz_grid; congruence rows for every r <= r_max they are stated
+    for.  The work is one task per exact check plus one per prime; the
+    exact checks come first, then the primes from the largest down, so the
+    longest tasks start early.  With jobs > 1 the tasks run in a process
+    pool, otherwise in this process.  Neither the order of ids nor the
+    scheduling changes the result.  Raises UnknownIdError for an id from
+    no family.
+    """
+    tasks = _tasks(ids, primes, r_max, identities_n_max, wz_grid)
+    if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(_check_chunk, tasks))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_run_task, tasks))
     else:
-        chunks = [_check_chunk(t) for t in tasks]
+        chunks = [_run_task(t) for t in tasks]
     verdicts = [v for chunk in chunks for v in chunk]
     verdicts.sort(key=lambda v: (v.id, v.p, v.r))
     return verdicts

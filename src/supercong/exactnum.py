@@ -11,11 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-# Exact rationals are stdlib Fractions: arbitrary-precision integer numerator
-# and strictly positive denominator, always in lowest terms.
-BigRational = Fraction
-
-
 class UnknownIdError(KeyError):
     """Requested id is not in the relevant registry."""
 

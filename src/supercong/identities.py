@@ -7,6 +7,7 @@ them as assumptions-with-evidence and the range checks are the evidence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -35,8 +36,8 @@ def _pointwise(lhs, rhs):
 # -- even/odd companions over C(2n,k)C(2n-k,k)/4^k ---------------------------
 
 
-def _fold_even(n: int, weight) -> Fraction:
-    # sum_{k=0}^{n} C(2n,k) C(2n-k,k) weight(k) / 4^k
+def _fold(top: int, n: int, weight) -> Fraction:
+    # sum_{k=0}^{n} C(top,k) C(top-k,k) weight(k) / 4^k, top = 2n or 2n+1
     total = Fraction(0)
     h1 = Fraction(0)
     h2 = Fraction(0)
@@ -46,22 +47,7 @@ def _fold_even(n: int, weight) -> Fraction:
             h2 += Fraction(1, k * k)
         w = weight(k, h1, h2)
         if w:
-            total += Fraction(comb(2 * n, k) * comb(2 * n - k, k), 4**k) * w
-    return total
-
-
-def _fold_odd(n: int, weight) -> Fraction:
-    # sum_{k=0}^{n} C(2n+1,k) C(2n+1-k,k) weight(k) / 4^k
-    total = Fraction(0)
-    h1 = Fraction(0)
-    h2 = Fraction(0)
-    for k in range(n + 1):
-        if k:
-            h1 += Fraction(1, k)
-            h2 += Fraction(1, k * k)
-        w = weight(k, h1, h2)
-        if w:
-            total += Fraction(comb(2 * n + 1, k) * comb(2 * n + 1 - k, k), 4**k) * w
+            total += Fraction(comb(top, k) * comb(top - k, k), 4**k) * w
     return total
 
 
@@ -70,13 +56,13 @@ _W_H = lambda k, h1, h2: h1
 _W_HH = lambda k, h1, h2: h1 * h1 + h2
 _W_H2 = lambda k, h1, h2: h2
 
-_i1_lhs = lambda n: _fold_even(n, _W_ONE)
+_i1_lhs = lambda n: _fold(2 * n, n, _W_ONE)
 _i1_rhs = lambda n: Fraction(comb(4 * n, 2 * n), 4**n)
-_i2_lhs = lambda n: _fold_odd(n, _W_ONE)
+_i2_lhs = lambda n: _fold(2 * n + 1, n, _W_ONE)
 _i2_rhs = lambda n: Fraction(comb(4 * n + 1, 2 * n + 1), 4**n)
-_i3_lhs = lambda n: _fold_even(n, _W_H)
+_i3_lhs = lambda n: _fold(2 * n, n, _W_H)
 _i3_rhs = lambda n: _i1_rhs(n) * (3 * harmonic(2 * n) - 2 * harmonic(4 * n))
-_i4_lhs = lambda n: _fold_odd(n, _W_H)
+_i4_lhs = lambda n: _fold(2 * n + 1, n, _W_H)
 _i4_rhs = lambda n: _i2_rhs(n) * (3 * harmonic(2 * n + 1) - 2 * harmonic(4 * n + 2))
 
 
@@ -95,8 +81,8 @@ def _i6_rhs(n: int) -> Fraction:
     )
 
 
-_i5_lhs = lambda n: _fold_even(n, _W_HH)
-_i6_lhs = lambda n: _fold_odd(n, _W_HH)
+_i5_lhs = lambda n: _fold(2 * n, n, _W_HH)
+_i6_lhs = lambda n: _fold(2 * n + 1, n, _W_HH)
 
 
 # -- quarter-parameter identities ---------------------------------------------
@@ -123,10 +109,8 @@ def _quarter_pair(n: int, a_num: int, b_num: int) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-_i7_lhs = lambda n: _quarter_pair(n, -1, -3)[0]
-_i7_rhs = lambda n: _quarter_pair(n, -1, -3)[1]
-_i8_lhs = lambda n: _quarter_pair(n, -3, -1)[0]
-_i8_rhs = lambda n: _quarter_pair(n, -3, -1)[1]
+_i7_check = lambda n: operator.eq(*_quarter_pair(n, -1, -3))
+_i8_check = lambda n: operator.eq(*_quarter_pair(n, -3, -1))
 
 
 def _i9_lhs(n: int) -> Fraction:
@@ -158,10 +142,14 @@ def _i10_point(big_p: int, m: int, r: int, k: int) -> bool:
     return lhs == rhs
 
 
-def _i10_check(big_p: int, m_max: int = 8, k_max: int = 6) -> bool:
-    for m in range(1, m_max + 1):
+_I10_M_MAX = 8
+_I10_K_MAX = 6
+
+
+def _i10_check(big_p: int) -> bool:
+    for m in range(1, _I10_M_MAX + 1):
         for r in range(m):
-            for k in range(k_max + 1):
+            for k in range(_I10_K_MAX + 1):
                 if not _i10_point(big_p, m, r, k):
                     return False
     return True
@@ -223,19 +211,21 @@ REGISTRY: dict[str, IdentitySpec] = {
             _i6_lhs,
             _i6_rhs,
         ),
-        _spec(
+        IdentitySpec(
             "I7",
             "sum C(n,k)C(-3/4,k)H_k^(2) = (-1)^n C(-1/4,n)(H_n^(2) - sum (-1)^k/(k^2 C(-1/4,k)))",
             0,
-            _i7_lhs,
-            _i7_rhs,
+            None,
+            None,
+            _i7_check,
         ),
-        _spec(
+        IdentitySpec(
             "I8",
             "the (-1/4 <-> -3/4) swap of I7",
             0,
-            _i8_lhs,
-            _i8_rhs,
+            None,
+            None,
+            _i8_check,
         ),
         _spec(
             "I9",

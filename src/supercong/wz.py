@@ -1,5 +1,6 @@
 """The certificate pair F(n,k), G(n,k): exact evaluation, the pair identity,
-both telescoping collapses, and the factored closed form for G((p+1)/2, k).
+both telescoping collapses, the factored closed form for G((p+1)/2, k), and
+REGISTRY, the grid certificates the suite runner checks by id.
 
 F(n,0) reduces to (3n+1)(-8)^(-n) C(2n,n)^3, so the telescoped F-column is
 exactly the half/full central-binomial sum checked by the congruence registry.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .combinat import binomial, factorial, pochhammer, recip_factorial
 
@@ -81,16 +83,10 @@ def check_pair_identity(n_max: int, k_max: int) -> GridVerdict:
 def telescope_half_sum(m: int) -> tuple[Fraction, Fraction]:
     """(sum_{n=0}^{m} F(n,0), sum_{k=1}^{m} G(m+1,k)); the pair identity
     forces the two components to be equal.  m plays the role of (p-1)/2 but
-    needs no primality."""
+    needs no primality.  This is telescope_full_sum(m + 1)."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    f_side = Fraction(0)
-    for n in range(m + 1):
-        f_side += eval_f(n, 0)
-    g_side = Fraction(0)
-    for k in range(1, m + 1):
-        g_side += eval_g(m + 1, k)
-    return f_side, g_side
+    return telescope_full_sum(m + 1)
 
 
 def telescope_full_sum(big_m: int) -> tuple[Fraction, Fraction]:
@@ -140,3 +136,42 @@ def closed_form_g(p_odd: int, k: int) -> Fraction:
     shifted = pochhammer(Fraction(p_odd, 2) + 1 - k, k - 1)  # never zero for odd p
     tail = factorial(h) * recip_factorial((p_odd + 3) // 2 - 2 * k) / (shifted * shifted) / Fraction(4) ** k
     return prefactor * tail
+
+
+# -- grid certificates: id -> (grid depth -> number of failing points) -------
+# The functions look up the public names above at call time, so a tracer
+# that rebinds those names sees these calls too.
+
+
+def _pair_failures(grid: int) -> int:
+    return len(check_pair_identity(grid, grid).failures)
+
+
+def _half_sum_failures(grid: int) -> int:
+    return sum(1 for m in range(1, grid + 1) if len(set(telescope_half_sum(m))) != 1)
+
+
+def _full_sum_failures(grid: int) -> int:
+    failures = 0
+    for big_m in range(2, max(2, 2 * grid) + 1):
+        f_side, g_side = telescope_full_sum(big_m)
+        if f_side != g_side or (big_m % 2 and not upper_tail_vanishes(big_m)):
+            failures += 1
+    return failures
+
+
+def _closed_form_failures(grid: int) -> int:
+    failures = 0
+    for p_odd in range(5, min(2 * grid - 1, 99) + 1, 2):
+        for k in range(1, (p_odd + 1) // 2 + 1):
+            if closed_form_g(p_odd, k) != eval_g((p_odd + 1) // 2, k):
+                failures += 1
+    return failures
+
+
+REGISTRY: dict[str, Callable[[int], int]] = {
+    "wz-pair": _pair_failures,
+    "wz-half-sum": _half_sum_failures,
+    "wz-full-sum": _full_sum_failures,
+    "wz-closed-form": _closed_form_failures,
+}

@@ -1,17 +1,22 @@
 import json
+import os
 
 import pytest
 
-from supercong.cli import all_known_ids, collect_records, emit_report, main, parse_args
+from supercong.cli import collect_records, emit_report, main, parse_args
+from supercong.congruences import all_ids
 
 JSONL_KEYS = ["id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros"]
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_ARGS = ["verify", "--primes", "5:13", "--ids", "all", "--r-max", "2",
+               "--identities-n-max", "8", "--wz-grid", "6", "--no-timing"]
 
 
 class TestParseArgs:
     def test_full_sweep_config(self):
         cfg = parse_args(["verify", "--primes", "5:200", "--ids", "all", "--format", "jsonl"])
         assert cfg.primes[0] == 5 and cfg.primes[-1] == 199
-        assert set(cfg.ids) == set(all_known_ids())
+        assert set(cfg.ids) == set(all_ids())
         assert cfg.fmt == "jsonl"
 
     def test_power_run_config(self):
@@ -36,10 +41,11 @@ class TestParseArgs:
         assert err.value.code == 2
 
     def test_small_primes_skipped_with_warning(self, capsys):
+        # p = 3 stays: each row's applicability decides whether it is checked
         cfg = parse_args(["--primes", "2:11"])
-        assert cfg.primes == (5, 7, 11)
+        assert cfg.primes == (3, 5, 7, 11)
         warned = capsys.readouterr().err
-        assert "p = 2" in warned and "p = 3" in warned
+        assert "p = 2" in warned and "odd p" in warned and "p = 3" not in warned
 
     def test_composites_silently_skipped(self, capsys):
         cfg = parse_args(["--primes", "8:10"])
@@ -127,6 +133,14 @@ class TestMain:
             assert rec["p"] == 0 and rec["r"] == 0
             assert rec["lhs"] == "0" and rec["rhs"] == "0" and rec["pass"] is True
 
+    def test_rows_stated_for_p3_are_reported(self, capsys):
+        assert main(["--primes", "3:5", "--ids", "thm-main,vanhamme,long-cxh-512",
+                     "--no-timing"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(rec["id"], rec["p"]) for rec in rows] == [
+            ("long-cxh-512", 3), ("long-cxh-512", 5), ("thm-main", 5),
+            ("vanhamme", 3), ("vanhamme", 5)]
+
     def test_unwritable_out_path_exits_three(self, capsys, tmp_path):
         code = main(["--primes", "5:5", "--ids", "morley",
                      "--out", str(tmp_path / "missing-dir" / "x.jsonl")])
@@ -146,3 +160,14 @@ class TestMain:
         main(["--primes", "5:5", "--ids", "thm-main"])
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["micros"] >= 0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
+def test_report_matches_golden(fmt, jobs, tmp_path):
+    # The report is the behaviour contract: every family, every format, and
+    # serial or pooled runs give the bytes stored in tests/golden.
+    out = tmp_path / f"report.{fmt}"
+    assert main(GOLDEN_ARGS + ["--format", fmt, "--jobs", jobs, "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, f"verify-5-13.{fmt}"), "rb") as handle:
+        assert out.read_bytes() == handle.read()

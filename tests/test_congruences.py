@@ -16,25 +16,13 @@ from supercong import (
     run_suite,
     telescope_half_sum,
 )
-from supercong.cli import RunConfig
 from supercong.congruences import REGISTRY, _alt_quarter_sum, _sign
 from conftest import primes_in
 
 
-def config_for(ids, primes, r_max=1, jobs=1):
-    return RunConfig(
-        prime_lo=min(primes, default=5),
-        prime_hi=max(primes, default=5),
-        primes=tuple(primes),
-        r_max=r_max,
-        ids=tuple(ids),
-        wz_grid=1,
-        identities_n_max=1,
-        fmt="jsonl",
-        jobs=jobs,
-        out_path=None,
-        no_timing=True,
-    )
+def suite(ids, primes, r_max=1, jobs=1, identities_n_max=1, wz_grid=1):
+    return run_suite(ids, primes, r_max=r_max, jobs=jobs,
+                     identities_n_max=identities_n_max, wz_grid=wz_grid)
 
 
 class TestEvalSeries:
@@ -201,21 +189,21 @@ class TestCrossChecks:
 
 class TestRunSuite:
     def test_single_id_sweep(self):
-        verdicts = run_suite(config_for(["thm-main"], primes_in(5, 13)))
+        verdicts = suite(["thm-main"], primes_in(5, 13))
         assert [v.p for v in verdicts] == [5, 7, 11, 13]
         assert all(v.passed and v.r == 1 for v in verdicts)
 
     def test_power_indexed_rows(self):
-        verdicts = run_suite(config_for(["thm-prime-power"], [5], r_max=2))
+        verdicts = suite(["thm-prime-power"], [5], r_max=2)
         assert [(v.p, v.r) for v in verdicts] == [(5, 1), (5, 2)]
         assert all(v.passed for v in verdicts)
 
     def test_empty_prime_range(self):
-        assert run_suite(config_for(list(REGISTRY), [])) == []
+        assert suite(list(REGISTRY), []) == []
 
     def test_deterministic_order(self):
         ids = ["vanhamme", "morley", "thm-main"]
-        verdicts = run_suite(config_for(ids, [7, 5]))
+        verdicts = suite(ids, [7, 5])
         assert [(v.id, v.p) for v in verdicts] == [
             ("morley", 5), ("morley", 7),
             ("thm-main", 5), ("thm-main", 7),
@@ -223,15 +211,18 @@ class TestRunSuite:
         ]
 
     def test_parallel_matches_serial(self):
-        ids = ["thm-main", "morley", "binom-16k"]
-        serial = run_suite(config_for(ids, primes_in(5, 23)))
-        parallel = run_suite(config_for(ids, primes_in(5, 23), jobs=2))
+        ids = ["thm-main", "morley", "binom-16k", "I3", "I10", "wz-pair", "wz-closed-form"]
+        serial = suite(ids, primes_in(5, 23), identities_n_max=6, wz_grid=4)
+        parallel = suite(ids, primes_in(5, 23), jobs=2, identities_n_max=6, wz_grid=4)
         strip = lambda vs: [(v.id, v.p, v.r, v.lhs, v.rhs, v.passed) for v in vs]
         assert strip(serial) == strip(parallel)
+        exact = [v for v in serial if v.modulus is None]
+        assert [v.id for v in exact] == ["I10", "I3", "wz-closed-form", "wz-pair"]
+        assert all(v.passed and v.lhs == 0 for v in exact)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(UnknownIdError):
-            run_suite(config_for(["no-such-row"], [5]))
+            suite(["no-such-row"], [5])
 
 
 def test_verdict_record_schema():
