@@ -1,4 +1,4 @@
-"""Registry of congruences at prime-power moduli, each bound to exact
+"""Registry of congruences at prime-power moduli, each bound to its
 left/right evaluators; the one suite runner for every check family; and
 Verdict, the one record type of a report.
 
@@ -8,8 +8,19 @@ congruences (REGISTRY here, checked per (p, r)), identities
 certificates (wz.REGISTRY, checked up to a grid depth).  all_ids() lists
 the ids of all three, and run_suite() runs any selection of them.
 
-Left sides are accumulated as exact rationals and reduced once at the end;
-right sides are either exact rationals or residues computed directly mod p.
+The nine central-binomial and hypergeometric series (eval_series) are
+summed directly in Z/p^e, at the exponent of the row that uses them.  Every
+other left side is still accumulated as an exact rational and reduced once
+at the end; right sides are either exact rationals or residues computed
+directly mod p.
+
+Independence rule: a row whose statement is a Bernoulli or Euler value
+never computes that value through its own left-hand sum.  Every such value
+on a right side comes from special.py's power sums (bernoulli_diff_mod_p);
+lemma-2.6b and lemma-2.6-altsum assert E_{p-3}(1/4) and a Bernoulli
+difference equal to a 64-weighted and an alternating sum, and neither sum
+is used to compute them.
+
 Per-index families (one congruence for every k or l in a stated range) are
 checked index by index; their Verdict reports the summed residues when all
 indices pass and the first failing pair otherwise, so pass <=> lhs == rhs
@@ -21,7 +32,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Union
 
 from . import identities, wz
@@ -37,7 +47,7 @@ from .exactnum import (
     reduce_mod,
 )
 from .special import (
-    bernoulli_poly_mod_p,
+    bernoulli_diff_mod_p,
     euler_number_mod_p,
     euler_poly_mod_p,
     fermat_quotient2,
@@ -124,83 +134,78 @@ class CongruenceSpec:
 
 # -- series ------------------------------------------------------------------
 
-_POWER_SERIES = frozenset({"S8-full", "S64-guo-half", "S64-guo-full"})
 
-_SERIES_BOUND: dict[str, Callable[[int, int], int]] = {
-    "S8-half": lambda p, r: (p - 1) // 2,
-    "S8-full": lambda p, r: p**r - 1,
-    "S64-vh": lambda p, r: (p - 1) // 2,
-    "S64-sun": lambda p, r: p - 1,
-    "S64-guo-half": lambda p, r: (p**r - 1) // 2,
-    "S64-guo-full": lambda p, r: p**r - 1,
-    "S512-half": lambda p, r: (p - 1) // 2,
-    "S512-full": lambda p, r: p - 1,
-    "Sgl": lambda p, r: (p + 1) // 2,
+@dataclass(frozen=True)
+class _Series:
+    """sum_{n=0}^{bound(p, r)} (a n + b) t_n^3 / (-base)^n, where t_0 = 1
+    and t_n / t_{n-1} = (c n + d) / (g n) with (c, d, g) = ratio."""
+
+    weight: tuple[int, int]
+    base: int
+    ratio: tuple[int, int, int]
+    bound: Callable[[int, int], int]
+
+
+_CENTRAL = (4, -2, 1)  # t_n = C(2n, n)
+_NEG_HALF = (2, -3, 2)  # t_n = (-1/2)_n / n!
+
+_SERIES: dict[str, _Series] = {
+    "S8-half": _Series((3, 1), 8, _CENTRAL, lambda p, r: (p - 1) // 2),
+    "S8-full": _Series((3, 1), 8, _CENTRAL, lambda p, r: p**r - 1),
+    # sum (4k+1)(-1)^k ((1/2)_k / k!)^3, and (1/2)_k / k! = C(2k, k) / 4^k
+    "S64-vh": _Series((4, 1), 64, _CENTRAL, lambda p, r: (p - 1) // 2),
+    "S64-sun": _Series((4, 1), 64, _CENTRAL, lambda p, r: p - 1),
+    "S64-guo-half": _Series((4, 1), 64, _CENTRAL, lambda p, r: (p**r - 1) // 2),
+    "S64-guo-full": _Series((4, 1), 64, _CENTRAL, lambda p, r: p**r - 1),
+    "S512-half": _Series((6, 1), 512, _CENTRAL, lambda p, r: (p - 1) // 2),
+    "S512-full": _Series((6, 1), 512, _CENTRAL, lambda p, r: p - 1),
+    # sum (-1)^k (4k-1) ((-1/2)_k / k!)^3
+    "Sgl": _Series((4, -1), 1, _NEG_HALF, lambda p, r: (p + 1) // 2),
 }
 
 
-def _central_sum(limit: int, mul: int, add: int, base: int) -> Fraction:
-    # sum_{n=0}^{limit} (mul*n + add) C(2n,n)^3 / (-base)^n
-    total = Fraction(0)
-    c = 1
-    pw = 1
-    for n in range(limit + 1):
-        if n:
-            c = c * 2 * (2 * n - 1) // n
-            pw *= base
-        term = Fraction((mul * n + add) * c**3, pw)
-        total += -term if n % 2 else term
-    return total
+def eval_series(series_id: str, p: int, r: int, e: int) -> Residue:
+    """Partial sum of the named series at its stated upper bound, mod p^e;
+    r matters only for the p^r-indexed series.
 
-
-def _vh_sum(limit: int) -> Fraction:
-    # sum_{k=0}^{limit} (4k+1)(-1)^k ((1/2)_k / k!)^3
-    total = Fraction(0)
-    t = Fraction(1)
-    for k in range(limit + 1):
-        if k:
-            t *= Fraction(2 * k - 1, 2 * k)
-        term = (4 * k + 1) * t**3
-        total += -term if k % 2 else term
-    return total
-
-
-def _gl_sum(limit: int) -> Fraction:
-    # sum_{k=0}^{limit} (-1)^k (4k-1) (-1/2)_k^3 / (1)_k^3
-    total = Fraction(0)
-    u = Fraction(1)
-    for k in range(limit + 1):
-        if k:
-            u *= Fraction(2 * k - 3, 2 * k)
-        term = (4 * k - 1) * u**3
-        total += -term if k % 2 else term
-    return total
-
-
-@lru_cache(maxsize=1024)
-def _series_value(series_id: str, p: int, r: int) -> Fraction:
-    bound = _SERIES_BOUND[series_id](p, r)
-    if series_id in ("S8-half", "S8-full"):
-        return _central_sum(bound, 3, 1, 8)
-    if series_id in ("S64-sun", "S64-guo-half", "S64-guo-full"):
-        return _central_sum(bound, 4, 1, 64)
-    if series_id in ("S512-half", "S512-full"):
-        return _central_sum(bound, 6, 1, 512)
-    if series_id == "S64-vh":
-        return _vh_sum(bound)
-    return _gl_sum(bound)  # Sgl
-
-
-def eval_series(series_id: str, p: int, r: int = 1) -> Fraction:
-    """Exact partial sum of the named series at its stated upper bound;
-    r matters only for the p^r-indexed series."""
-    if series_id not in _SERIES_BOUND:
+    The sum is taken in Z/p^e: t_n is stepped as p^v u with u a unit mod
+    p^e, p being split out of each ratio's numerator and denominator, and a
+    term counts only while 3v < e.  Equal to the exact rational sum reduced
+    mod p^e.  Raises EvaluatorError if some t_n has p in its denominator.
+    """
+    series = _SERIES.get(series_id)
+    if series is None:
         raise UnknownIdError(f"unknown series id: {series_id}")
     if not is_prime(p) or p < 3:
         raise ValueError(f"odd prime required, got {p}")
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    return _series_value(series_id, p, r if series_id in _POWER_SERIES else 1)
+    if e < 1:
+        raise ValueError(f"exponent must be positive, got {e}")
+    m = p**e
+    a, b = series.weight
+    c, d, g = series.ratio
+    step = pow(-series.base, -1, m)
+    v, u, scale = 0, 1, 1  # t_n = p^v u and scale = (-base)^-n
+    total = 0
+    for n in range(series.bound(p, r) + 1):
+        if n:
+            num, den = c * n + d, g * n
+            while num % p == 0:
+                num //= p
+                v += 1
+            while den % p == 0:
+                den //= p
+                v -= 1
+            if v < 0:
+                raise EvaluatorError(
+                    f"term {n} of {series_id} has {p} in its denominator (p = {p}, r = {r})"
+                )
+            u = u * num * pow(den, -1, m) % m
+            scale = scale * step % m
+        if 3 * v < e:
+            total += (a * n + b) * p ** (3 * v) * u**3 * scale
+    return Residue(total % m, p, e)
 
 
 # -- shared right-hand pieces --------------------------------------------------
@@ -267,15 +272,15 @@ def _alt_quarter_sum(p: int) -> Fraction:
 
 
 def _pairs_thm_main(p, r):
-    return [(eval_series("S8-half", p), _rhs_central_quarter(p))]
+    return [(eval_series("S8-half", p, r, 4), _rhs_central_quarter(p))]
 
 
 def _pairs_thm_prime_power(p, r):
-    return [(eval_series("S8-full", p, r), _sign((p**r - 1) // 2) * p**r)]
+    return [(eval_series("S8-full", p, r, r + 2), _sign((p**r - 1) // 2) * p**r)]
 
 
 def _pairs_vanhamme(p, r):
-    return [(eval_series("S64-vh", p), _sign((p - 1) // 2) * p)]
+    return [(eval_series("S64-vh", p, r, 3), _sign((p - 1) // 2) * p)]
 
 
 def _pairs_wolstenholme_h1(p, r):
@@ -292,39 +297,40 @@ def _pairs_central_2p1p(p, r):
 
 def _pairs_sun_64(p, r):
     rhs = _sign((p - 1) // 2) * p + p**3 * _euler_number(p)
-    return [(eval_series("S64-sun", p), rhs)]
+    return [(eval_series("S64-sun", p, r, 4), rhs)]
 
 
 def _pairs_guo_liu(p, r):
     rhs = p * _sign((p + 1) // 2) + p**3 * (2 - _euler_number(p))
-    return [(eval_series("Sgl", p), rhs)]
+    return [(eval_series("Sgl", p, r, 4), rhs)]
 
 
 def _pairs_long_cxh_512(p, r):
-    return [(eval_series("S512-half", p), p * legendre_symbol(-2, p))]
+    return [(eval_series("S512-half", p, r, 2), p * legendre_symbol(-2, p))]
 
 
 def _pairs_mao_512(p, r):
     rhs = p * legendre_symbol(-2, p) + Fraction(p**3, 4) * legendre_symbol(2, p) * _euler_number(p)
-    return [(eval_series("S512-half", p), rhs)]
+    return [(eval_series("S512-half", p, r, 4), rhs)]
 
 
 def _pairs_cxh_8_full(p, r):
     rhs = p * _sign((p - 1) // 2) + p**3 * _euler_number(p)
-    return [(eval_series("S8-full", p, 1), rhs)]
+    return [(eval_series("S8-full", p, 1, 4), rhs)]
 
 
 def _pairs_remark_sun_c51(p, r):
-    rhs = 4 * legendre_symbol(2, p) * eval_series("S512-full", p) - 3 * p * legendre_symbol(-1, p)
-    return [(eval_series("S8-half", p), rhs)]
+    full = eval_series("S512-full", p, r, 4).value
+    rhs = Residue(4 * legendre_symbol(2, p) * full - 3 * p * legendre_symbol(-1, p), p, 4)
+    return [(eval_series("S8-half", p, r, 4), rhs)]
 
 
 def _pairs_guo_half_64(p, r):
-    return [(eval_series("S64-guo-half", p, r), _sign((p - 1) // 2 * r) * p**r)]
+    return [(eval_series("S64-guo-half", p, r, r + 2), _sign((p - 1) // 2 * r) * p**r)]
 
 
 def _pairs_guo_conj_full_64(p, r):
-    return [(eval_series("S64-guo-full", p, r), _sign((p - 1) // 2 * r) * p**r)]
+    return [(eval_series("S64-guo-full", p, r, r + 2), _sign((p - 1) // 2 * r) * p**r)]
 
 
 def _pairs_morley(p, r):
@@ -370,9 +376,8 @@ def _pairs_lemma_2_6b(p, r):
 def _pairs_lemma_2_6_altsum(p, r):
     f = (p - 1) // 4
     lhs = -2 * _sign(f) * _alt_quarter_sum(p)
-    b1 = bernoulli_poly_mod_p(p - 2, frac_part(Fraction(4 - p, 8)), p).value
-    b2 = bernoulli_poly_mod_p(p - 2, frac_part(Fraction(-p, 8)), p).value
-    rhs = Residue(-_sign(f) * pow(4, -1, p) * (b1 - b2) % p, p, 1)
+    diff = bernoulli_diff_mod_p(p - 2, frac_part(Fraction(4 - p, 8)), frac_part(Fraction(-p, 8)), p)
+    rhs = Residue(-_sign(f) * pow(4, -1, p) * diff.value, p, 1)
     return [(lhs, rhs)]
 
 
@@ -766,7 +771,7 @@ def eval_rhs(cid: str, p: int, r: int = 1) -> Residue:
 
 
 def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
-    """Evaluate both sides exactly, reduce at the row's modulus, compare.
+    """Evaluate both sides, reduce at the row's modulus, compare.
 
     Evaluation errors (a p-divisible denominator where none should occur)
     yield a failed Verdict carrying a diagnostic instead of raising.
@@ -812,7 +817,7 @@ def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list
     for cid in ids:
         if cid not in known:
             raise UnknownIdError(f"unknown check id: {cid}")
-    ids = sorted(ids)
+    ids = sorted(set(ids))
     tasks: list[_Task] = []
     for cid in ids:
         if cid in identities.REGISTRY:
@@ -847,7 +852,8 @@ def _run_task(task: _Task) -> list[Verdict]:
 def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
               wz_grid: int) -> list[Verdict]:
     """One Verdict per selected exact check and per applicable (id, p, r)
-    congruence triple, in (id, p, r) order.
+    congruence triple, in (id, p, r) order; an id named twice is checked
+    once.
 
     Identities are checked for n up to identities_n_max and WZ certificates
     to depth wz_grid; congruence rows for every r <= r_max they are stated

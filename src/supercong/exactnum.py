@@ -1,8 +1,10 @@
 """Exact rational arithmetic and prime-power modular reduction.
 
-Every quantity in the engine is carried as an exact rational until the final
-reduction step; reduction into Z/p^e is the single place where a p-divisible
-denominator can surface, and it does so as an explicit error.
+Most left sides are carried as exact rationals until reduce_mod takes them
+into Z/p^e, where a p-divisible denominator surfaces as NotPIntegralError.
+Two layers work mod p^e from the start instead: the series of
+congruences.eval_series (which raises EvaluatorError for a p in a
+denominator) and the special values mod p of special.py.
 """
 
 from __future__ import annotations

@@ -1,8 +1,15 @@
 """Special values: Bernoulli numbers and polynomials (exact and mod p),
 Euler polynomials and numbers mod p, Fermat quotients, Legendre symbols.
 
-The exact Bernoulli route is the oracle; the mod-p table is the fast path.
-Tests pin the two together.
+Three routes, pinned together by the tests:
+  - bernoulli_diff_mod_p, the hot path: a difference B_n(x) - B_n(y) mod p
+    as an O(p) power sum (identity I10).  euler_poly_mod_p and
+    euler_number_mod_p rest on it, and so do the congruence rows.
+  - bernoulli_table_mod_p and bernoulli_poly_mod_p: the O(p^2) Bernoulli
+    recurrence run in GF(p).  Nothing in the package calls them; they are
+    the oracle for the power-sum route.
+  - bernoulli_exact and bernoulli_poly_exact: exact rationals, the oracle
+    for the mod-p table.
 """
 
 from __future__ import annotations
@@ -68,7 +75,8 @@ def _inverse_table(p: int, limit: int) -> list[int]:
 
 
 def bernoulli_table_mod_p(p: int, max_index: int) -> BernoulliTableModP:
-    """B_0 .. B_max_index mod p via the recurrence run in GF(p).
+    """B_0 .. B_max_index mod p via the recurrence run in GF(p), in O(p^2);
+    the oracle for bernoulli_diff_mod_p.
 
     Legal because every B_k with k <= p-2 is p-integral (no index divisible
     by p-1 beyond 0 is touched) and every k+1 <= p-1 is invertible.
@@ -106,7 +114,8 @@ def _residue_of(x: Fraction, p: int) -> int:
 
 
 def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
-    """B_n(x) mod p for 0 <= n <= p-2 and p-integral x."""
+    """B_n(x) mod p for 0 <= n <= p-2 and p-integral x, from the mod-p
+    table; the oracle for bernoulli_diff_mod_p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 0 <= n <= p - 2:
@@ -126,13 +135,35 @@ def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
     return Residue(acc, p, 1)
 
 
+def bernoulli_diff_mod_p(n: int, x: Fraction | int, y: Fraction | int, p: int) -> Residue:
+    """B_n(x) - B_n(y) mod p for 0 <= n <= p-2 and p-integral x, y, in O(p).
+
+    For n <= p-2 the coefficients of B_n are p-integral, so B_n(x) mod p
+    depends only on the residue X of x.  With Y the residue of y and
+    d = (X - Y) mod p, the power-sum identity
+    B_n(Y + d) - B_n(Y) = n sum_{j<d} (Y + j)^(n-1) gives the difference.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not 0 <= n <= p - 2:
+        raise ValueError(f"degree {n} out of range [0, {p - 2}] for p = {p}")
+    xr = _residue_of(Fraction(x), p)
+    yr = _residue_of(Fraction(y), p)
+    if n == 0:
+        return Residue(0, p, 1)
+    acc = sum(pow(yr + j, n - 1, p) for j in range((xr - yr) % p))
+    return Residue(n * acc, p, 1)
+
+
 def euler_poly_mod_p(m: int, x: Fraction | int, p: int) -> Residue:
     """E_m(x) mod p through the Bernoulli bridge
     E_{n-1}(x) = (2^n / n)(B_n((x+1)/2) - B_n(x/2)) with n = m+1.
 
-    Requires 0 <= m <= p-3 so that the two Bernoulli evaluations stay in the
-    legal index range, and x with denominator coprime to p (x/2 and (x+1)/2
-    are then automatically p-integral for odd p).
+    The bridge is one bernoulli_diff_mod_p call, which makes
+    E_m(x) == 2^(m+1) sum_{j=0}^{(p-1)/2} (x/2 + j)^m (mod p).
+    Requires 0 <= m <= p-3 so that n stays in the legal index range, and x
+    with denominator coprime to p (x/2 and (x+1)/2 are then automatically
+    p-integral for odd p).
     """
     if not is_prime(p) or p < 5:
         raise ValueError(f"odd prime > 3 required, got {p}")
@@ -140,10 +171,8 @@ def euler_poly_mod_p(m: int, x: Fraction | int, p: int) -> Residue:
         raise ValueError(f"index {m} out of range [0, {p - 3}] for p = {p}")
     x = Fraction(x)
     n = m + 1
-    b1 = bernoulli_poly_mod_p(n, (x + 1) / 2, p).value
-    b2 = bernoulli_poly_mod_p(n, x / 2, p).value
-    val = pow(2, n, p) * pow(n, -1, p) % p * ((b1 - b2) % p) % p
-    return Residue(val, p, 1)
+    diff = bernoulli_diff_mod_p(n, (x + 1) / 2, x / 2, p).value
+    return Residue(pow(2, n, p) * pow(n, -1, p) * diff, p, 1)
 
 
 def euler_number_mod_p(m: int, p: int) -> Residue:

@@ -162,7 +162,7 @@ def _full_sum_failures(grid: int) -> int:
 
 def _closed_form_failures(grid: int) -> int:
     failures = 0
-    for p_odd in range(5, min(2 * grid - 1, 99) + 1, 2):
+    for p_odd in range(5, 2 * grid, 2):
         for k in range(1, (p_odd + 1) // 2 + 1):
             if closed_form_g(p_odd, k) != eval_g((p_odd + 1) // 2, k):
                 failures += 1

@@ -5,7 +5,8 @@ one of these routes, none of which shares code with the package: Bernoulli
 numbers come from the explicit double sum instead of the inverted recurrence,
 Euler polynomials from the generating-function recurrence instead of the
 Bernoulli bridge, modular reductions from a linear scan instead of the
-extended-gcd inverse, and quadratic residues from squaring everything.
+extended-gcd inverse, quadratic residues from squaring everything, and the
+congruence series as exact Fraction sums instead of sums in Z/p^e.
 """
 
 from fractions import Fraction
@@ -84,3 +85,55 @@ def legendre_by_squares(a: int, p: int) -> int:
         return 0
     squares = {x * x % p for x in range(1, p)}
     return 1 if a % p in squares else -1
+
+
+def central_sum(limit: int, mul: int, add: int, base: int) -> Fraction:
+    """sum_{n=0}^{limit} (mul*n + add) C(2n,n)^3 / (-base)^n."""
+    total = Fraction(0)
+    c = 1
+    pw = 1
+    for n in range(limit + 1):
+        if n:
+            c = c * 2 * (2 * n - 1) // n
+            pw *= base
+        term = Fraction((mul * n + add) * c**3, pw)
+        total += -term if n % 2 else term
+    return total
+
+
+def vh_sum(limit: int) -> Fraction:
+    """sum_{k=0}^{limit} (4k+1)(-1)^k ((1/2)_k / k!)^3."""
+    total = Fraction(0)
+    t = Fraction(1)
+    for k in range(limit + 1):
+        if k:
+            t *= Fraction(2 * k - 1, 2 * k)
+        term = (4 * k + 1) * t**3
+        total += -term if k % 2 else term
+    return total
+
+
+def gl_sum(limit: int) -> Fraction:
+    """sum_{k=0}^{limit} (-1)^k (4k-1) (-1/2)_k^3 / (1)_k^3."""
+    total = Fraction(0)
+    u = Fraction(1)
+    for k in range(limit + 1):
+        if k:
+            u *= Fraction(2 * k - 3, 2 * k)
+        term = (4 * k - 1) * u**3
+        total += -term if k % 2 else term
+    return total
+
+
+# series id -> (p, r) -> the series at its stated upper bound, exactly
+SERIES_EXACT = {
+    "S8-half": lambda p, r: central_sum((p - 1) // 2, 3, 1, 8),
+    "S8-full": lambda p, r: central_sum(p**r - 1, 3, 1, 8),
+    "S64-vh": lambda p, r: vh_sum((p - 1) // 2),
+    "S64-sun": lambda p, r: central_sum(p - 1, 4, 1, 64),
+    "S64-guo-half": lambda p, r: central_sum((p**r - 1) // 2, 4, 1, 64),
+    "S64-guo-full": lambda p, r: central_sum(p**r - 1, 4, 1, 64),
+    "S512-half": lambda p, r: central_sum((p - 1) // 2, 6, 1, 512),
+    "S512-full": lambda p, r: central_sum(p - 1, 6, 1, 512),
+    "Sgl": lambda p, r: gl_sum((p + 1) // 2),
+}

@@ -141,6 +141,16 @@ class TestMain:
             ("long-cxh-512", 3), ("long-cxh-512", 5), ("thm-main", 5),
             ("vanhamme", 3), ("vanhamme", 5)]
 
+    def test_repeated_ids_reported_once(self, capsys):
+        assert main(["--primes", "5:7", "--ids", "morley,I1,morley,I1",
+                     "--identities-n-max", "3", "--no-timing"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(rec["id"], rec["p"], rec["r"]) for rec in rows] == [
+            ("I1", 0, 0), ("morley", 5, 1), ("morley", 7, 1)]
+        with pytest.raises(SystemExit) as err:
+            main(["--primes", "5:7", "--ids", "morley,morley,bogus"])
+        assert err.value.code == 2
+
     def test_unwritable_out_path_exits_three(self, capsys, tmp_path):
         code = main(["--primes", "5:5", "--ids", "morley",
                      "--out", str(tmp_path / "missing-dir" / "x.jsonl")])

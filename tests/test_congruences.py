@@ -16,8 +16,9 @@ from supercong import (
     run_suite,
     telescope_half_sum,
 )
-from supercong.congruences import REGISTRY, _alt_quarter_sum, _sign
+from supercong.congruences import REGISTRY, EvaluatorError, _alt_quarter_sum, _sign
 from conftest import primes_in
+from oracles import SERIES_EXACT
 
 
 def suite(ids, primes, r_max=1, jobs=1, identities_n_max=1, wz_grid=1):
@@ -27,9 +28,9 @@ def suite(ids, primes, r_max=1, jobs=1, identities_n_max=1, wz_grid=1):
 
 class TestEvalSeries:
     def test_anchors(self):
-        assert eval_series("S8-half", 5) == Fraction(165, 8)
-        assert eval_series("S8-full", 5, 1) == Fraction(487935, 512)
-        assert eval_series("S64-vh", 5) == Fraction(435, 512)
+        assert eval_series("S8-half", 5, 1, 4) == reduce_mod(Fraction(165, 8), 5, 4)
+        assert eval_series("S8-full", 5, 1, 3) == reduce_mod(Fraction(487935, 512), 5, 3)
+        assert eval_series("S64-vh", 5, 1, 3) == reduce_mod(Fraction(435, 512), 5, 3)
 
     def test_term_oracle(self):
         # 1 - 4 + 189/8 against the running-product route
@@ -38,7 +39,8 @@ class TestEvalSeries:
         total = Fraction(0)
         for n in range(3):
             total += Fraction((3 * n + 1) * binomial(2 * n, n) ** 3, (-8) ** n)
-        assert total == Fraction(165, 8) == eval_series("S8-half", 5)
+        assert total == Fraction(165, 8)
+        assert reduce_mod(total, 5, 4) == eval_series("S8-half", 5, 1, 4)
 
     def test_vh_equals_64_weighted_route(self):
         # ((1/2)_k / k!)^3 = (C(2k,k)/4^k)^3 makes the two S64 kernels agree
@@ -50,16 +52,45 @@ class TestEvalSeries:
                 Fraction((4 * k + 1) * binomial(2 * k, k) ** 3, (-64) ** k)
                 for k in range(half + 1)
             )
-            assert eval_series("S64-vh", p) == direct
+            assert eval_series("S64-vh", p, 1, 3) == reduce_mod(direct, p, 3)
 
     def test_power_series_respect_r(self):
-        assert eval_series("S64-guo-half", 5, 2) != eval_series("S64-guo-half", 5, 1)
+        assert eval_series("S64-guo-half", 5, 2, 4) != eval_series("S64-guo-half", 5, 1, 4)
         # r is ignored by non-power series
-        assert eval_series("S512-half", 7, 2) == eval_series("S512-half", 7, 1)
+        assert eval_series("S512-half", 7, 2, 2) == eval_series("S512-half", 7, 1, 2)
 
     def test_unknown_series(self):
         with pytest.raises(UnknownIdError):
-            eval_series("S128-half", 5)
+            eval_series("S128-half", 5, 1, 4)
+
+    def test_matches_exact_fraction_oracle(self):
+        # the sum in Z/p^e equals the exact rational sum reduced mod p^e
+        from supercong import congruences as cong
+
+        assert set(SERIES_EXACT) == set(cong._SERIES)
+        cases = [(p, r) for p in primes_in(5, 47) for r in (1, 2)] + [(5, 3), (7, 3)]
+        for series_id, series_exact in SERIES_EXACT.items():
+            for p, r in cases:
+                exact = series_exact(p, r)
+                for e in range(1, r + 4):
+                    assert eval_series(series_id, p, r, e) == reduce_mod(exact, p, e), (
+                        series_id, p, r, e)
+
+    def test_p_in_a_term_denominator_is_a_failed_row(self, monkeypatch):
+        # t_n = 1/p^n: the engine refuses instead of returning a wrong residue
+        from supercong import congruences as cong
+
+        monkeypatch.setitem(cong._SERIES, "S8-half",
+                            cong._Series((3, 1), 8, (1, 0, 5), lambda p, r: 2))
+        with pytest.raises(EvaluatorError):
+            eval_series("S8-half", 5, 1, 4)
+        verdict = check_congruence("thm-main", 5)
+        assert not verdict.passed and verdict.lhs is None
+        assert "denominator" in verdict.diagnostic
+
+    def test_large_prime_rows_pass(self):
+        assert check_congruence("thm-main", 10007).passed
+        assert check_congruence("sun-64", 10007).passed
 
 
 class TestEvalRhs:
@@ -164,15 +195,15 @@ class TestCrossChecks:
         for p in primes_in(5, 31):
             m = (p - 1) // 2
             g_side = telescope_half_sum(m)[1]
-            assert reduce_mod(eval_series("S8-half", p), p, 4) == reduce_mod(g_side, p, 4)
+            assert eval_series("S8-half", p, 1, 4) == reduce_mod(g_side, p, 4)
 
     def test_remark_relation(self):
         from supercong import legendre_symbol
 
         for p in primes_in(5, 61):
-            lhs = reduce_mod(eval_series("S8-half", p), p, 4)
-            rhs = reduce_mod(
-                4 * legendre_symbol(2, p) * eval_series("S512-full", p)
+            lhs = eval_series("S8-half", p, 1, 4)
+            rhs = Residue(
+                4 * legendre_symbol(2, p) * eval_series("S512-full", p, 1, 4).value
                 - 3 * p * legendre_symbol(-1, p),
                 p,
                 4,
@@ -223,6 +254,16 @@ class TestRunSuite:
     def test_unknown_id_rejected(self):
         with pytest.raises(UnknownIdError):
             suite(["no-such-row"], [5])
+
+    def test_repeated_ids_checked_once(self):
+        once = suite(["morley", "thm-main", "I3"], [5, 7])
+        twice = suite(["morley", "I3", "thm-main", "morley", "I3"], [5, 7])
+        keys = [(v.id, v.p, v.r) for v in twice]
+        assert len(keys) == len(set(keys)) == 5
+        assert [(v.id, v.p, v.r, v.lhs, v.rhs) for v in twice] == [
+            (v.id, v.p, v.r, v.lhs, v.rhs) for v in once]
+        with pytest.raises(UnknownIdError):
+            suite(["morley", "morley", "no-such-row"], [5])
 
 
 def test_verdict_record_schema():

@@ -4,6 +4,7 @@ import pytest
 
 from supercong import (
     NotPIntegralError,
+    bernoulli_diff_mod_p,
     bernoulli_exact,
     bernoulli_poly_exact,
     bernoulli_poly_mod_p,
@@ -12,6 +13,7 @@ from supercong import (
     euler_poly_mod_p,
     fermat_quotient2,
     legendre_symbol,
+    frac_part,
     reduce_mod,
 )
 from conftest import primes_in
@@ -151,6 +153,56 @@ class TestEulerNumberModP:
         for p in (13, 31, 61):
             for m in range(11):
                 assert euler_number_mod_p(m, p).value == euler_number_gf(m) % p
+
+
+def _table_bernoulli_diff(n, x, y, p):
+    return (bernoulli_poly_mod_p(n, x, p).value - bernoulli_poly_mod_p(n, y, p).value) % p
+
+
+def _table_euler_poly(m, x, p):
+    # the Bernoulli bridge evaluated through the O(p^2) mod-p table
+    n = m + 1
+    diff = _table_bernoulli_diff(n, (Fraction(x) + 1) / 2, Fraction(x) / 2, p)
+    return pow(2, n, p) * pow(n, -1, p) * diff % p
+
+
+class TestPowerSumRoute:
+    """The O(p) power-sum route against the Bernoulli table, the oracle it
+    replaced on the hot path."""
+
+    POINTS = (Fraction(1, 4), Fraction(1, 2), 0, 1, Fraction(3, 7), Fraction(-5, 8))
+
+    def test_matches_table_route(self):
+        for p in primes_in(5, 599):
+            points = [x for x in self.POINTS if Fraction(x).denominator % p]
+            for m in sorted({0, 1, 2, 3, p - 4, p - 3} & set(range(p - 2))):
+                for x in points:
+                    assert euler_poly_mod_p(m, x, p).value == _table_euler_poly(m, x, p), (m, x, p)
+                half = _table_euler_poly(m, Fraction(1, 2), p)
+                assert euler_number_mod_p(m, p).value == pow(2, m, p) * half % p, (m, p)
+            for n in sorted({0, 1, 2, p - 3, p - 2}):
+                for x, y in zip(points, points[1:] + points[:1]):
+                    assert bernoulli_diff_mod_p(n, x, y, p).value == _table_bernoulli_diff(
+                        n, x, y, p), (n, x, y, p)
+            # the two B_{p-2} arguments of lemma-2.6-altsum
+            a, b = frac_part(Fraction(4 - p, 8)), frac_part(Fraction(-p, 8))
+            assert bernoulli_diff_mod_p(p - 2, a, b, p).value == _table_bernoulli_diff(p - 2, a, b, p)
+
+    def test_guards(self):
+        with pytest.raises(ValueError):
+            bernoulli_diff_mod_p(6, 0, 1, 7)  # needs n <= p-2
+        with pytest.raises(ValueError):
+            bernoulli_diff_mod_p(-1, 0, 1, 7)
+        with pytest.raises(ValueError):
+            bernoulli_diff_mod_p(2, 0, 1, 9)  # composite
+        with pytest.raises(NotPIntegralError):
+            bernoulli_diff_mod_p(2, Fraction(1, 7), 0, 7)
+        with pytest.raises(NotPIntegralError):
+            bernoulli_diff_mod_p(2, 0, Fraction(1, 7), 7)
+        with pytest.raises(NotPIntegralError):
+            euler_poly_mod_p(2, Fraction(1, 7), 7)
+        with pytest.raises(ValueError):
+            euler_poly_mod_p(0, 0, 3)  # needs p > 3
 
 
 class TestFermatQuotient:

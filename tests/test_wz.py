@@ -113,3 +113,18 @@ class TestClosedFormG:
             closed_form_g(8, 1)
         with pytest.raises(ValueError):
             closed_form_g(9, 6)
+
+    def test_registry_check_covers_the_whole_grid(self, monkeypatch):
+        # wz-closed-form at grid depth g checks every odd 5 <= p_odd <= 2g - 1
+        from supercong import wz
+
+        seen = []
+
+        def spy(p_odd, k):
+            seen.append(p_odd)
+            return 0
+
+        monkeypatch.setattr(wz, "closed_form_g", spy)
+        monkeypatch.setattr(wz, "eval_g", lambda n, k: 0)
+        assert wz.REGISTRY["wz-closed-form"](52) == 0
+        assert sorted(set(seen)) == list(range(5, 2 * 52, 2))
