@@ -7,42 +7,9 @@ import math
 from fractions import Fraction
 
 
-class FactorialTable:
-    """Monotonically growing table of n!.
-
-    Grow-on-demand; pre-size with grow() before sharing across concurrent
-    readers, or keep one table per worker.
-    """
-
-    def __init__(self, limit: int = 0):
-        self._values = [1]
-        self.grow(limit)
-
-    def grow(self, limit: int) -> None:
-        while len(self._values) <= limit:
-            n = len(self._values)
-            self._values.append(n * self._values[-1])
-
-    def get(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"factorial of negative integer {n}")
-        self.grow(n)
-        return self._values[n]
-
-    @property
-    def limit(self) -> int:
-        return len(self._values) - 1
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(self._values)
-
-
-_FACTORIALS = FactorialTable()
-
-
 def factorial(n: int) -> int:
-    return _FACTORIALS.get(n)
+    """n! for n >= 0; ValueError for negative n."""
+    return math.factorial(n)
 
 
 def recip_factorial(n: int) -> Fraction:
@@ -51,7 +18,7 @@ def recip_factorial(n: int) -> Fraction:
     corresponding binomial coefficient)."""
     if n < 0:
         return Fraction(0)
-    return Fraction(1, _FACTORIALS.get(n))
+    return Fraction(1, math.factorial(n))
 
 
 def binomial(n: int, k: int) -> int:
@@ -65,11 +32,8 @@ def binomial(n: int, k: int) -> int:
         return 0
     if n >= 0:
         return math.comb(n, k) if k <= n else 0
-    num = 1
-    for j in range(k):
-        num *= n - j
-    # k! divides any product of k consecutive integers
-    return num // _FACTORIALS.get(k)
+    # reflection: n(n-1)...(n-k+1) = (-1)^k (k-n-1)(k-n-2)...(-n)
+    return (-1) ** k * math.comb(k - n - 1, k)
 
 
 def binomial_rational(a: Fraction | int, k: int) -> Fraction:
@@ -80,7 +44,7 @@ def binomial_rational(a: Fraction | int, k: int) -> Fraction:
     out = Fraction(1)
     for j in range(k):
         out *= a - j
-    return out / _FACTORIALS.get(k)
+    return out / math.factorial(k)
 
 
 def pochhammer(a: Fraction | int, n: int) -> Fraction:

@@ -8,11 +8,19 @@ congruences (REGISTRY here, checked per (p, r)), identities
 certificates (wz.REGISTRY, checked up to a grid depth).  all_ids() lists
 the ids of all three, and run_suite() runs any selection of them.
 
+Row contract: a CongruenceSpec states its modulus exponent e as a function
+of (p, r), and check_congruence computes e once and calls pairs(p, r, e).
+Each side of each pair is an exact rational, an integer or a Residue mod
+p^e; check_congruence reduces every side into Z/p^e and passes the row when
+each pair's residues are equal.  That one residue comparison is the only
+comparison: a side with p in its denominator is a failed row
+(NotPIntegralError), not a valuation test.  Sides known only mod p (the
+Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are Residues
+mod p, so those rows fix e = 1.
+
 The nine central-binomial and hypergeometric series (eval_series) are
-summed directly in Z/p^e, at the exponent of the row that uses them.  Every
-other left side is still accumulated as an exact rational and reduced once
-at the end; right sides are either exact rationals or residues computed
-directly mod p.
+summed directly in Z/p^e at the e their row is given.  Every other left
+side is still accumulated as an exact rational and reduced once at the end.
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -43,9 +51,9 @@ from .exactnum import (
     Residue,
     UnknownIdError,
     is_prime,
-    padic_valuation,
     reduce_mod,
 )
+from .identities import W_H, W_H2, W_HH, W_ONE, fold
 from .special import (
     bernoulli_diff_mod_p,
     euler_number_mod_p,
@@ -112,17 +120,16 @@ class Verdict:
 
 @dataclass(frozen=True)
 class CongruenceSpec:
-    """Registry row: modulus exponent as a function of (p, r), applicability,
-    and an evaluator producing one or more (lhs, rhs) pairs to compare at
-    that modulus."""
+    """Registry row: modulus exponent e as a function of (p, r),
+    applicability, and an evaluator pairs(p, r, e) producing one or more
+    (lhs, rhs) pairs to compare mod p^e."""
 
     id: str
     description: str
     modulus_exponent: Callable[[int, int], int]
-    pairs: Callable[[int, int], list[tuple[Side, Side]]]
+    pairs: Callable[[int, int, int], list[tuple[Side, Side]]]
     min_prime: int = 5
     r_indexed: bool = False
-    by_valuation: bool = False
 
     def applicable(self, p: int, r: int) -> bool:
         if not is_prime(p) or p < self.min_prime:
@@ -230,26 +237,6 @@ def _rhs_central_quarter(p: int) -> Fraction:
     return p * legendre_symbol(-1, p) + Fraction(p**3, 4) * legendre_symbol(2, p) * _euler_quarter(p)
 
 
-def _half_binom_sum(p: int, weight) -> Fraction:
-    # sum_{k=0}^{(p-3)/2} C((p-1)/2, 2k) C(2k,k) weight(k, H_k, H_k^(2)) / 4^k
-    h = (p - 1) // 2
-    total = Fraction(0)
-    c = 1
-    pw = 1
-    h1 = Fraction(0)
-    h2 = Fraction(0)
-    for k in range((p - 3) // 2 + 1):
-        if k:
-            c = c * 2 * (2 * k - 1) // k
-            pw *= 4
-            h1 += Fraction(1, k)
-            h2 += Fraction(1, k * k)
-        w = weight(k, h1, h2)
-        if w:
-            total += Fraction(binomial(h, 2 * k) * c, pw) * w
-    return total
-
-
 def _sum64_h2(p: int) -> Fraction:
     # sum_{k=1}^{floor((p-1)/4)} C(4k,2k) C(2k,k) H_k^(2) / 64^k
     total = Fraction(0)
@@ -271,109 +258,109 @@ def _alt_quarter_sum(p: int) -> Fraction:
 # -- per-row pair evaluators ---------------------------------------------------
 
 
-def _pairs_thm_main(p, r):
-    return [(eval_series("S8-half", p, r, 4), _rhs_central_quarter(p))]
+def _pairs_thm_main(p, r, e):
+    return [(eval_series("S8-half", p, r, e), _rhs_central_quarter(p))]
 
 
-def _pairs_thm_prime_power(p, r):
-    return [(eval_series("S8-full", p, r, r + 2), _sign((p**r - 1) // 2) * p**r)]
+def _pairs_thm_prime_power(p, r, e):
+    return [(eval_series("S8-full", p, r, e), _sign((p**r - 1) // 2) * p**r)]
 
 
-def _pairs_vanhamme(p, r):
-    return [(eval_series("S64-vh", p, r, 3), _sign((p - 1) // 2) * p)]
+def _pairs_vanhamme(p, r, e):
+    return [(eval_series("S64-vh", p, r, e), _sign((p - 1) // 2) * p)]
 
 
-def _pairs_wolstenholme_h1(p, r):
+def _pairs_wolstenholme_h1(p, r, e):
     return [(harmonic(p - 1, 1), 0)]
 
 
-def _pairs_wolstenholme_h2(p, r):
+def _pairs_wolstenholme_h2(p, r, e):
     return [(harmonic(p - 1, 2), 0)]
 
 
-def _pairs_central_2p1p(p, r):
+def _pairs_central_2p1p(p, r, e):
     return [(binomial(2 * p - 1, p - 1), 1)]
 
 
-def _pairs_sun_64(p, r):
+def _pairs_sun_64(p, r, e):
     rhs = _sign((p - 1) // 2) * p + p**3 * _euler_number(p)
-    return [(eval_series("S64-sun", p, r, 4), rhs)]
+    return [(eval_series("S64-sun", p, r, e), rhs)]
 
 
-def _pairs_guo_liu(p, r):
+def _pairs_guo_liu(p, r, e):
     rhs = p * _sign((p + 1) // 2) + p**3 * (2 - _euler_number(p))
-    return [(eval_series("Sgl", p, r, 4), rhs)]
+    return [(eval_series("Sgl", p, r, e), rhs)]
 
 
-def _pairs_long_cxh_512(p, r):
-    return [(eval_series("S512-half", p, r, 2), p * legendre_symbol(-2, p))]
+def _pairs_long_cxh_512(p, r, e):
+    return [(eval_series("S512-half", p, r, e), p * legendre_symbol(-2, p))]
 
 
-def _pairs_mao_512(p, r):
+def _pairs_mao_512(p, r, e):
     rhs = p * legendre_symbol(-2, p) + Fraction(p**3, 4) * legendre_symbol(2, p) * _euler_number(p)
-    return [(eval_series("S512-half", p, r, 4), rhs)]
+    return [(eval_series("S512-half", p, r, e), rhs)]
 
 
-def _pairs_cxh_8_full(p, r):
+def _pairs_cxh_8_full(p, r, e):
     rhs = p * _sign((p - 1) // 2) + p**3 * _euler_number(p)
-    return [(eval_series("S8-full", p, 1, 4), rhs)]
+    return [(eval_series("S8-full", p, r, e), rhs)]
 
 
-def _pairs_remark_sun_c51(p, r):
-    full = eval_series("S512-full", p, r, 4).value
-    rhs = Residue(4 * legendre_symbol(2, p) * full - 3 * p * legendre_symbol(-1, p), p, 4)
-    return [(eval_series("S8-half", p, r, 4), rhs)]
+def _pairs_remark_sun_c51(p, r, e):
+    full = eval_series("S512-full", p, r, e).value
+    rhs = Residue(4 * legendre_symbol(2, p) * full - 3 * p * legendre_symbol(-1, p), p, e)
+    return [(eval_series("S8-half", p, r, e), rhs)]
 
 
-def _pairs_guo_half_64(p, r):
-    return [(eval_series("S64-guo-half", p, r, r + 2), _sign((p - 1) // 2 * r) * p**r)]
+def _pairs_guo_half_64(p, r, e):
+    return [(eval_series("S64-guo-half", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
 
-def _pairs_guo_conj_full_64(p, r):
-    return [(eval_series("S64-guo-full", p, r, r + 2), _sign((p - 1) // 2 * r) * p**r)]
+def _pairs_guo_conj_full_64(p, r, e):
+    return [(eval_series("S64-guo-full", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
 
-def _pairs_morley(p, r):
+def _pairs_morley(p, r, e):
     h = (p - 1) // 2
     return [(binomial(p - 1, h), _sign(h) * 4 ** (p - 1))]
 
 
-def _pairs_morley_power(p, r):
+def _pairs_morley_power(p, r, e):
     n = p**r
     h = (n - 1) // 2
     return [(binomial(n - 1, h), _sign(h) * 4 ** (n - 1))]
 
 
-def _pairs_lemma_2_2(p, r):
+def _pairs_lemma_2_2(p, r, e):
     q = fermat_quotient2(p)
-    lhs = 2 ** ((9 * p - 9) // 2) * _half_binom_sum(p, lambda k, h1, h2: 1)
+    lhs = 2 ** ((9 * p - 9) // 2) * fold((p - 1) // 2, (p - 1) // 4, W_ONE)
     rhs = _sign((p - 1) // 2) * (1 + 6 * p * q + 15 * p * p * q * q)
     return [(lhs, rhs)]
 
 
-def _pairs_lemma_2_3(p, r):
+def _pairs_lemma_2_3(p, r, e):
     q = fermat_quotient2(p)
-    lhs = 2 ** ((9 * p - 9) // 2) * _half_binom_sum(p, lambda k, h1, h2: h1)
+    lhs = 2 ** ((9 * p - 9) // 2) * fold((p - 1) // 2, (p - 1) // 4, W_H)
     rhs = -3 * _sign((p - 1) // 2) * (2 * q + 11 * p * q * q)
     return [(lhs, rhs)]
 
 
-def _pairs_lemma_2_4(p, r):
+def _pairs_lemma_2_4(p, r, e):
     q = fermat_quotient2(p)
-    lhs = 2 ** ((9 * p - 9) // 2) * _half_binom_sum(p, lambda k, h1, h2: h1 * h1 + h2)
+    lhs = 2 ** ((9 * p - 9) // 2) * fold((p - 1) // 2, (p - 1) // 4, W_HH)
     rhs = 36 * _sign((p - 1) // 2) * q * q
     return [(lhs, rhs)]
 
 
-def _pairs_lemma_2_6a(p, r):
-    return [(_half_binom_sum(p, lambda k, h1, h2: h2), _sum64_h2(p))]
+def _pairs_lemma_2_6a(p, r, e):
+    return [(fold((p - 1) // 2, (p - 1) // 4, W_H2), _sum64_h2(p))]
 
 
-def _pairs_lemma_2_6b(p, r):
+def _pairs_lemma_2_6b(p, r, e):
     return [(_sum64_h2(p), Residue(-_euler_quarter(p) % p, p, 1))]
 
 
-def _pairs_lemma_2_6_altsum(p, r):
+def _pairs_lemma_2_6_altsum(p, r, e):
     f = (p - 1) // 4
     lhs = -2 * _sign(f) * _alt_quarter_sum(p)
     diff = bernoulli_diff_mod_p(p - 2, frac_part(Fraction(4 - p, 8)), frac_part(Fraction(-p, 8)), p)
@@ -381,14 +368,14 @@ def _pairs_lemma_2_6_altsum(p, r):
     return [(lhs, rhs)]
 
 
-def _pairs_lemma_2_7(p, r):
+def _pairs_lemma_2_7(p, r, e):
     lhs = Fraction(0)
     for k in range(1, (p - 1) // 2 + 1):
         lhs += eval_g((p + 1) // 2, k)
     return [(lhs, _rhs_central_quarter(p))]
 
 
-def _pairs_binom_16k(p, r):
+def _pairs_binom_16k(p, r, e):
     h = (p - 1) // 2
     out = []
     for k in range((p - 1) // 4 + 1):
@@ -396,7 +383,7 @@ def _pairs_binom_16k(p, r):
     return out
 
 
-def _pairs_poch_expansion(p, r):
+def _pairs_poch_expansion(p, r, e):
     # (p/2 + 1 - k)_{k-1}^2 vs (k-1)!^2 (1 - p H_{k-1} + (p^2/4)(2 H_{k-1}^2 - H_{k-1}^(2)))
     out = []
     poch = Fraction(1)
@@ -412,18 +399,18 @@ def _pairs_poch_expansion(p, r):
     return out
 
 
-def _pairs_two_power_half(p, r):
+def _pairs_two_power_half(p, r, e):
     q = fermat_quotient2(p)
     rhs = legendre_symbol(2, p) * (1 + Fraction(p, 2) * q - Fraction(p * p, 8) * q * q)
     return [(2 ** ((p - 1) // 2), rhs)]
 
 
-def _pairs_lemma_3_2(p, r):
+def _pairs_lemma_3_2(p, r, e):
     n = p**r
     return [(eval_g(n, (n + 1) // 2), _sign((n - 1) // 2) * n)]
 
 
-def _pairs_lemma_3_3(p, r):
+def _pairs_lemma_3_3(p, r, e):
     n = p**r
     lhs = Fraction(0)
     for k in range(1, (n - 1) // 2 + 1):
@@ -431,7 +418,7 @@ def _pairs_lemma_3_3(p, r):
     return [(lhs, 0)]
 
 
-def _pairs_central_2pr(p, r):
+def _pairs_central_2pr(p, r, e):
     n = p**r
     a = binomial(2 * n, n)
     b = 2 - 4 * n * harmonic(n - 1, 1)
@@ -439,7 +426,7 @@ def _pairs_central_2pr(p, r):
     return [(a, b), (b, c), (c, 2)]
 
 
-def _pairs_ps_1(p, r):
+def _pairs_ps_1(p, r, e):
     n = p**r
     out = []
     for l in range(1, (n - 1) // 2 + 1):
@@ -448,7 +435,7 @@ def _pairs_ps_1(p, r):
     return out
 
 
-def _pairs_ps_2(p, r):
+def _pairs_ps_2(p, r, e):
     n = p**r
     out = []
     for l in range(1, (n - 1) // 2 + 1):
@@ -457,7 +444,7 @@ def _pairs_ps_2(p, r):
     return out
 
 
-def _pairs_ps_3(p, r):
+def _pairs_ps_3(p, r, e):
     n = p**r
     out = []
     for l in range(1, (n - 1) // 2 + 1):
@@ -465,7 +452,7 @@ def _pairs_ps_3(p, r):
     return out
 
 
-def _pairs_neg_binom_unit(p, r):
+def _pairs_neg_binom_unit(p, r, e):
     # The negated binomial -C(-p^r-1, p^r-2k) equals the product
     # prod_{j=1}^{p^r-2k} (1 + p^r/j) exactly, and that product is == 1 mod p.
     # (The binomial itself is == -1: p^r-2k is odd.)
@@ -492,19 +479,6 @@ def _pairs_neg_binom_unit(p, r):
     return out
 
 
-def _row(
-    id: str,
-    description: str,
-    exponent: Callable[[int, int], int],
-    pairs: Callable[[int, int], list[tuple[Side, Side]]],
-    *,
-    min_prime: int = 5,
-    r_indexed: bool = False,
-    by_valuation: bool = False,
-) -> CongruenceSpec:
-    return CongruenceSpec(id, description, exponent, pairs, min_prime, r_indexed, by_valuation)
-
-
 _E1 = lambda p, r: 1
 _E2 = lambda p, r: 2
 _E3 = lambda p, r: 3
@@ -515,215 +489,213 @@ _ER2 = lambda p, r: r + 2
 REGISTRY: dict[str, CongruenceSpec] = {
     s.id: s
     for s in (
-        _row(
+        CongruenceSpec(
             "thm-main",
             "sum_{n<=(p-1)/2} (3n+1)(-8)^-n C(2n,n)^3 == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)",
             _E4,
             _pairs_thm_main,
         ),
-        _row(
+        CongruenceSpec(
             "thm-prime-power",
             "sum_{n<p^r} (3n+1)(-8)^-n C(2n,n)^3 == (-1)^((p^r-1)/2) p^r (mod p^(r+2))",
             _ER2,
             _pairs_thm_prime_power,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "vanhamme",
             "sum_{k<=(p-1)/2} (4k+1)(-1)^k ((1/2)_k/k!)^3 == (-1)^((p-1)/2) p (mod p^3)",
             _E3,
             _pairs_vanhamme,
             min_prime=3,
         ),
-        _row(
+        CongruenceSpec(
             "wolstenholme-h1",
-            "H_{p-1} == 0 (mod p^2), checked by p-adic valuation",
+            "H_{p-1} == 0 (mod p^2)",
             _E2,
             _pairs_wolstenholme_h1,
-            by_valuation=True,
         ),
-        _row(
+        CongruenceSpec(
             "wolstenholme-h2",
-            "H_{p-1}^(2) == 0 (mod p), checked by p-adic valuation",
+            "H_{p-1}^(2) == 0 (mod p)",
             _E1,
             _pairs_wolstenholme_h2,
-            by_valuation=True,
         ),
-        _row(
+        CongruenceSpec(
             "central-2p1p",
             "C(2p-1, p-1) == 1 (mod p^3)",
             _E3,
             _pairs_central_2p1p,
         ),
-        _row(
+        CongruenceSpec(
             "sun-64",
             "sum_{k<p} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)/2) p + p^3 E_{p-3} (mod p^4)",
             _E4,
             _pairs_sun_64,
         ),
-        _row(
+        CongruenceSpec(
             "guo-liu",
             "sum_{k<=(p+1)/2} (-1)^k (4k-1)(-1/2)_k^3/k!^3 == p(-1)^((p+1)/2) + p^3(2 - E_{p-3}) (mod p^4)",
             _E4,
             _pairs_guo_liu,
         ),
-        _row(
+        CongruenceSpec(
             "long-cxh-512",
             "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) (mod p^2)",
             _E2,
             _pairs_long_cxh_512,
             min_prime=3,
         ),
-        _row(
+        CongruenceSpec(
             "mao-512",
             "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) + (p^3/4)(2|p) E_{p-3} (mod p^4)",
             _E4,
             _pairs_mao_512,
         ),
-        _row(
+        CongruenceSpec(
             "cxh-8-full",
             "sum_{k<p} (3k+1)(-8)^-k C(2k,k)^3 == p(-1)^((p-1)/2) + p^3 E_{p-3} (mod p^4)",
             _E4,
             _pairs_cxh_8_full,
         ),
-        _row(
+        CongruenceSpec(
             "remark-sun-c51",
             "half 8-sum == 4(2|p) * full 512-sum - 3p(-1|p) (mod p^4)",
             _E4,
             _pairs_remark_sun_c51,
         ),
-        _row(
+        CongruenceSpec(
             "guo-half-64",
             "sum_{k<=(p^r-1)/2} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
             _ER2,
             _pairs_guo_half_64,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "guo-conj-full-64",
             "sum_{k<p^r} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
             _ER2,
             _pairs_guo_conj_full_64,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "morley",
             "C(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) (mod p^3)",
             _E3,
             _pairs_morley,
         ),
-        _row(
+        CongruenceSpec(
             "morley-power",
             "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1) (mod p^3)",
             _E3,
             _pairs_morley_power,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-2.2",
             "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)/4^k == (-1)^((p-1)/2)(1 + 6pq + 15p^2q^2) (mod p^3), q = q_p(2)",
             _E3,
             _pairs_lemma_2_2,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-2.3",
             "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)H_k/4^k == -3(-1)^((p-1)/2)(2q + 11pq^2) (mod p^2)",
             _E2,
             _pairs_lemma_2_3,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-2.4",
             "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)(H_k^2+H_k^(2))/4^k == 36(-1)^((p-1)/2) q^2 (mod p)",
             _E1,
             _pairs_lemma_2_4,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-2.6a",
             "sum C((p-1)/2,2k)C(2k,k)H_k^(2)/4^k == sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k (mod p)",
             _E1,
             _pairs_lemma_2_6a,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-2.6b",
             "sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k == -E_{p-3}(1/4) (mod p)",
             _E1,
             _pairs_lemma_2_6b,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-2.6-altsum",
             "-2(-1)^floor((p-1)/4) sum (-1)^k/k^2 == -(1/4)(-1)^floor((p-1)/4) "
             "(B_{p-2}({(4-p)/8}) - B_{p-2}({-p/8})) (mod p)",
             _E1,
             _pairs_lemma_2_6_altsum,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-2.7",
             "sum_{k<=(p-1)/2} G((p+1)/2,k) == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)",
             _E4,
             _pairs_lemma_2_7,
         ),
-        _row(
+        CongruenceSpec(
             "binom-16k",
             "C((p-1)/2, 2k) == C(4k,2k)/16^k (mod p) for every 0 <= k <= floor((p-1)/4)",
             _E1,
             _pairs_binom_16k,
         ),
-        _row(
+        CongruenceSpec(
             "poch-expansion",
             "(p/2+1-k)_{k-1}^2 == (k-1)!^2 (1 - pH_{k-1} + (p^2/4)(2H_{k-1}^2 - H_{k-1}^(2))) "
             "(mod p^3) for every 1 <= k <= (p-1)/2",
             _E3,
             _pairs_poch_expansion,
         ),
-        _row(
+        CongruenceSpec(
             "two-power-half",
             "2^((p-1)/2) == (2|p)(1 + (p/2)q - (p^2/8)q^2) (mod p^3), q = q_p(2)",
             _E3,
             _pairs_two_power_half,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-3.2",
             "G(p^r, (p^r+1)/2) == (-1)^((p^r-1)/2) p^r (mod p^(r+2))",
             _ER2,
             _pairs_lemma_3_2,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "lemma-3.3",
             "sum_{k<=(p^r-1)/2} G(p^r,k) == 0 (mod p^(r+2))",
             _ER2,
             _pairs_lemma_3_3,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "central-2pr",
             "C(2p^r,p^r) == 2 - 4p^r H_{p^r-1} == 2 - 4p H_{p-1} == 2 (mod p^2), chained",
             _E2,
             _pairs_central_2pr,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "ps-1",
             "l C(2l,l) C(2k,k) == -2p^r (mod p^(r+1)) for all k+l = p^r, 0 < l < p^r/2",
             _ER1,
             _pairs_ps_1,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "ps-2",
             "-2p^r/(l C(2l,l)) == C(2k,k) (mod p^2) for all k+l = p^r, 0 < l < p^r/2",
             _E2,
             _pairs_ps_2,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "ps-3",
             "C(2p^r-2l, p^r-l) == 0 (mod p) for all 0 < l < p^r/2",
             _E1,
             _pairs_ps_3,
             r_indexed=True,
         ),
-        _row(
+        CongruenceSpec(
             "neg-binom-unit",
             "-C(-p^r-1, p^r-2k) = prod_{j<=p^r-2k}(1 + p^r/j) == 1 (mod p) "
             "for every 1 <= k <= (p^r-1)/2",
@@ -757,22 +729,11 @@ def _reduce_side(value: Side, p: int, e: int) -> Residue:
     return reduce_mod(value, p, e)
 
 
-def eval_rhs(cid: str, p: int, r: int = 1) -> Residue:
-    """The row's right-hand side at its modulus.  For per-index families this
-    is the sum of the per-index right sides."""
-    row = _require(cid)
-    if not row.applicable(p, r):
-        raise InapplicableError(f"{cid} is not stated for p = {p}, r = {r}")
-    e = row.modulus_exponent(p, r)
-    total = Residue(0, p, e)
-    for _, rhs in row.pairs(p, r):
-        total = total + _reduce_side(rhs, p, e)
-    return total
-
-
 def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
-    """Evaluate both sides, reduce at the row's modulus, compare.
+    """Evaluate both sides at the row's modulus p^e, reduce them into Z/p^e
+    and compare the residues.
 
+    e comes from the registry alone and is passed to the row's evaluator.
     Evaluation errors (a p-divisible denominator where none should occur)
     yield a failed Verdict carrying a diagnostic instead of raising.
     """
@@ -783,18 +744,9 @@ def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
     m = p**e
     start = time.perf_counter_ns()
     try:
-        pairs = row.pairs(p, r)
-        reduced = [(_reduce_side(lhs, p, e), _reduce_side(rhs, p, e)) for lhs, rhs in pairs]
-        if row.by_valuation:
-            # rational == 0 (mod p^e) means v_p >= e; equivalent to residue
-            # equality here because the denominators are p-free, but the
-            # valuation is the stated semantics for these rows
-            oks = []
-            for lhs, rhs in pairs:
-                diff = Fraction(lhs) - Fraction(rhs)
-                oks.append(diff == 0 or padic_valuation(diff, p) >= e)
-        else:
-            oks = [lv == rv for lv, rv in reduced]
+        reduced = [(_reduce_side(lhs, p, e), _reduce_side(rhs, p, e))
+                   for lhs, rhs in row.pairs(p, r, e)]
+        oks = [lv == rv for lv, rv in reduced]
         if all(oks):
             lhs_total = Residue(sum(lv.value for lv, _ in reduced) % m, p, e)
             rhs_total = Residue(sum(rv.value for _, rv in reduced) % m, p, e)
@@ -868,7 +820,7 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_run_task, tasks))
     else:
         chunks = [_run_task(t) for t in tasks]

@@ -29,7 +29,7 @@ class ModulusMismatchError(ValueError):
     """Arithmetic between residues living in different Z/p^e is a bug, not a coercion."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache  # bounded: the hot path repeats only the prime of the current task
 def is_prime(n: int) -> bool:
     """Deterministic trial division; ample at desk scale (n below ~10^8)."""
     if n < 2:

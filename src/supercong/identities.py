@@ -36,8 +36,13 @@ def _pointwise(lhs, rhs):
 # -- even/odd companions over C(2n,k)C(2n-k,k)/4^k ---------------------------
 
 
-def _fold(top: int, n: int, weight) -> Fraction:
-    # sum_{k=0}^{n} C(top,k) C(top-k,k) weight(k) / 4^k, top = 2n or 2n+1
+def fold(top: int, n: int, weight) -> Fraction:
+    """sum_{k=0}^{n} C(top,k) C(top-k,k) weight(k, H_k, H_k^(2)) / 4^k.
+
+    I1-I6 take top = 2n or 2n+1; lemmas 2.2-2.6a of the congruence registry
+    take top = (p-1)/2 and n = floor((p-1)/4), where C(top,k) C(top-k,k) =
+    C((p-1)/2, 2k) C(2k,k).
+    """
     total = Fraction(0)
     h1 = Fraction(0)
     h2 = Fraction(0)
@@ -51,18 +56,18 @@ def _fold(top: int, n: int, weight) -> Fraction:
     return total
 
 
-_W_ONE = lambda k, h1, h2: 1
-_W_H = lambda k, h1, h2: h1
-_W_HH = lambda k, h1, h2: h1 * h1 + h2
-_W_H2 = lambda k, h1, h2: h2
+W_ONE = lambda k, h1, h2: 1
+W_H = lambda k, h1, h2: h1
+W_HH = lambda k, h1, h2: h1 * h1 + h2
+W_H2 = lambda k, h1, h2: h2
 
-_i1_lhs = lambda n: _fold(2 * n, n, _W_ONE)
+_i1_lhs = lambda n: fold(2 * n, n, W_ONE)
 _i1_rhs = lambda n: Fraction(comb(4 * n, 2 * n), 4**n)
-_i2_lhs = lambda n: _fold(2 * n + 1, n, _W_ONE)
+_i2_lhs = lambda n: fold(2 * n + 1, n, W_ONE)
 _i2_rhs = lambda n: Fraction(comb(4 * n + 1, 2 * n + 1), 4**n)
-_i3_lhs = lambda n: _fold(2 * n, n, _W_H)
+_i3_lhs = lambda n: fold(2 * n, n, W_H)
 _i3_rhs = lambda n: _i1_rhs(n) * (3 * harmonic(2 * n) - 2 * harmonic(4 * n))
-_i4_lhs = lambda n: _fold(2 * n + 1, n, _W_H)
+_i4_lhs = lambda n: fold(2 * n + 1, n, W_H)
 _i4_rhs = lambda n: _i2_rhs(n) * (3 * harmonic(2 * n + 1) - 2 * harmonic(4 * n + 2))
 
 
@@ -81,8 +86,8 @@ def _i6_rhs(n: int) -> Fraction:
     )
 
 
-_i5_lhs = lambda n: _fold(2 * n, n, _W_HH)
-_i6_lhs = lambda n: _fold(2 * n + 1, n, _W_HH)
+_i5_lhs = lambda n: fold(2 * n, n, W_HH)
+_i6_lhs = lambda n: fold(2 * n + 1, n, W_HH)
 
 
 # -- quarter-parameter identities ---------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exactnum import NotPIntegralError, Residue, is_prime
+from .exactnum import Residue, is_prime, reduce_mod
 
 _BERNOULLI_EXACT: list[Fraction] = [Fraction(1)]
 
@@ -105,14 +105,6 @@ def bernoulli_table_mod_p(p: int, max_index: int) -> BernoulliTableModP:
     return BernoulliTableModP(p, max_index, tuple(tab[: max_index + 1]))
 
 
-def _residue_of(x: Fraction, p: int) -> int:
-    if x.denominator % p == 0:
-        raise NotPIntegralError(
-            f"argument {x} has denominator divisible by {p}"
-        )
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
     """B_n(x) mod p for 0 <= n <= p-2 and p-integral x, from the mod-p
     table; the oracle for bernoulli_diff_mod_p."""
@@ -120,7 +112,7 @@ def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
         raise ValueError(f"{p} is not prime")
     if not 0 <= n <= p - 2:
         raise ValueError(f"degree {n} out of range [0, {p - 2}] for p = {p}")
-    xr = _residue_of(Fraction(x), p)
+    xr = reduce_mod(x, p, 1).value
     tab = bernoulli_table_mod_p(p, n).entries
     xpow = [1] * (n + 1)
     for i in range(1, n + 1):
@@ -147,8 +139,8 @@ def bernoulli_diff_mod_p(n: int, x: Fraction | int, y: Fraction | int, p: int) -
         raise ValueError(f"{p} is not prime")
     if not 0 <= n <= p - 2:
         raise ValueError(f"degree {n} out of range [0, {p - 2}] for p = {p}")
-    xr = _residue_of(Fraction(x), p)
-    yr = _residue_of(Fraction(y), p)
+    xr = reduce_mod(x, p, 1).value
+    yr = reduce_mod(y, p, 1).value
     if n == 0:
         return Residue(0, p, 1)
     acc = sum(pow(yr + j, n - 1, p) for j in range((xr - yr) % p))

@@ -5,6 +5,7 @@ import pytest
 
 from supercong.cli import collect_records, emit_report, main, parse_args
 from supercong.congruences import all_ids
+from supercong.exactnum import is_prime
 
 JSONL_KEYS = ["id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros"]
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -58,6 +59,10 @@ class TestParseArgs:
             parse_args(["--primes", "5:7", "--jobs", "zero"])
         with pytest.raises(SystemExit):
             parse_args(["--primes", "5:7", "--jobs", "0"])
+
+    def test_prime_cache_stays_bounded(self):
+        parse_args(["--primes", "5:20000"])
+        assert is_prime.cache_info().currsize <= 128
 
     def test_leading_program_word_optional(self):
         with_word = parse_args(["verify", "--primes", "5:7"])

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from supercong import (
-    FactorialTable,
     binomial,
     binomial_rational,
+    factorial,
     frac_part,
     harmonic,
     pochhammer,
@@ -14,23 +14,10 @@ from supercong import (
 from oracles import binomial_factorial, falling_product
 
 
-class TestFactorialTable:
-    def test_invariants(self):
-        table = FactorialTable(20)
-        values = table.values
-        assert values[0] == 1
-        for n in range(1, 21):
-            assert values[n] == n * values[n - 1]
-
-    def test_grows_on_demand(self):
-        table = FactorialTable()
-        assert table.limit == 0
-        assert table.get(10) == 3628800
-        assert table.limit >= 10
-
+class TestFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            FactorialTable().get(-1)
+            factorial(-1)
 
 
 class TestBinomial:
@@ -102,8 +89,6 @@ class TestPochhammer:
             assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
 
     def test_central_binomial_bridge(self):
-        from supercong import factorial
-
         for m in range(101):
             assert Fraction(binomial(2 * m, m), 4**m) == pochhammer(Fraction(1, 2), m) / factorial(m)
 

@@ -6,8 +6,8 @@ from supercong import (
     InapplicableError,
     Residue,
     UnknownIdError,
+    CongruenceSpec,
     check_congruence,
-    eval_rhs,
     eval_series,
     euler_poly_mod_p,
     harmonic,
@@ -95,17 +95,17 @@ class TestEvalSeries:
 
 class TestEvalRhs:
     def test_anchors(self):
-        assert eval_rhs("thm-main", 5) == Residue(255, 5, 4)
-        assert eval_rhs("vanhamme", 5) == Residue(5, 5, 3)
+        assert check_congruence("thm-main", 5).rhs == Residue(255, 5, 4)
+        assert check_congruence("vanhamme", 5).rhs == Residue(5, 5, 3)
         # 1 + 6*5*3 + 15*25*9 = 3466 == 91 (mod 125)
-        assert eval_rhs("lemma-2.2", 5) == Residue(91, 5, 3)
+        assert check_congruence("lemma-2.2", 5).rhs == Residue(91, 5, 3)
 
     def test_representative_independence(self):
         # E-values enter as mod-p lifts scaled by p^3; shifting the lift by a
         # multiple of p cannot change the reduced right side mod p^4
         for p in (5, 13, 29):
             base = euler_poly_mod_p(p - 3, Fraction(1, 4), p).value
-            expected = eval_rhs("thm-main", p)
+            expected = check_congruence("thm-main", p).rhs
             from supercong import legendre_symbol
 
             for t in (1, 2, 3):
@@ -169,13 +169,11 @@ class TestCheckCongruence:
             check_congruence("lemma-9.9", 5)
 
     def test_evaluation_error_becomes_failed_verdict(self):
-        from supercong import congruences as cong
-
-        row = cong._row(
+        row = CongruenceSpec(
             "tmp-ill-posed",
             "denominator divisible by p on purpose",
             lambda p, r: 2,
-            lambda p, r: [(Fraction(1, p), 0)],
+            lambda p, r, e: [(Fraction(1, p), 0)],
         )
         REGISTRY[row.id] = row
         try:
@@ -254,6 +252,32 @@ class TestRunSuite:
     def test_unknown_id_rejected(self):
         with pytest.raises(UnknownIdError):
             suite(["no-such-row"], [5])
+
+    def test_pool_never_larger_than_task_list(self, monkeypatch):
+        # a pool forks all its workers at start, so --jobs 500 on two tasks
+        # must ask for two; the fake pool maps in this process
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        pooled = suite(["morley"], [5, 7], jobs=500)
+        assert sizes == [2]
+        assert [v.record(no_timing=True) for v in pooled] == [
+            v.record(no_timing=True) for v in suite(["morley"], [5, 7])]
 
     def test_repeated_ids_checked_once(self):
         once = suite(["morley", "thm-main", "I3"], [5, 7])
