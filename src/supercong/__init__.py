@@ -22,18 +22,15 @@ from .congruences import (
 )
 from .exactnum import (
     ModulusMismatchError,
-    NonInvertibleError,
     NotPIntegralError,
     Residue,
     UnknownIdError,
     is_prime,
-    mod_inverse,
     padic_valuation,
     reduce_mod,
 )
 from .identities import IdentitySpec, check_identity, check_identity_range
 from .special import (
-    BernoulliTableModP,
     bernoulli_diff_mod_p,
     bernoulli_exact,
     bernoulli_poly_exact,
@@ -45,7 +42,6 @@ from .special import (
     legendre_symbol,
 )
 from .wz import (
-    GridVerdict,
     check_pair_identity,
     closed_form_g,
     eval_f,
@@ -58,13 +54,10 @@ from .wz import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliTableModP",
     "CongruenceSpec",
-    "GridVerdict",
     "IdentitySpec",
     "InapplicableError",
     "ModulusMismatchError",
-    "NonInvertibleError",
     "NotPIntegralError",
     "Residue",
     "UnknownIdError",
@@ -93,7 +86,6 @@ __all__ = [
     "harmonic",
     "is_prime",
     "legendre_symbol",
-    "mod_inverse",
     "padic_valuation",
     "pochhammer",
     "recip_factorial",

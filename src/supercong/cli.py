@@ -5,8 +5,8 @@ report emission.
            [--identities-n-max N] [--format jsonl|csv|table] [--jobs N|auto]
            [--out PATH] [--no-timing]
 
-Exit codes: 0 all checks pass, 1 any check fails, 2 usage error,
-3 I/O or internal arithmetic error.
+Exit codes: 0 all checks pass, 1 any check fails, 2 usage error or a
+selection with no check to run, 3 I/O or internal arithmetic error.
 
 Every row is a congruences.Verdict.  Congruence rows report both residues at
 their modulus, at each odd prime the row is stated for (p = 2 is dropped
@@ -186,6 +186,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # internal arithmetic error
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if not rows:
+        print("error: no selected id is stated for a prime in the --primes range",
+              file=sys.stderr)
+        return 2
     try:
         return emit_report(rows, config.fmt, config.out_path, config.no_timing)
     except OSError as exc:

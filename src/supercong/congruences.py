@@ -11,14 +11,14 @@ the ids of all three, and run_suite() runs any selection of them.
 Row contract: a CongruenceSpec states its modulus exponent e as a function
 of (p, r), and check_congruence computes e once and calls pairs(p, r, e).
 Each side of each pair is an exact rational, an integer or a Residue mod
-p^e; check_congruence reduces every side into Z/p^e and passes the row when
-each pair's residues are equal.  That one residue comparison is the only
-comparison: a side with p in its denominator is a failed row
-(NotPIntegralError), not a valuation test.  Sides known only mod p (the
-Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are Residues
-mod p, so those rows fix e = 1.
+p^e; check_congruence reduces every side into Z/p^e and compares each
+pair's residues.  That one residue comparison is the only comparison: a
+side with p in its denominator is a failed row (NotPIntegralError), not a
+valuation test.  Sides known only mod p (the Euler and Bernoulli values of
+lemma-2.6b and lemma-2.6-altsum) are Residues mod p, so those rows fix
+e = 1.
 
-The nine central-binomial and hypergeometric series (eval_series) are
+The seven central-binomial and hypergeometric series (eval_series) are
 summed directly in Z/p^e at the e their row is given.  Every other left
 side is still accumulated as an exact rational and reduced once at the end.
 
@@ -29,10 +29,11 @@ lemma-2.6b and lemma-2.6-altsum assert E_{p-3}(1/4) and a Bernoulli
 difference equal to a 64-weighted and an alternating sum, and neither sum
 is used to compute them.
 
-Per-index families (one congruence for every k or l in a stated range) are
-checked index by index; their Verdict reports the summed residues when all
-indices pass and the first failing pair otherwise, so pass <=> lhs == rhs
-always holds.
+A Verdict stores the residues, never a pass flag: a row passes exactly
+when lhs == rhs.  Per-index families (one congruence for every k or l in a
+stated range) are checked index by index; their Verdict reports the summed
+residues when all indices pass (equal then) and the first failing pair
+otherwise (unequal).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from . import identities, wz
 from .combinat import binomial, factorial, frac_part, harmonic
 from .exactnum import (
     ModulusMismatchError,
-    NonInvertibleError,
     NotPIntegralError,
     Residue,
     UnknownIdError,
@@ -81,9 +81,9 @@ class Verdict:
 
     A congruence row carries both residues at its modulus p^e.  An exact
     (modulus-free) row, from an identity or a grid certificate, has
-    p = r = 0, modulus None, lhs = the number of failing points and rhs = 0,
-    so it passes when nothing failed.  lhs/rhs are None only if evaluation
-    itself failed, in which case diagnostic says why.
+    p = r = 0, e None, lhs = the number of failing points and rhs = 0.
+    lhs/rhs are None only if evaluation itself failed, in which case
+    diagnostic says why.  A row passes exactly when lhs == rhs.
     """
 
     id: str
@@ -91,31 +91,32 @@ class Verdict:
     r: int
     lhs: Residue | int | None
     rhs: Residue | int | None
-    modulus: int | None
-    passed: bool
+    e: int | None
     micros: int
     diagnostic: str | None = None
 
+    @property
+    def passed(self) -> bool:
+        return self.lhs is not None and self.lhs == self.rhs
+
+    @property
+    def modulus(self) -> int | None:
+        return None if self.e is None else self.p**self.e
+
     def record(self, no_timing: bool = False) -> dict:
-        if self.modulus is None:
-            modulus = "exact"
-        else:
-            e = 0
-            m = self.modulus
-            while m > 1:
-                m //= self.p
-                e += 1
-            modulus = f"{self.p}^{e}"
-        return {
+        rec = {
             "id": self.id,
             "p": self.p,
             "r": self.r,
-            "modulus": modulus,
+            "modulus": "exact" if self.e is None else f"{self.p}^{self.e}",
             "lhs": None if self.lhs is None else str(int(self.lhs)),
             "rhs": None if self.rhs is None else str(int(self.rhs)),
             "pass": self.passed,
             "micros": 0 if no_timing else self.micros,
         }
+        if self.diagnostic is not None:
+            rec["diagnostic"] = self.diagnostic
+        return rec
 
 
 @dataclass(frozen=True)
@@ -144,36 +145,35 @@ class CongruenceSpec:
 
 @dataclass(frozen=True)
 class _Series:
-    """sum_{n=0}^{bound(p, r)} (a n + b) t_n^3 / (-base)^n, where t_0 = 1
+    """sum_{n=0}^{bound(p^r)} (a n + b) t_n^3 / (-base)^n, where t_0 = 1
     and t_n / t_{n-1} = (c n + d) / (g n) with (c, d, g) = ratio."""
 
     weight: tuple[int, int]
     base: int
     ratio: tuple[int, int, int]
-    bound: Callable[[int, int], int]
+    bound: Callable[[int], int]
 
 
 _CENTRAL = (4, -2, 1)  # t_n = C(2n, n)
 _NEG_HALF = (2, -3, 2)  # t_n = (-1/2)_n / n!
+_HALF = lambda q: (q - 1) // 2
+_FULL = lambda q: q - 1
 
 _SERIES: dict[str, _Series] = {
-    "S8-half": _Series((3, 1), 8, _CENTRAL, lambda p, r: (p - 1) // 2),
-    "S8-full": _Series((3, 1), 8, _CENTRAL, lambda p, r: p**r - 1),
+    "S8-half": _Series((3, 1), 8, _CENTRAL, _HALF),
+    "S8-full": _Series((3, 1), 8, _CENTRAL, _FULL),
     # sum (4k+1)(-1)^k ((1/2)_k / k!)^3, and (1/2)_k / k! = C(2k, k) / 4^k
-    "S64-vh": _Series((4, 1), 64, _CENTRAL, lambda p, r: (p - 1) // 2),
-    "S64-sun": _Series((4, 1), 64, _CENTRAL, lambda p, r: p - 1),
-    "S64-guo-half": _Series((4, 1), 64, _CENTRAL, lambda p, r: (p**r - 1) // 2),
-    "S64-guo-full": _Series((4, 1), 64, _CENTRAL, lambda p, r: p**r - 1),
-    "S512-half": _Series((6, 1), 512, _CENTRAL, lambda p, r: (p - 1) // 2),
-    "S512-full": _Series((6, 1), 512, _CENTRAL, lambda p, r: p - 1),
+    "S64-half": _Series((4, 1), 64, _CENTRAL, _HALF),
+    "S64-full": _Series((4, 1), 64, _CENTRAL, _FULL),
+    "S512-half": _Series((6, 1), 512, _CENTRAL, _HALF),
+    "S512-full": _Series((6, 1), 512, _CENTRAL, _FULL),
     # sum (-1)^k (4k-1) ((-1/2)_k / k!)^3
-    "Sgl": _Series((4, -1), 1, _NEG_HALF, lambda p, r: (p + 1) // 2),
+    "Sgl": _Series((4, -1), 1, _NEG_HALF, lambda q: (q + 1) // 2),
 }
 
 
 def eval_series(series_id: str, p: int, r: int, e: int) -> Residue:
-    """Partial sum of the named series at its stated upper bound, mod p^e;
-    r matters only for the p^r-indexed series.
+    """Partial sum of the named series at its upper bound for p^r, mod p^e.
 
     The sum is taken in Z/p^e: t_n is stepped as p^v u with u a unit mod
     p^e, p being split out of each ratio's numerator and denominator, and a
@@ -195,7 +195,7 @@ def eval_series(series_id: str, p: int, r: int, e: int) -> Residue:
     step = pow(-series.base, -1, m)
     v, u, scale = 0, 1, 1  # t_n = p^v u and scale = (-base)^-n
     total = 0
-    for n in range(series.bound(p, r) + 1):
+    for n in range(series.bound(p**r) + 1):
         if n:
             num, den = c * n + d, g * n
             while num % p == 0:
@@ -267,7 +267,7 @@ def _pairs_thm_prime_power(p, r, e):
 
 
 def _pairs_vanhamme(p, r, e):
-    return [(eval_series("S64-vh", p, r, e), _sign((p - 1) // 2) * p)]
+    return [(eval_series("S64-half", p, r, e), _sign((p - 1) // 2) * p)]
 
 
 def _pairs_wolstenholme_h1(p, r, e):
@@ -284,7 +284,7 @@ def _pairs_central_2p1p(p, r, e):
 
 def _pairs_sun_64(p, r, e):
     rhs = _sign((p - 1) // 2) * p + p**3 * _euler_number(p)
-    return [(eval_series("S64-sun", p, r, e), rhs)]
+    return [(eval_series("S64-full", p, r, e), rhs)]
 
 
 def _pairs_guo_liu(p, r, e):
@@ -313,11 +313,11 @@ def _pairs_remark_sun_c51(p, r, e):
 
 
 def _pairs_guo_half_64(p, r, e):
-    return [(eval_series("S64-guo-half", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
+    return [(eval_series("S64-half", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
 
 def _pairs_guo_conj_full_64(p, r, e):
-    return [(eval_series("S64-guo-full", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
+    return [(eval_series("S64-full", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
 
 def _pairs_morley(p, r, e):
@@ -741,22 +741,21 @@ def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
     if not row.applicable(p, r):
         raise InapplicableError(f"{cid} is not stated for p = {p}, r = {r}")
     e = row.modulus_exponent(p, r)
-    m = p**e
     start = time.perf_counter_ns()
     try:
         reduced = [(_reduce_side(lhs, p, e), _reduce_side(rhs, p, e))
                    for lhs, rhs in row.pairs(p, r, e)]
-        oks = [lv == rv for lv, rv in reduced]
-        if all(oks):
-            lhs_total = Residue(sum(lv.value for lv, _ in reduced) % m, p, e)
-            rhs_total = Residue(sum(rv.value for _, rv in reduced) % m, p, e)
+        failing = [(lv, rv) for lv, rv in reduced if lv != rv]
+        if failing:
+            lhs, rhs = failing[0]
         else:
-            lhs_total, rhs_total = reduced[oks.index(False)]
+            lhs = Residue(sum(lv.value for lv, _ in reduced), p, e)
+            rhs = Residue(sum(rv.value for _, rv in reduced), p, e)
         micros = (time.perf_counter_ns() - start) // 1000
-        return Verdict(cid, p, r, lhs_total, rhs_total, m, all(oks), micros)
-    except (NotPIntegralError, NonInvertibleError, EvaluatorError) as exc:
+        return Verdict(cid, p, r, lhs, rhs, e, micros)
+    except (NotPIntegralError, EvaluatorError) as exc:
         micros = (time.perf_counter_ns() - start) // 1000
-        return Verdict(cid, p, r, None, None, m, False, micros, str(exc))
+        return Verdict(cid, p, r, None, None, e, micros, str(exc))
 
 
 # A task is (p, [(id, r), ...]) for the congruence rows at one prime, or
@@ -787,11 +786,11 @@ def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list
 def _check_exact(cid: str, depth: int) -> Verdict:
     start = time.perf_counter_ns()
     if cid in identities.REGISTRY:
-        failures = len(identities.check_identity_range(cid, depth).failures)
+        failures = len(identities.check_identity_range(cid, depth))
     else:
         failures = wz.REGISTRY[cid](depth)
     micros = (time.perf_counter_ns() - start) // 1000
-    return Verdict(cid, 0, 0, failures, 0, None, failures == 0, micros)
+    return Verdict(cid, 0, 0, failures, 0, None, micros)
 
 
 def _run_task(task: _Task) -> list[Verdict]:

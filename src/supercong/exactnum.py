@@ -17,10 +17,6 @@ class UnknownIdError(KeyError):
     """Requested id is not in the relevant registry."""
 
 
-class NonInvertibleError(ValueError):
-    """gcd(a, m) > 1, so a has no inverse modulo m."""
-
-
 class NotPIntegralError(ValueError):
     """p divides the denominator, so reduction mod p^e is ill-posed."""
 
@@ -120,16 +116,6 @@ def padic_valuation(q: Fraction | int, p: int) -> int:
     return count(abs(q.numerator)) - count(q.denominator)
 
 
-def mod_inverse(a: int, m: int) -> int:
-    """x in [0, m) with a*x == 1 (mod m); requires gcd(a, m) = 1."""
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise NonInvertibleError(f"{a} is not invertible modulo {m}") from None
-
-
 def reduce_mod(q: Fraction | int, p: int, e: int) -> Residue:
     """Reduce a p-integral rational into Z/p^e as num * den^(-1).
 
@@ -146,4 +132,4 @@ def reduce_mod(q: Fraction | int, p: int, e: int) -> Residue:
             f"denominator {q.denominator} is divisible by {p}; not reducible mod {p}^{e}"
         )
     m = p**e
-    return Residue(q.numerator * mod_inverse(q.denominator, m) % m, p, e)
+    return Residue(q.numerator * pow(q.denominator, -1, m) % m, p, e)

@@ -16,7 +16,6 @@ from typing import Callable
 from .combinat import binomial, binomial_rational, factorial, frac_part, harmonic, recip_factorial
 from .exactnum import UnknownIdError
 from .special import bernoulli_poly_exact
-from .wz import GridVerdict
 
 
 @dataclass(frozen=True)
@@ -24,8 +23,6 @@ class IdentitySpec:
     id: str
     description: str
     n_min: int
-    lhs: Callable[[int], Fraction] | None
-    rhs: Callable[[int], Fraction] | None
     check: Callable[[int], bool]
 
 
@@ -178,91 +175,62 @@ def _i12_check(n: int) -> bool:
     return True
 
 
-def _spec(id, description, n_min, lhs, rhs) -> IdentitySpec:
-    return IdentitySpec(id, description, n_min, lhs, rhs, _pointwise(lhs, rhs))
-
-
 REGISTRY: dict[str, IdentitySpec] = {
     s.id: s
     for s in (
-        _spec("I1", "sum C(2n,k)C(2n-k,k)/4^k = C(4n,2n)/4^n", 0, _i1_lhs, _i1_rhs),
-        _spec("I2", "sum C(2n+1,k)C(2n+1-k,k)/4^k = C(4n+1,2n+1)/4^n", 0, _i2_lhs, _i2_rhs),
-        _spec(
+        IdentitySpec("I1", "sum C(2n,k)C(2n-k,k)/4^k = C(4n,2n)/4^n", 0,
+                     _pointwise(_i1_lhs, _i1_rhs)),
+        IdentitySpec("I2", "sum C(2n+1,k)C(2n+1-k,k)/4^k = C(4n+1,2n+1)/4^n", 0,
+                     _pointwise(_i2_lhs, _i2_rhs)),
+        IdentitySpec(
             "I3",
             "sum C(2n,k)C(2n-k,k)H_k/4^k = C(4n,2n)/4^n (3H_{2n} - 2H_{4n})",
             0,
-            _i3_lhs,
-            _i3_rhs,
+            _pointwise(_i3_lhs, _i3_rhs),
         ),
-        _spec(
+        IdentitySpec(
             "I4",
             "sum C(2n+1,k)C(2n+1-k,k)H_k/4^k = C(4n+1,2n+1)/4^n (3H_{2n+1} - 2H_{4n+2})",
             0,
-            _i4_lhs,
-            _i4_rhs,
+            _pointwise(_i4_lhs, _i4_rhs),
         ),
-        _spec(
+        IdentitySpec(
             "I5",
             "sum C(2n,k)C(2n-k,k)(H_k^2+H_k^(2))/4^k = "
             "C(4n,2n)/4^n ((5H_{2n}^(2) - 4H_{4n}^(2)) + (3H_{2n} - 2H_{4n})^2)",
             0,
-            _i5_lhs,
-            _i5_rhs,
+            _pointwise(_i5_lhs, _i5_rhs),
         ),
-        _spec(
-            "I6",
-            "odd companion of I5 with upper row 2n+1",
-            0,
-            _i6_lhs,
-            _i6_rhs,
-        ),
+        IdentitySpec("I6", "odd companion of I5 with upper row 2n+1", 0,
+                     _pointwise(_i6_lhs, _i6_rhs)),
         IdentitySpec(
             "I7",
             "sum C(n,k)C(-3/4,k)H_k^(2) = (-1)^n C(-1/4,n)(H_n^(2) - sum (-1)^k/(k^2 C(-1/4,k)))",
             0,
-            None,
-            None,
             _i7_check,
         ),
-        IdentitySpec(
-            "I8",
-            "the (-1/4 <-> -3/4) swap of I7",
-            0,
-            None,
-            None,
-            _i8_check,
-        ),
-        _spec(
-            "I9",
-            "sum (-1)^k/(k^2 C(n,k)) = H_n^(2) + 2 sum (-1)^k/k^2",
-            0,
-            _i9_lhs,
-            _i9_rhs,
-        ),
+        IdentitySpec("I8", "the (-1/4 <-> -3/4) swap of I7", 0, _i8_check),
+        IdentitySpec("I9", "sum (-1)^k/(k^2 C(n,k)) = H_n^(2) + 2 sum (-1)^k/k^2", 0,
+                     _pointwise(_i9_lhs, _i9_rhs)),
         IdentitySpec(
             "I10",
             "sum of x^k over 0 <= x < P, x == r (mod m) equals "
             "m^k/(k+1) (B_{k+1}(P/m + {(r-P)/m}) - B_{k+1}({r/m})); "
             "quantified over m <= 8, 0 <= r < m, k <= 6 at each P",
             1,
-            None,
-            None,
             _i10_check,
         ),
-        _spec(
+        IdentitySpec(
             "I11",
             "C(4k,2k)C(2k,k)/64^k = C(-1/4,k)C(-3/4,k) (n plays the role of k)",
             0,
-            _i11_lhs,
-            _i11_rhs,
+            _pointwise(_i11_lhs, _i11_rhs),
         ),
         IdentitySpec(
             "I12",
             "C(2n-2k,n-1) = C(2n-2k,n-k)(n-k)!^2/((n-1)!(n+1-2k)!), "
             "quantified over 1 <= k <= n with 1/(negative)! = 0",
             1,
-            None,
-            None,
             _i12_check,
         ),
     )
@@ -280,13 +248,10 @@ def check_identity(identity_id: str, n: int) -> bool:
     return spec.check(n)
 
 
-def check_identity_range(identity_id: str, n_max: int) -> GridVerdict:
-    """check_identity for every n from the declared range start to n_max."""
+def check_identity_range(identity_id: str, n_max: int) -> tuple[int, ...]:
+    """The n from the declared range start to n_max at which the identity
+    fails; () means it holds on the whole range."""
     spec = REGISTRY.get(identity_id)
     if spec is None:
         raise UnknownIdError(f"unknown identity id: {identity_id}")
-    failures = []
-    for n in range(spec.n_min, n_max + 1):
-        if not spec.check(n):
-            failures.append((n, 0))
-    return GridVerdict.collect(n_max, 0, failures)
+    return tuple(n for n in range(spec.n_min, n_max + 1) if not spec.check(n))

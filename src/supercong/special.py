@@ -14,7 +14,6 @@ Three routes, pinned together by the tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -48,20 +47,6 @@ def bernoulli_poly_exact(n: int, x: Fraction | int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class BernoulliTableModP:
-    """Residues B_0 .. B_max_index mod p.
-
-    max_index stays below p-1: indices divisible by p-1 (beyond 0) have
-    Bernoulli denominators divisible by p and are rejected rather than
-    silently wrong.
-    """
-
-    p: int
-    max_index: int
-    entries: tuple[int, ...]
-
-
 _BERNOULLI_MOD: dict[int, list[int]] = {}
 
 
@@ -74,12 +59,13 @@ def _inverse_table(p: int, limit: int) -> list[int]:
     return inv
 
 
-def bernoulli_table_mod_p(p: int, max_index: int) -> BernoulliTableModP:
-    """B_0 .. B_max_index mod p via the recurrence run in GF(p), in O(p^2);
-    the oracle for bernoulli_diff_mod_p.
+def bernoulli_table_mod_p(p: int, max_index: int) -> tuple[int, ...]:
+    """The residues of B_0 .. B_max_index mod p via the recurrence run in
+    GF(p), in O(p^2); the oracle for bernoulli_diff_mod_p.
 
     Legal because every B_k with k <= p-2 is p-integral (no index divisible
-    by p-1 beyond 0 is touched) and every k+1 <= p-1 is invertible.
+    by p-1 beyond 0 is touched) and every k+1 <= p-1 is invertible; a
+    larger max_index is rejected rather than silently wrong.
     The per-prime cache grows monotonically; build it before sharing
     between threads, or keep per-worker copies.
     """
@@ -102,7 +88,7 @@ def bernoulli_table_mod_p(p: int, max_index: int) -> BernoulliTableModP:
                 acc = (acc + c * tab[j]) % p
                 c = c * (m + 1 - j) % p * inv[j + 1] % p
             tab.append(-inv[m + 1] * acc % p)
-    return BernoulliTableModP(p, max_index, tuple(tab[: max_index + 1]))
+    return tuple(tab[: max_index + 1])
 
 
 def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
@@ -113,7 +99,7 @@ def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
     if not 0 <= n <= p - 2:
         raise ValueError(f"degree {n} out of range [0, {p - 2}] for p = {p}")
     xr = reduce_mod(x, p, 1).value
-    tab = bernoulli_table_mod_p(p, n).entries
+    tab = bernoulli_table_mod_p(p, n)
     xpow = [1] * (n + 1)
     for i in range(1, n + 1):
         xpow[i] = xpow[i - 1] * xr % p

@@ -8,26 +8,10 @@ exactly the half/full central-binomial sum checked by the congruence registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .combinat import binomial, factorial, pochhammer, recip_factorial
-
-
-@dataclass(frozen=True)
-class GridVerdict:
-    """Outcome of an identity checked over a finite grid."""
-
-    n_max: int
-    k_max: int
-    failures: tuple[tuple[int, int], ...]
-    passed: bool
-
-    @staticmethod
-    def collect(n_max: int, k_max: int, failures: list[tuple[int, int]]) -> "GridVerdict":
-        fails = tuple(sorted(failures))
-        return GridVerdict(n_max, k_max, fails, not fails)
 
 
 def _pow2(e: int) -> Fraction:
@@ -65,19 +49,14 @@ def eval_g(n: int, k: int) -> Fraction:
     return sign * n * c / _pow2(3 * n - 2 * k)
 
 
-def check_pair_identity(n_max: int, k_max: int) -> GridVerdict:
-    """Verify F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) exactly on
-    0 <= n <= n_max, 1 <= k <= k_max."""
+def check_pair_identity(n_max: int, k_max: int) -> tuple[tuple[int, int], ...]:
+    """The points (n, k) of 0 <= n <= n_max, 1 <= k <= k_max at which
+    F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) fails exactly; () means it holds
+    on the whole grid."""
     if n_max < 1 or k_max < 1:
         raise ValueError("grid bounds must be at least 1")
-    failures = []
-    for n in range(n_max + 1):
-        for k in range(1, k_max + 1):
-            lhs = eval_f(n, k - 1) - eval_f(n, k)
-            rhs = eval_g(n + 1, k) - eval_g(n, k)
-            if lhs != rhs:
-                failures.append((n, k))
-    return GridVerdict.collect(n_max, k_max, failures)
+    return tuple((n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)
+                 if eval_f(n, k - 1) - eval_f(n, k) != eval_g(n + 1, k) - eval_g(n, k))
 
 
 def telescope_half_sum(m: int) -> tuple[Fraction, Fraction]:
@@ -144,7 +123,7 @@ def closed_form_g(p_odd: int, k: int) -> Fraction:
 
 
 def _pair_failures(grid: int) -> int:
-    return len(check_pair_identity(grid, grid).failures)
+    return len(check_pair_identity(grid, grid))
 
 
 def _half_sum_failures(grid: int) -> int:

@@ -125,15 +125,13 @@ def gl_sum(limit: int) -> Fraction:
     return total
 
 
-# series id -> (p, r) -> the series at its stated upper bound, exactly
+# series id -> (p, r) -> the series at its upper bound for p^r, exactly
 SERIES_EXACT = {
-    "S8-half": lambda p, r: central_sum((p - 1) // 2, 3, 1, 8),
+    "S8-half": lambda p, r: central_sum((p**r - 1) // 2, 3, 1, 8),
     "S8-full": lambda p, r: central_sum(p**r - 1, 3, 1, 8),
-    "S64-vh": lambda p, r: vh_sum((p - 1) // 2),
-    "S64-sun": lambda p, r: central_sum(p - 1, 4, 1, 64),
-    "S64-guo-half": lambda p, r: central_sum((p**r - 1) // 2, 4, 1, 64),
-    "S64-guo-full": lambda p, r: central_sum(p**r - 1, 4, 1, 64),
-    "S512-half": lambda p, r: central_sum((p - 1) // 2, 6, 1, 512),
-    "S512-full": lambda p, r: central_sum(p - 1, 6, 1, 512),
-    "Sgl": lambda p, r: gl_sum((p + 1) // 2),
+    "S64-half": lambda p, r: vh_sum((p**r - 1) // 2),
+    "S64-full": lambda p, r: central_sum(p**r - 1, 4, 1, 64),
+    "S512-half": lambda p, r: central_sum((p**r - 1) // 2, 6, 1, 512),
+    "S512-full": lambda p, r: central_sum(p**r - 1, 6, 1, 512),
+    "Sgl": lambda p, r: gl_sum((p**r + 1) // 2),
 }

@@ -101,7 +101,7 @@ def test_criterion_4_lemma_suite():
 
 def test_criterion_5_wz_certification():
     start = time.time()
-    ok = check_pair_identity(100, 100).passed
+    ok = check_pair_identity(100, 100) == ()
     for m in range(1, 101):
         f_side, g_side = telescope_half_sum(m)
         ok &= f_side == g_side
@@ -120,8 +120,7 @@ def test_criterion_6_identity_suite():
     start = time.time()
     ok = True
     for i in range(1, 13):
-        verdict = check_identity_range(f"I{i}", 200)
-        ok &= verdict.passed
+        ok &= check_identity_range(f"I{i}", 200) == ()
     report(6, "identities I1-I12 for n <= 200", ok, time.time() - start, limit=60)
 
 

@@ -9,8 +9,15 @@ from supercong.exactnum import is_prime
 
 JSONL_KEYS = ["id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros"]
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-GOLDEN_ARGS = ["verify", "--primes", "5:13", "--ids", "all", "--r-max", "2",
-               "--identities-n-max", "8", "--wz-grid", "6", "--no-timing"]
+GOLDEN_ARGS = {
+    "verify-5-13": ["verify", "--primes", "5:13", "--ids", "all", "--r-max", "2",
+                    "--identities-n-max", "8", "--wz-grid", "6", "--no-timing"],
+    "verify-3-61": ["verify", "--primes", "3:61", "--ids", "all", "--r-max", "1",
+                    "--identities-n-max", "10", "--wz-grid", "6", "--no-timing"],
+}
+GOLDEN_CASES = [pytest.param("verify-5-13", fmt, jobs, id=f"{fmt}-{jobs}")
+                for jobs in ("1", "2") for fmt in ("jsonl", "csv", "table")]
+GOLDEN_CASES.append(pytest.param("verify-3-61", "jsonl", "2", id="3-61-jsonl-2"))
 
 
 class TestParseArgs:
@@ -118,6 +125,24 @@ class TestEmitReport:
         lines = capsys.readouterr().out.strip().splitlines()
         assert json.loads(lines[-1])["pass"] is False
 
+    def test_failed_row_states_its_diagnostic(self, capsys, monkeypatch):
+        # t_n = 1/p^n: thm-main fails in evaluation, and the row says why
+        from supercong import congruences as cong
+
+        monkeypatch.setitem(cong._SERIES, "S8-half",
+                            cong._Series((3, 1), 8, (1, 0, 5), lambda q: 2))
+        rows = self._records()
+        assert emit_report(rows, "jsonl", None, no_timing=True) == 1
+        recs = {(rec["id"], rec["p"]): rec
+                for rec in map(json.loads, capsys.readouterr().out.splitlines())}
+        at5 = recs.pop(("thm-main", 5))
+        assert at5["pass"] is False and at5["lhs"] is None
+        assert list(at5) == JSONL_KEYS + ["diagnostic"]
+        assert "denominator" in at5["diagnostic"]
+        # at p = 7 the series evaluates and merely disagrees: no diagnostic
+        assert recs[("thm-main", 7)]["pass"] is False
+        assert all(list(rec) == JSONL_KEYS for rec in recs.values())
+
 
 class TestMain:
     def test_exit_zero_and_output(self, capsys):
@@ -156,6 +181,14 @@ class TestMain:
             main(["--primes", "5:7", "--ids", "morley,morley,bogus"])
         assert err.value.code == 2
 
+    def test_empty_selection_is_a_usage_error(self, capsys):
+        # no row to check must not read as "every check passed"
+        for primes in ("8:10", "3:3"):
+            assert main(["--primes", primes, "--ids", "thm-main", "--no-timing"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "no selected id is stated for a prime" in captured.err
+
     def test_unwritable_out_path_exits_three(self, capsys, tmp_path):
         code = main(["--primes", "5:5", "--ids", "morley",
                      "--out", str(tmp_path / "missing-dir" / "x.jsonl")])
@@ -177,12 +210,12 @@ class TestMain:
         assert rec["micros"] >= 0
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("fmt", ["jsonl", "csv", "table"])
-def test_report_matches_golden(fmt, jobs, tmp_path):
+@pytest.mark.parametrize("golden, fmt, jobs", GOLDEN_CASES)
+def test_report_matches_golden(golden, fmt, jobs, tmp_path):
     # The report is the behaviour contract: every family, every format, and
     # serial or pooled runs give the bytes stored in tests/golden.
     out = tmp_path / f"report.{fmt}"
-    assert main(GOLDEN_ARGS + ["--format", fmt, "--jobs", jobs, "--out", str(out)]) == 0
-    with open(os.path.join(GOLDEN, f"verify-5-13.{fmt}"), "rb") as handle:
+    argv = GOLDEN_ARGS[golden] + ["--format", fmt, "--jobs", jobs, "--out", str(out)]
+    assert main(argv) == 0
+    with open(os.path.join(GOLDEN, f"{golden}.{fmt}"), "rb") as handle:
         assert out.read_bytes() == handle.read()

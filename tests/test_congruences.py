@@ -30,7 +30,7 @@ class TestEvalSeries:
     def test_anchors(self):
         assert eval_series("S8-half", 5, 1, 4) == reduce_mod(Fraction(165, 8), 5, 4)
         assert eval_series("S8-full", 5, 1, 3) == reduce_mod(Fraction(487935, 512), 5, 3)
-        assert eval_series("S64-vh", 5, 1, 3) == reduce_mod(Fraction(435, 512), 5, 3)
+        assert eval_series("S64-half", 5, 1, 3) == reduce_mod(Fraction(435, 512), 5, 3)
 
     def test_term_oracle(self):
         # 1 - 4 + 189/8 against the running-product route
@@ -52,12 +52,12 @@ class TestEvalSeries:
                 Fraction((4 * k + 1) * binomial(2 * k, k) ** 3, (-64) ** k)
                 for k in range(half + 1)
             )
-            assert eval_series("S64-vh", p, 1, 3) == reduce_mod(direct, p, 3)
+            assert eval_series("S64-half", p, 1, 3) == reduce_mod(direct, p, 3)
 
     def test_power_series_respect_r(self):
-        assert eval_series("S64-guo-half", 5, 2, 4) != eval_series("S64-guo-half", 5, 1, 4)
-        # r is ignored by non-power series
-        assert eval_series("S512-half", 7, 2, 2) == eval_series("S512-half", 7, 1, 2)
+        # every series is bounded at p^r
+        assert eval_series("S64-half", 5, 2, 4) != eval_series("S64-half", 5, 1, 4)
+        assert eval_series("S512-half", 7, 2, 2) != eval_series("S512-half", 7, 1, 2)
 
     def test_unknown_series(self):
         with pytest.raises(UnknownIdError):
@@ -81,7 +81,7 @@ class TestEvalSeries:
         from supercong import congruences as cong
 
         monkeypatch.setitem(cong._SERIES, "S8-half",
-                            cong._Series((3, 1), 8, (1, 0, 5), lambda p, r: 2))
+                            cong._Series((3, 1), 8, (1, 0, 5), lambda q: 2))
         with pytest.raises(EvaluatorError):
             eval_series("S8-half", 5, 1, 4)
         verdict = check_congruence("thm-main", 5)

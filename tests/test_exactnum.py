@@ -4,11 +4,9 @@ import pytest
 
 from supercong import (
     ModulusMismatchError,
-    NonInvertibleError,
     NotPIntegralError,
     Residue,
     is_prime,
-    mod_inverse,
     padic_valuation,
     reduce_mod,
 )
@@ -85,27 +83,6 @@ class TestReduceMod:
 
     def test_negative_values_canonical(self):
         assert reduce_mod(Fraction(-115, 2), 5, 4) == Residue(255, 5, 4)
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert mod_inverse(8, 625) == 547
-        assert mod_inverse(1, 49) == 1
-        assert mod_inverse(12, 125) == 73
-
-    def test_property(self, rng):
-        from math import gcd
-
-        for _ in range(300):
-            m = rng.randint(2, 10_000)
-            a = rng.randint(1, m - 1)
-            if gcd(a, m) == 1:
-                x = mod_inverse(a, m)
-                assert 0 <= x < m and a * x % m == 1
-
-    def test_non_invertible(self):
-        with pytest.raises(NonInvertibleError):
-            mod_inverse(10, 625)
 
 
 class TestBigRational:

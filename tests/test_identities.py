@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import UnknownIdError, check_identity, check_identity_range
+from supercong import UnknownIdError, check_identity, check_identity_range, identities
 from supercong.identities import REGISTRY, _i10_point
 
 
@@ -14,20 +14,16 @@ def test_registry_shape():
 
 class TestAnchors:
     def test_i1_at_1(self):
-        spec = REGISTRY["I1"]
-        assert spec.lhs(1) == spec.rhs(1) == Fraction(3, 2)
+        assert identities._i1_lhs(1) == identities._i1_rhs(1) == Fraction(3, 2)
 
     def test_i3_at_1(self):
-        spec = REGISTRY["I3"]
-        assert spec.lhs(1) == spec.rhs(1) == Fraction(1, 2)
+        assert identities._i3_lhs(1) == identities._i3_rhs(1) == Fraction(1, 2)
 
     def test_i9_at_2(self):
-        spec = REGISTRY["I9"]
-        assert spec.lhs(2) == spec.rhs(2) == Fraction(-1, 4)
+        assert identities._i9_lhs(2) == identities._i9_rhs(2) == Fraction(-1, 4)
 
     def test_i11_at_2(self):
-        spec = REGISTRY["I11"]
-        assert spec.lhs(2) == spec.rhs(2) == Fraction(105, 1024)
+        assert identities._i11_lhs(2) == identities._i11_rhs(2) == Fraction(105, 1024)
 
     def test_i10_point_example(self):
         # x in {0,2,4}: 0+2+4 = 6 = (2/2)(B_2(3) - B_2(0))
@@ -40,8 +36,8 @@ class TestAnchors:
 
 def test_all_identities_on_modest_range():
     for iid in REGISTRY:
-        verdict = check_identity_range(iid, 60)
-        assert verdict.passed, (iid, verdict.failures[:3])
+        failures = check_identity_range(iid, 60)
+        assert failures == (), (iid, failures[:3])
 
 
 def test_unknown_id():
@@ -56,7 +52,10 @@ def test_below_declared_range():
         check_identity("I12", 0)
 
 
-def test_range_verdict_reports_bounds():
-    verdict = check_identity_range("I1", 25)
-    assert verdict.n_max == 25
-    assert verdict.passed and not verdict.failures
+def test_range_verdict_reports_bounds(monkeypatch):
+    assert check_identity_range("I1", 25) == ()
+    # a check that fails at odd n reports exactly those n, from n_min up
+    spec = REGISTRY["I12"]
+    monkeypatch.setitem(REGISTRY, "I12", identities.IdentitySpec(
+        spec.id, spec.description, spec.n_min, lambda n: n % 2 == 0))
+    assert check_identity_range("I12", 7) == (1, 3, 5, 7)

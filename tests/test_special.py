@@ -39,22 +39,22 @@ class TestBernoulliExact:
 class TestBernoulliTableModP:
     def test_examples(self):
         # reduce-the-exact-value oracle: B_4 = -1/30 == 3 (mod 7)
-        assert bernoulli_table_mod_p(7, 5).entries == (1, 3, 6, 0, 3, 0)
-        assert bernoulli_table_mod_p(5, 1).entries == (1, 2)
-        assert bernoulli_table_mod_p(11, 0).entries == (1,)
+        assert bernoulli_table_mod_p(7, 5) == (1, 3, 6, 0, 3, 0)
+        assert bernoulli_table_mod_p(5, 1) == (1, 2)
+        assert bernoulli_table_mod_p(11, 0) == (1,)
 
     def test_structure(self):
         for p in (5, 13, 47):
             table = bernoulli_table_mod_p(p, p - 2)
-            assert table.entries[0] == 1
-            assert table.entries[1] == (p - 1) // 2
-            for j in range(1, (table.max_index - 1) // 2 + 1):
-                if 2 * j + 1 <= table.max_index:
-                    assert table.entries[2 * j + 1] == 0
+            assert len(table) == p - 1
+            assert table[0] == 1
+            assert table[1] == (p - 1) // 2
+            for k in range(3, p - 1, 2):
+                assert table[k] == 0
 
     def test_agrees_with_exact_route(self):
         for p in primes_in(5, 199):
-            entries = bernoulli_table_mod_p(p, min(60, p - 2)).entries
+            entries = bernoulli_table_mod_p(p, min(60, p - 2))
             for k, value in enumerate(entries):
                 assert value == reduce_mod(bernoulli_exact(k), p, 1).value
 
