@@ -21,13 +21,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import dataclass
 
 from . import congruences
-from .exactnum import is_prime
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _primes_between(lo: int, hi: int) -> tuple[int, ...]:
+    """The primes in [lo, hi]: a sieve of that window that crosses off the
+    multiples of every d <= sqrt(hi) from d^2 on."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return ()
+    window = bytearray([1]) * (hi - lo + 1)
+    for d in range(2, math.isqrt(hi) + 1):
+        first = max(d * d, -(-lo // d) * d)
+        window[first - lo::d] = bytes(len(range(first, hi + 1, d)))
+    return tuple(lo + i for i, flag in enumerate(window) if flag)
+
+
 def parse_args(argv: list[str] | None = None) -> RunConfig:
     """Validated RunConfig; exits with code 2 on usage errors."""
     if argv is None:
@@ -84,12 +97,10 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo > hi:
         parser.error(f"empty prime range {lo}:{hi}")
-    primes = []
-    for n in range(max(lo, 2), hi + 1):
-        if n == 2:
-            print("warning: skipping p = 2 (statements require odd p)", file=sys.stderr)
-        elif is_prime(n):
-            primes.append(n)
+    primes = _primes_between(lo, hi)
+    if primes[:1] == (2,):
+        print("warning: skipping p = 2 (statements require odd p)", file=sys.stderr)
+        primes = primes[1:]
 
     if ns.ids.strip() == "all":
         ids = congruences.all_ids()

@@ -10,17 +10,24 @@ the ids of all three, and run_suite() runs any selection of them.
 
 Row contract: a CongruenceSpec states its modulus exponent e as a function
 of (p, r), and check_congruence computes e once and calls pairs(p, r, e).
-Each side of each pair is an exact rational, an integer or a Residue mod
-p^e; check_congruence reduces every side into Z/p^e and compares each
-pair's residues.  That one residue comparison is the only comparison: a
-side with p in its denominator is a failed row (NotPIntegralError), not a
-valuation test.  Sides known only mod p (the Euler and Bernoulli values of
-lemma-2.6b and lemma-2.6-altsum) are Residues mod p, so those rows fix
-e = 1.
+Each side of each pair is an integer or a Residue mod p^e; check_congruence
+reduces every side into Z/p^e and compares each pair's residues.  That one
+residue comparison is the only comparison (a rational side with p in its
+denominator would be a failed row, NotPIntegralError).  Sides known only
+mod p (the Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum)
+are Residues mod p, so those rows fix e = 1.
 
-The seven central-binomial and hypergeometric series (eval_series) are
-summed directly in Z/p^e at the e their row is given.  Every other left
-side is still accumulated as an exact rational and reduced once at the end.
+Every sum or product over an index runs in Z/p^e.  A product whose factors
+may hold p (the series terms, the G(n, k) column, the central binomials of
+ps-1/2/3 and central-2pr) is stepped through _stepped, which keeps the power
+of p apart from a unit mod p^e and raises EvaluatorError if p is left in a
+denominator; sums and products of units are plain loops of inverses mod
+p^e.  A single binomial value (central-2p1p, morley, morley-power) is
+reduced once.  The one exception is neg-binom-unit: it asserts the exact
+identity -C(-p^r-1, s) = prod_{j<=s} (1 + p^r/j) before its congruence, so
+both sides are stepped as exact integers; a residue comparison would only
+check the identity mod p^e.  The exact Fraction form of every row is the
+test oracle (PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -41,10 +48,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Union
 
 from . import identities, wz
-from .combinat import binomial, factorial, frac_part, harmonic
+from .combinat import binomial, frac_part
 from .exactnum import (
     ModulusMismatchError,
     NotPIntegralError,
@@ -53,7 +61,7 @@ from .exactnum import (
     is_prime,
     reduce_mod,
 )
-from .identities import W_H, W_H2, W_HH, W_ONE, fold
+from .identities import W_H, W_H2, W_HH, W_ONE
 from .special import (
     bernoulli_diff_mod_p,
     euler_number_mod_p,
@@ -61,7 +69,6 @@ from .special import (
     fermat_quotient2,
     legendre_symbol,
 )
-from .wz import eval_g
 
 Side = Union[Fraction, int, Residue]
 
@@ -140,6 +147,46 @@ class CongruenceSpec:
         return self.r_indexed or r == 1
 
 
+# -- stepping in Z/p^e ---------------------------------------------------------
+
+
+def _stepped(p: int, e: int, factors) -> list[int]:
+    """Every partial product 1, f_1, f_1 f_2, ... of a run of nonzero
+    rationals f_i = num/den, mod p^e.
+
+    The running product is held as p^v u, v its exact p-adic valuation and
+    u a unit mod p^e, p being split out of each factor.  A zero factor is
+    refused (p never splits out of 0), and so is a product left with p in
+    its denominator (v < 0).  The unit denominators are inverted once for
+    the whole run.
+    """
+    m = p**e
+    v, num_u, den_u = 0, 1, 1
+    vs, nums, dens = [0], [1], [1]
+    for num, den in factors:
+        if num == 0 or den == 0:
+            raise EvaluatorError(f"zero factor {num}/{den} in a product stepped mod {p}^{e}")
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        if v < 0:
+            raise EvaluatorError(f"a stepped product has {p} in its denominator (mod {p}^{e})")
+        num_u, den_u = num_u * num % m, den_u * den % m
+        vs.append(v)
+        nums.append(num_u)
+        dens.append(den % m)
+    inv = pow(den_u, -1, m)  # 1 / (den_1 ... den_i), from the last i down
+    out = [0] * len(vs)
+    for i in range(len(vs) - 1, -1, -1):
+        if vs[i] < e:
+            out[i] = nums[i] * inv * p ** vs[i] % m
+        inv = inv * dens[i] % m
+    return out
+
+
 # -- series ------------------------------------------------------------------
 
 
@@ -175,10 +222,9 @@ _SERIES: dict[str, _Series] = {
 def eval_series(series_id: str, p: int, r: int, e: int) -> Residue:
     """Partial sum of the named series at its upper bound for p^r, mod p^e.
 
-    The sum is taken in Z/p^e: t_n is stepped as p^v u with u a unit mod
-    p^e, p being split out of each ratio's numerator and denominator, and a
-    term counts only while 3v < e.  Equal to the exact rational sum reduced
-    mod p^e.  Raises EvaluatorError if some t_n has p in its denominator.
+    The term t_n^3 / (-base)^n is stepped in Z/p^e by its ratio, p split
+    out of every factor.  Equal to the exact rational sum reduced mod p^e.
+    Raises EvaluatorError if some t_n has p in its denominator.
     """
     series = _SERIES.get(series_id)
     if series is None:
@@ -189,77 +235,91 @@ def eval_series(series_id: str, p: int, r: int, e: int) -> Residue:
         raise ValueError(f"r must be positive, got {r}")
     if e < 1:
         raise ValueError(f"exponent must be positive, got {e}")
-    m = p**e
     a, b = series.weight
     c, d, g = series.ratio
-    step = pow(-series.base, -1, m)
-    v, u, scale = 0, 1, 1  # t_n = p^v u and scale = (-base)^-n
-    total = 0
-    for n in range(series.bound(p**r) + 1):
-        if n:
-            num, den = c * n + d, g * n
-            while num % p == 0:
-                num //= p
-                v += 1
-            while den % p == 0:
-                den //= p
-                v -= 1
-            if v < 0:
-                raise EvaluatorError(
-                    f"term {n} of {series_id} has {p} in its denominator (p = {p}, r = {r})"
-                )
-            u = u * num * pow(den, -1, m) % m
-            scale = scale * step % m
-        if 3 * v < e:
-            total += (a * n + b) * p ** (3 * v) * u**3 * scale
-    return Residue(total % m, p, e)
+    terms = _stepped(p, e, (((c * n + d) ** 3, -series.base * (g * n) ** 3)
+                            for n in range(1, series.bound(p**r) + 1)))
+    return Residue(sum((a * n + b) * t for n, t in enumerate(terms)), p, e)
 
 
-# -- shared right-hand pieces --------------------------------------------------
+# -- shared pieces -------------------------------------------------------------
 
 
 def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
+@lru_cache(maxsize=1)  # the rows of one prime run in one task
 def _euler_quarter(p: int) -> int:
     # E_{p-3}(1/4) mod p, lifted to [0, p); any lift works inside the p^3-scaled
     # terms below because shifting by p only moves the product by p^4/4.
     return euler_poly_mod_p(p - 3, Fraction(1, 4), p).value
 
 
+@lru_cache(maxsize=1)
 def _euler_number(p: int) -> int:
     return euler_number_mod_p(p - 3, p).value
 
 
-def _rhs_central_quarter(p: int) -> Fraction:
+def _rhs_central_quarter(p: int, e: int) -> int:
     # p (-1|p) + (p^3/4) (2|p) E_{p-3}(1/4)
-    return p * legendre_symbol(-1, p) + Fraction(p**3, 4) * legendre_symbol(2, p) * _euler_quarter(p)
+    return p * legendre_symbol(-1, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_quarter(p)
 
 
-def _sum64_h2(p: int) -> Fraction:
-    # sum_{k=1}^{floor((p-1)/4)} C(4k,2k) C(2k,k) H_k^(2) / 64^k
-    total = Fraction(0)
-    h2 = Fraction(0)
+def _harmonic_mod(top: int, p: int, e: int, order: int = 1) -> int:
+    """H_top^(order) mod p^e for top < p, a sum of unit inverses."""
+    m = p**e
+    return sum(pow(k, -order, m) for k in range(1, top + 1)) % m
+
+
+def _half_fold(p: int, e: int, weight) -> int:
+    """identities.fold((p-1)/2, floor((p-1)/4), weight) mod p^e: every
+    C(h,k) C(h-k,k) / 4^k and H_k with k < p is a unit or p-integral."""
+    m, h = p**e, (p - 1) // 2
+    total, c, h1, h2 = weight(0, 0, 0), 1, 0, 0
     for k in range(1, (p - 1) // 4 + 1):
-        h2 += Fraction(1, k * k)
-        total += Fraction(binomial(4 * k, 2 * k) * binomial(2 * k, k), 64**k) * h2
-    return total
+        c = c * (h - 2 * k + 2) * (h - 2 * k + 1) * pow(4 * k * k, -1, m) % m
+        inv = pow(k, -1, m)
+        h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
+        total += c * weight(k, h1, h2)
+    return total % m
 
 
-def _alt_quarter_sum(p: int) -> Fraction:
-    # sum_{k=1}^{floor((p-1)/4)} (-1)^k / k^2
-    total = Fraction(0)
+def _sum64_h2(p: int) -> int:
+    # sum_{k=1}^{floor((p-1)/4)} C(4k,2k) C(2k,k) H_k^(2) / 64^k mod p
+    total, d, h2 = 0, 1, 0
     for k in range(1, (p - 1) // 4 + 1):
-        total += Fraction((-1) ** k, k * k)
-    return total
+        d = d * (4 * k - 1) * (4 * k - 3) * pow(16 * k * k, -1, p) % p
+        h2 += pow(k, -2, p)
+        total += d * h2
+    return total % p
+
+
+def _alt_quarter_sum(p: int) -> int:
+    # sum_{k=1}^{floor((p-1)/4)} (-1)^k / k^2 mod p
+    return sum(_sign(k) * pow(k, -2, p) for k in range(1, (p - 1) // 4 + 1)) % p
+
+
+def _g_column(n: int, p: int, e: int) -> list[int]:
+    """G(n, k) mod p^e for k = 1 .. floor((n+1)/2), the last k with
+    G(n, k) != 0: G(n, 1) = (-1)^(n+1) (2n-1) prod_{j<n} ((2j-1)/j)^3, and
+    G(n, k+1) / G(n, k) = (n-2k+1)(n-2k) / (2n-2k-1)^2."""
+    top = (n + 1) // 2
+    factors = [(_sign(n + 1) * (2 * n - 1), 1)] + [((2 * j - 1) ** 3, j**3) for j in range(1, n)]
+    factors += [((n - 2 * k + 1) * (n - 2 * k), (2 * n - 2 * k - 1) ** 2) for k in range(1, top)]
+    return _stepped(p, e, factors)[-top:]
+
+
+def _central_column(n: int, p: int, e: int) -> list[int]:
+    """C(2k, k) mod p^e for k = 0 .. n."""
+    return _stepped(p, e, ((2 * (2 * k - 1), k) for k in range(1, n + 1)))
 
 
 # -- per-row pair evaluators ---------------------------------------------------
 
 
 def _pairs_thm_main(p, r, e):
-    return [(eval_series("S8-half", p, r, e), _rhs_central_quarter(p))]
+    return [(eval_series("S8-half", p, r, e), _rhs_central_quarter(p, e))]
 
 
 def _pairs_thm_prime_power(p, r, e):
@@ -271,11 +331,11 @@ def _pairs_vanhamme(p, r, e):
 
 
 def _pairs_wolstenholme_h1(p, r, e):
-    return [(harmonic(p - 1, 1), 0)]
+    return [(_harmonic_mod(p - 1, p, e), 0)]
 
 
 def _pairs_wolstenholme_h2(p, r, e):
-    return [(harmonic(p - 1, 2), 0)]
+    return [(_harmonic_mod(p - 1, p, e, 2), 0)]
 
 
 def _pairs_central_2p1p(p, r, e):
@@ -297,7 +357,7 @@ def _pairs_long_cxh_512(p, r, e):
 
 
 def _pairs_mao_512(p, r, e):
-    rhs = p * legendre_symbol(-2, p) + Fraction(p**3, 4) * legendre_symbol(2, p) * _euler_number(p)
+    rhs = p * legendre_symbol(-2, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_number(p)
     return [(eval_series("S512-half", p, r, e), rhs)]
 
 
@@ -322,38 +382,38 @@ def _pairs_guo_conj_full_64(p, r, e):
 
 def _pairs_morley(p, r, e):
     h = (p - 1) // 2
-    return [(binomial(p - 1, h), _sign(h) * 4 ** (p - 1))]
+    return [(binomial(p - 1, h), _sign(h) * pow(4, p - 1, p**e))]
 
 
 def _pairs_morley_power(p, r, e):
     n = p**r
     h = (n - 1) // 2
-    return [(binomial(n - 1, h), _sign(h) * 4 ** (n - 1))]
+    return [(binomial(n - 1, h), _sign(h) * pow(4, n - 1, p**e))]
 
 
 def _pairs_lemma_2_2(p, r, e):
     q = fermat_quotient2(p)
-    lhs = 2 ** ((9 * p - 9) // 2) * fold((p - 1) // 2, (p - 1) // 4, W_ONE)
+    lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_ONE)
     rhs = _sign((p - 1) // 2) * (1 + 6 * p * q + 15 * p * p * q * q)
     return [(lhs, rhs)]
 
 
 def _pairs_lemma_2_3(p, r, e):
     q = fermat_quotient2(p)
-    lhs = 2 ** ((9 * p - 9) // 2) * fold((p - 1) // 2, (p - 1) // 4, W_H)
+    lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_H)
     rhs = -3 * _sign((p - 1) // 2) * (2 * q + 11 * p * q * q)
     return [(lhs, rhs)]
 
 
 def _pairs_lemma_2_4(p, r, e):
     q = fermat_quotient2(p)
-    lhs = 2 ** ((9 * p - 9) // 2) * fold((p - 1) // 2, (p - 1) // 4, W_HH)
+    lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_HH)
     rhs = 36 * _sign((p - 1) // 2) * q * q
     return [(lhs, rhs)]
 
 
 def _pairs_lemma_2_6a(p, r, e):
-    return [(fold((p - 1) // 2, (p - 1) // 4, W_H2), _sum64_h2(p))]
+    return [(_half_fold(p, e, W_H2), _sum64_h2(p))]
 
 
 def _pairs_lemma_2_6b(p, r, e):
@@ -369,112 +429,105 @@ def _pairs_lemma_2_6_altsum(p, r, e):
 
 
 def _pairs_lemma_2_7(p, r, e):
-    lhs = Fraction(0)
-    for k in range(1, (p - 1) // 2 + 1):
-        lhs += eval_g((p + 1) // 2, k)
-    return [(lhs, _rhs_central_quarter(p))]
+    # G((p+1)/2, k) = 0 for every k past the column, up to (p-1)/2
+    return [(sum(_g_column((p + 1) // 2, p, e)), _rhs_central_quarter(p, e))]
 
 
 def _pairs_binom_16k(p, r, e):
-    h = (p - 1) // 2
-    out = []
-    for k in range((p - 1) // 4 + 1):
-        out.append((binomial(h, 2 * k), Fraction(binomial(4 * k, 2 * k), 16**k)))
+    # C((p-1)/2, 2k) and C(4k, 2k) / 16^k, stepped in k
+    m, h = p**e, (p - 1) // 2
+    a, b, out = 1, 1, [(1, 1)]
+    for k in range(1, (p - 1) // 4 + 1):
+        a = a * (h - 2 * k + 2) * (h - 2 * k + 1) * pow(2 * k * (2 * k - 1), -1, m) % m
+        b = b * (4 * k - 1) * (4 * k - 3) * pow(8 * k * (2 * k - 1), -1, m) % m
+        out.append((a, b))
     return out
 
 
 def _pairs_poch_expansion(p, r, e):
     # (p/2 + 1 - k)_{k-1}^2 vs (k-1)!^2 (1 - p H_{k-1} + (p^2/4)(2 H_{k-1}^2 - H_{k-1}^(2)))
-    out = []
-    poch = Fraction(1)
-    h1 = Fraction(0)
-    h2 = Fraction(0)
+    m = p**e
+    half, quarter = pow(2, -1, m), pow(4, -1, m)
+    poch, fact, h1, h2, out = 1, 1, 0, 0, []
     for k in range(1, (p - 1) // 2 + 1):
         if k > 1:
-            poch *= Fraction(p, 2) - (k - 1)
-            h1 += Fraction(1, k - 1)
-            h2 += Fraction(1, (k - 1) ** 2)
-        rhs = factorial(k - 1) ** 2 * (1 - p * h1 + Fraction(p * p, 4) * (2 * h1 * h1 - h2))
+            poch = poch * (p - 2 * (k - 1)) * half % m
+            fact = fact * (k - 1) % m
+            inv = pow(k - 1, -1, m)
+            h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
+        rhs = fact * fact * (1 - p * h1 + p * p * quarter * (2 * h1 * h1 - h2))
         out.append((poch * poch, rhs))
     return out
 
 
 def _pairs_two_power_half(p, r, e):
-    q = fermat_quotient2(p)
-    rhs = legendre_symbol(2, p) * (1 + Fraction(p, 2) * q - Fraction(p * p, 8) * q * q)
-    return [(2 ** ((p - 1) // 2), rhs)]
+    q, m = fermat_quotient2(p), p**e
+    rhs = legendre_symbol(2, p) * (1 + p * pow(2, -1, m) * q - p * p * pow(8, -1, m) * q * q)
+    return [(pow(2, (p - 1) // 2, m), rhs)]
 
 
 def _pairs_lemma_3_2(p, r, e):
-    n = p**r
-    return [(eval_g(n, (n + 1) // 2), _sign((n - 1) // 2) * n)]
+    return [(_g_column(p**r, p, e)[-1], _sign((p**r - 1) // 2) * p**r)]
 
 
 def _pairs_lemma_3_3(p, r, e):
-    n = p**r
-    lhs = Fraction(0)
-    for k in range(1, (n - 1) // 2 + 1):
-        lhs += eval_g(n, k)
-    return [(lhs, 0)]
+    # k <= (p^r-1)/2: every k of the column but its last, (p^r+1)/2
+    return [(sum(_g_column(p**r, p, e)[:-1]), 0)]
 
 
 def _pairs_central_2pr(p, r, e):
     n = p**r
-    a = binomial(2 * n, n)
-    b = 2 - 4 * n * harmonic(n - 1, 1)
-    c = 2 - 4 * p * harmonic(p - 1, 1)
+    a = _central_column(n, p, e)[-1]
+    # n/j for j = 1 .. n-1, stepped by j/(j+1)
+    b = 2 - 4 * sum(_stepped(p, e, [(n, 1)] + [(j, j + 1) for j in range(1, n - 1)])[1:])
+    c = 2 - 4 * p * _harmonic_mod(p - 1, p, e)
     return [(a, b), (b, c), (c, 2)]
 
 
 def _pairs_ps_1(p, r, e):
     n = p**r
-    out = []
-    for l in range(1, (n - 1) // 2 + 1):
-        k = n - l
-        out.append((l * binomial(2 * l, l) * binomial(2 * k, k), -2 * n))
-    return out
+    c = _central_column(n - 1, p, e)
+    return [(l * c[l] * c[n - l], -2 * n) for l in range(1, (n + 1) // 2)]
 
 
 def _pairs_ps_2(p, r, e):
+    # -2p^r / (l C(2l, l)) is -p^r at l = 1, times (l-1) / (2(2l-1)) per step
     n = p**r
-    out = []
-    for l in range(1, (n - 1) // 2 + 1):
-        k = n - l
-        out.append((Fraction(-2 * n, l * binomial(2 * l, l)), binomial(2 * k, k)))
-    return out
+    c = _central_column(n - 1, p, e)
+    lhs = _stepped(p, e, [(-n, 1)] + [(l - 1, 2 * (2 * l - 1)) for l in range(2, (n + 1) // 2)])
+    return [(lhs[l], c[n - l]) for l in range(1, (n + 1) // 2)]
 
 
 def _pairs_ps_3(p, r, e):
     n = p**r
-    out = []
-    for l in range(1, (n - 1) // 2 + 1):
-        out.append((binomial(2 * n - 2 * l, n - l), 0))
-    return out
+    c = _central_column(n - 1, p, e)
+    return [(c[n - l], 0) for l in range(1, (n + 1) // 2)]
 
 
 def _pairs_neg_binom_unit(p, r, e):
     # The negated binomial -C(-p^r-1, p^r-2k) equals the product
-    # prod_{j=1}^{p^r-2k} (1 + p^r/j) exactly, and that product is == 1 mod p.
-    # (The binomial itself is == -1: p^r-2k is odd.)
+    # prod_{j=1}^{p^r-2k} (1 + p^r/j) = C(p^r+s, s) exactly, and that product
+    # is == 1 mod p.  (The binomial itself is == -1: p^r-2k is odd.)  Both
+    # are stepped as exact integers, so the self-check is exact, not mod p^e.
     n = p**r
     out = []
-    prod = Fraction(1)
+    prod = 1
     cb = 0
     s_prev = 0
     for k in range((n - 1) // 2, 0, -1):
         s = n - 2 * k
         for j in range(s_prev + 1, s + 1):
-            prod *= 1 + Fraction(n, j)
+            prod = prod * (n + j) // j
         if s_prev == 0:
             cb = -(n + 1)  # C(-n-1, 1)
         else:
             cb = cb * (-n - 1 - s_prev) * (-n - 2 - s_prev) // ((s_prev + 1) * (s_prev + 2))
         s_prev = s
-        if Fraction(cb) != -prod:
+        if cb != -prod:
             raise EvaluatorError(
                 f"product form of C({-n - 1}, {s}) failed at p={p}, r={r}, k={k}"
             )
-        out.append((prod, 1))
+        out.append((prod % p**e, 1))
     out.reverse()
     return out
 

@@ -1,10 +1,9 @@
 """Exact rational arithmetic and prime-power modular reduction.
 
-Most left sides are carried as exact rationals until reduce_mod takes them
-into Z/p^e, where a p-divisible denominator surfaces as NotPIntegralError.
-Two layers work mod p^e from the start instead: the series of
-congruences.eval_series (which raises EvaluatorError for a p in a
-denominator) and the special values mod p of special.py.
+The congruence rows and the special values of special.py work mod p^e from
+the start; reduce_mod takes the few exact integers and rationals they hand
+over (a single binomial, a Fermat quotient) into Z/p^e, where a
+p-divisible denominator surfaces as NotPIntegralError.
 """
 
 from __future__ import annotations

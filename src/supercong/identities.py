@@ -36,9 +36,9 @@ def _pointwise(lhs, rhs):
 def fold(top: int, n: int, weight) -> Fraction:
     """sum_{k=0}^{n} C(top,k) C(top-k,k) weight(k, H_k, H_k^(2)) / 4^k.
 
-    I1-I6 take top = 2n or 2n+1; lemmas 2.2-2.6a of the congruence registry
-    take top = (p-1)/2 and n = floor((p-1)/4), where C(top,k) C(top-k,k) =
-    C((p-1)/2, 2k) C(2k,k).
+    I1-I6 take top = 2n or 2n+1.  Lemmas 2.2-2.6a of the congruence
+    registry no longer call it: they step the same sum at top = (p-1)/2 in
+    Z/p^e (congruences._half_fold) and share only the weights below.
     """
     total = Fraction(0)
     h1 = Fraction(0)

@@ -5,8 +5,10 @@ one of these routes, none of which shares code with the package: Bernoulli
 numbers come from the explicit double sum instead of the inverted recurrence,
 Euler polynomials from the generating-function recurrence instead of the
 Bernoulli bridge, modular reductions from a linear scan instead of the
-extended-gcd inverse, quadratic residues from squaring everything, and the
-congruence series as exact Fraction sums instead of sums in Z/p^e.
+extended-gcd inverse, quadratic residues from squaring everything, the
+congruence series as exact Fraction sums instead of sums in Z/p^e, and
+every congruence row as its exact (lhs, rhs) pairs (PAIRS_EXACT) instead of
+residues stepped in Z/p^e.
 """
 
 from fractions import Fraction
@@ -88,41 +90,39 @@ def legendre_by_squares(a: int, p: int) -> int:
 
 
 def central_sum(limit: int, mul: int, add: int, base: int) -> Fraction:
-    """sum_{n=0}^{limit} (mul*n + add) C(2n,n)^3 / (-base)^n."""
-    total = Fraction(0)
+    """sum_{n=0}^{limit} (mul*n + add) C(2n,n)^3 / (-base)^n, as one integer
+    numerator over (-base)^limit, built by Horner's rule in -base."""
+    num = 0
     c = 1
-    pw = 1
     for n in range(limit + 1):
         if n:
             c = c * 2 * (2 * n - 1) // n
-            pw *= base
-        term = Fraction((mul * n + add) * c**3, pw)
-        total += -term if n % 2 else term
-    return total
+        num = num * -base + (mul * n + add) * c**3
+    return Fraction(num, (-base) ** limit)
+
+
+def _half_pochhammer_sum(limit: int, shift: int, weight: tuple[int, int]) -> Fraction:
+    """sum_{k=0}^{limit} (a k + b)(-1)^k (prod_{j<=k} (2j - shift) / (2j))^3,
+    as one integer numerator over (2^limit limit!)^3, by Horner's rule."""
+    a, b = weight
+    num, den, t = 0, 1, 1
+    for k in range(limit + 1):
+        if k:
+            t *= 2 * k - shift
+            num *= (2 * k) ** 3
+            den *= (2 * k) ** 3
+        num += (-1) ** k * (a * k + b) * t**3
+    return Fraction(num, den)
 
 
 def vh_sum(limit: int) -> Fraction:
     """sum_{k=0}^{limit} (4k+1)(-1)^k ((1/2)_k / k!)^3."""
-    total = Fraction(0)
-    t = Fraction(1)
-    for k in range(limit + 1):
-        if k:
-            t *= Fraction(2 * k - 1, 2 * k)
-        term = (4 * k + 1) * t**3
-        total += -term if k % 2 else term
-    return total
+    return _half_pochhammer_sum(limit, 1, (4, 1))
 
 
 def gl_sum(limit: int) -> Fraction:
     """sum_{k=0}^{limit} (-1)^k (4k-1) (-1/2)_k^3 / (1)_k^3."""
-    total = Fraction(0)
-    u = Fraction(1)
-    for k in range(limit + 1):
-        if k:
-            u *= Fraction(2 * k - 3, 2 * k)
-        term = (4 * k - 1) * u**3
-        total += -term if k % 2 else term
-    return total
+    return _half_pochhammer_sum(limit, 3, (4, -1))
 
 
 # series id -> (p, r) -> the series at its upper bound for p^r, exactly
@@ -134,4 +134,162 @@ SERIES_EXACT = {
     "S512-half": lambda p, r: central_sum((p**r - 1) // 2, 6, 1, 512),
     "S512-full": lambda p, r: central_sum(p**r - 1, 6, 1, 512),
     "Sgl": lambda p, r: gl_sum((p**r + 1) // 2),
+}
+
+
+# -- exact row oracles --------------------------------------------------------
+
+_BERNOULLI: list[Fraction] = []
+
+
+def bernoulli_poly(n: int, x) -> Fraction:
+    """B_n(x) = sum_k C(n,k) B_k x^(n-k), each B_k from the double sum."""
+    while len(_BERNOULLI) <= n:
+        _BERNOULLI.append(bernoulli_double_sum(len(_BERNOULLI)))
+    x = Fraction(x)
+    return sum((comb(n, k) * _BERNOULLI[k] * x ** (n - k) for k in range(n + 1)), Fraction(0))
+
+
+def _sign(n: int) -> int:
+    return -1 if n % 2 else 1
+
+
+def harmonic(n: int, order: int = 1) -> Fraction:
+    return sum((Fraction(1, k**order) for k in range(1, n + 1)), Fraction(0))
+
+
+def g_exact(n: int, k: int) -> Fraction:
+    """G(n,k) = (-1)^(n+1) n C(2n,n) C(2n-2k,n-k) C(2n-2k,n-1) / 2^(3n-2k)."""
+    c = comb(2 * n, n) * comb(2 * n - 2 * k, n - k) * comb(2 * n - 2 * k, n - 1)
+    return Fraction(_sign(n + 1) * n * c, 2 ** (3 * n - 2 * k))
+
+
+def half_fold(p: int, weight) -> Fraction:
+    """sum_{k<=floor((p-1)/4)} C((p-1)/2,2k) C(2k,k) weight(H_k, H_k^(2)) / 4^k."""
+    h = (p - 1) // 2
+    return sum((Fraction(comb(h, 2 * k) * comb(2 * k, k), 4**k)
+                * weight(harmonic(k), harmonic(k, 2)) for k in range((p - 1) // 4 + 1)),
+               Fraction(0))
+
+
+def sum64_h2(p: int) -> Fraction:
+    return sum((Fraction(comb(4 * k, 2 * k) * comb(2 * k, k), 64**k) * harmonic(k, 2)
+                for k in range(1, (p - 1) // 4 + 1)), Fraction(0))
+
+
+def _fermat2(p: int) -> int:
+    return (2 ** (p - 1) - 1) // p
+
+
+def _quarter_rhs(p: int, euler) -> Fraction:
+    # p (-1|p) + (p^3/4) (2|p) euler
+    return p * legendre_by_squares(-1, p) + Fraction(p**3, 4) * legendre_by_squares(2, p) * euler
+
+
+def _lemma_2_2_to_2_4(weight, rhs):
+    def pairs(p, r):
+        lhs = 2 ** ((9 * p - 9) // 2) * half_fold(p, weight)
+        return [(lhs, rhs(p, _fermat2(p), _sign((p - 1) // 2)))]
+    return pairs
+
+
+def _altsum(p, r):
+    f = (p - 1) // 4
+    alt = sum((Fraction((-1) ** k, k * k) for k in range(1, f + 1)), Fraction(0))
+    diff = bernoulli_poly(p - 2, Fraction(4 - p, 8) % 1) - bernoulli_poly(p - 2, Fraction(-p, 8) % 1)
+    return [(-2 * _sign(f) * alt, -Fraction(_sign(f), 4) * diff)]
+
+
+def _poch(p, r):
+    out = []
+    for k in range(1, (p - 1) // 2 + 1):
+        poch = Fraction(1)
+        for j in range(1, k):
+            poch *= Fraction(p, 2) - j
+        h1, h2 = harmonic(k - 1), harmonic(k - 1, 2)
+        rhs = factorial(k - 1) ** 2 * (1 - p * h1 + Fraction(p * p, 4) * (2 * h1 * h1 - h2))
+        out.append((poch * poch, rhs))
+    return out
+
+
+def _central_2pr(p, r):
+    n = p**r
+    b = 2 - 4 * n * harmonic(n - 1)
+    c = 2 - 4 * p * harmonic(p - 1)
+    return [(comb(2 * n, n), b), (b, c), (c, 2)]
+
+
+def _neg_binom_unit(p, r):
+    # prod_{j<=s} (1 + p^r/j) for s = p^r - 2k, k = 1 .. (p^r-1)/2
+    n = p**r
+    prods = [Fraction(1)]
+    for j in range(1, n - 1):
+        prods.append(prods[-1] * (1 + Fraction(n, j)))
+    return [(prods[n - 2 * k], 1) for k in range(1, (n - 1) // 2 + 1)]
+
+
+def _ps(pair):
+    def pairs(p, r):
+        n = p**r
+        return [pair(n, l, n - l) for l in range(1, (n - 1) // 2 + 1)]
+    return pairs
+
+
+# congruence id -> (p, r) -> every (lhs, rhs) pair of the row, exactly; the
+# series rows take their left sides from SERIES_EXACT
+PAIRS_EXACT = {
+    "thm-main": lambda p, r: [(SERIES_EXACT["S8-half"](p, r),
+                               _quarter_rhs(p, euler_poly_gf(p - 3, Fraction(1, 4))))],
+    "thm-prime-power": lambda p, r: [(SERIES_EXACT["S8-full"](p, r),
+                                      _sign((p**r - 1) // 2) * p**r)],
+    "vanhamme": lambda p, r: [(SERIES_EXACT["S64-half"](p, r), _sign((p - 1) // 2) * p)],
+    "wolstenholme-h1": lambda p, r: [(harmonic(p - 1), 0)],
+    "wolstenholme-h2": lambda p, r: [(harmonic(p - 1, 2), 0)],
+    "central-2p1p": lambda p, r: [(comb(2 * p - 1, p - 1), 1)],
+    "sun-64": lambda p, r: [(SERIES_EXACT["S64-full"](p, r),
+                             _sign((p - 1) // 2) * p + p**3 * euler_number_gf(p - 3))],
+    "guo-liu": lambda p, r: [(SERIES_EXACT["Sgl"](p, r),
+                              p * _sign((p + 1) // 2) + p**3 * (2 - euler_number_gf(p - 3)))],
+    "long-cxh-512": lambda p, r: [(SERIES_EXACT["S512-half"](p, r),
+                                   p * legendre_by_squares(-2, p))],
+    "mao-512": lambda p, r: [(SERIES_EXACT["S512-half"](p, r),
+                              p * legendre_by_squares(-2, p) + Fraction(p**3, 4)
+                              * legendre_by_squares(2, p) * euler_number_gf(p - 3))],
+    "cxh-8-full": lambda p, r: [(SERIES_EXACT["S8-full"](p, r),
+                                 p * _sign((p - 1) // 2) + p**3 * euler_number_gf(p - 3))],
+    "remark-sun-c51": lambda p, r: [(SERIES_EXACT["S8-half"](p, r),
+                                     4 * legendre_by_squares(2, p) * SERIES_EXACT["S512-full"](p, r)
+                                     - 3 * p * legendre_by_squares(-1, p))],
+    "guo-half-64": lambda p, r: [(SERIES_EXACT["S64-half"](p, r),
+                                  _sign((p - 1) // 2 * r) * p**r)],
+    "guo-conj-full-64": lambda p, r: [(SERIES_EXACT["S64-full"](p, r),
+                                       _sign((p - 1) // 2 * r) * p**r)],
+    "morley": lambda p, r: [(comb(p - 1, (p - 1) // 2), _sign((p - 1) // 2) * 4 ** (p - 1))],
+    "morley-power": lambda p, r: [(comb(p**r - 1, (p**r - 1) // 2),
+                                   _sign((p**r - 1) // 2) * 4 ** (p**r - 1))],
+    "lemma-2.2": _lemma_2_2_to_2_4(lambda h1, h2: 1,
+                                   lambda p, q, s: s * (1 + 6 * p * q + 15 * p * p * q * q)),
+    "lemma-2.3": _lemma_2_2_to_2_4(lambda h1, h2: h1,
+                                   lambda p, q, s: -3 * s * (2 * q + 11 * p * q * q)),
+    "lemma-2.4": _lemma_2_2_to_2_4(lambda h1, h2: h1 * h1 + h2,
+                                   lambda p, q, s: 36 * s * q * q),
+    "lemma-2.6a": lambda p, r: [(half_fold(p, lambda h1, h2: h2), sum64_h2(p))],
+    "lemma-2.6b": lambda p, r: [(sum64_h2(p), -euler_poly_gf(p - 3, Fraction(1, 4)))],
+    "lemma-2.6-altsum": _altsum,
+    "lemma-2.7": lambda p, r: [(sum((g_exact((p + 1) // 2, k) for k in range(1, (p + 1) // 2)),
+                                    Fraction(0)),
+                                _quarter_rhs(p, euler_poly_gf(p - 3, Fraction(1, 4))))],
+    "binom-16k": lambda p, r: [(comb((p - 1) // 2, 2 * k), Fraction(comb(4 * k, 2 * k), 16**k))
+                               for k in range((p - 1) // 4 + 1)],
+    "poch-expansion": _poch,
+    "two-power-half": lambda p, r: [(2 ** ((p - 1) // 2), legendre_by_squares(2, p) * (
+        1 + Fraction(p, 2) * _fermat2(p) - Fraction(p * p, 8) * _fermat2(p) ** 2))],
+    "lemma-3.2": lambda p, r: [(g_exact(p**r, (p**r + 1) // 2), _sign((p**r - 1) // 2) * p**r)],
+    "lemma-3.3": lambda p, r: [(sum((g_exact(p**r, k) for k in range(1, (p**r + 1) // 2)),
+                                    Fraction(0)), 0)],
+    "central-2pr": _central_2pr,
+    "ps-1": _ps(lambda n, l, k: (l * comb(2 * l, l) * comb(2 * k, k), -2 * n)),
+    "ps-2": _ps(lambda n, l, k: (Fraction(-2 * n, l * comb(2 * l, l)), comb(2 * k, k))),
+    "ps-3": _ps(lambda n, l, k: (comb(2 * k, k), 0)),
+    "neg-binom-unit": _neg_binom_unit,
 }

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from supercong.cli import collect_records, emit_report, main, parse_args
+from supercong.cli import _primes_between, collect_records, emit_report, main, parse_args
 from supercong.congruences import all_ids
 from supercong.exactnum import is_prime
 
@@ -70,6 +70,11 @@ class TestParseArgs:
     def test_prime_cache_stays_bounded(self):
         parse_args(["--primes", "5:20000"])
         assert is_prime.cache_info().currsize <= 128
+
+    @pytest.mark.parametrize("lo, hi", [(0, 30), (-40, 12), (9973, 9973), (24, 28),
+                                        (999_000, 1_000_100)])
+    def test_sieve_matches_trial_division(self, lo, hi):
+        assert _primes_between(lo, hi) == tuple(n for n in range(lo, hi + 1) if is_prime(n))
 
     def test_leading_program_word_optional(self):
         with_word = parse_args(["verify", "--primes", "5:7"])

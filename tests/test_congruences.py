@@ -16,9 +16,10 @@ from supercong import (
     run_suite,
     telescope_half_sum,
 )
+from supercong import congruences as cong
 from supercong.congruences import REGISTRY, EvaluatorError, _alt_quarter_sum, _sign
 from conftest import primes_in
-from oracles import SERIES_EXACT
+from oracles import PAIRS_EXACT, SERIES_EXACT
 
 
 def suite(ids, primes, r_max=1, jobs=1, identities_n_max=1, wz_grid=1):
@@ -91,6 +92,61 @@ class TestEvalSeries:
     def test_large_prime_rows_pass(self):
         assert check_congruence("thm-main", 10007).passed
         assert check_congruence("sun-64", 10007).passed
+
+
+def test_every_row_has_an_exact_oracle():
+    assert set(PAIRS_EXACT) == set(REGISTRY)
+
+
+@pytest.mark.parametrize("cid", sorted(REGISTRY))
+def test_row_matches_exact_oracle(cid):
+    # pair by pair: r = 1 for p <= 61, r = 2 for p <= 31, r = 3 for p in {5, 7}
+    row = REGISTRY[cid]
+    cases = [(p, 1) for p in primes_in(3, 61)] + [(p, 2) for p in primes_in(3, 31)]
+    cases = [(p, r) for p, r in cases + [(5, 3), (7, 3)] if row.applicable(p, r)]
+    for p, r in cases:
+        e = row.modulus_exponent(p, r)
+        got = [(cong._reduce_side(lhs, p, e), cong._reduce_side(rhs, p, e))
+               for lhs, rhs in row.pairs(p, r, e)]
+        want = [(reduce_mod(lhs, p, e), reduce_mod(rhs, p, e))
+                for lhs, rhs in PAIRS_EXACT[cid](p, r)]
+        assert got == want, (cid, p, r)
+
+
+class TestKnownAnswers:
+    def test_wolstenholme_prime(self):
+        # 16843 is the first prime with H_{p-1} == 0 (mod p^3)
+        assert cong._harmonic_mod(16842, 16843, 3) == 0
+        assert cong._harmonic_mod(16828, 16829, 3) != 0
+
+    def test_thm_main_where_the_euler_value_vanishes(self):
+        # E_{p-3}(1/4) == 0 (mod 1019), so the right side is p(-1|p) = -1019
+        assert euler_poly_mod_p(1016, Fraction(1, 4), 1019).value == 0
+        verdict = check_congruence("thm-main", 1019)
+        assert verdict.passed
+        assert verdict.rhs.value == 1078193565302 == 1019**4 - 1019
+
+    def test_every_row_passes_at_1009(self):
+        for cid in REGISTRY:
+            assert check_congruence(cid, 1009).passed, cid
+
+    def test_euler_values_computed_once_per_prime(self, monkeypatch):
+        calls = {"number": 0, "poly": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        cong._euler_number.cache_clear()
+        cong._euler_quarter.cache_clear()
+        monkeypatch.setattr(cong, "euler_number_mod_p", counted("number", cong.euler_number_mod_p))
+        monkeypatch.setattr(cong, "euler_poly_mod_p", counted("poly", cong.euler_poly_mod_p))
+        verdicts = suite(["sun-64", "guo-liu", "mao-512", "cxh-8-full",
+                          "thm-main", "lemma-2.6b", "lemma-2.7"], [101])
+        assert all(v.passed for v in verdicts)
+        assert calls == {"number": 1, "poly": 1}
 
 
 class TestEvalRhs:
