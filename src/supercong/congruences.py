@@ -10,24 +10,23 @@ the ids of all three, and run_suite() runs any selection of them.
 
 Row contract: a CongruenceSpec states its modulus exponent e as a function
 of (p, r), and check_congruence computes e once and calls pairs(p, r, e).
-Each side of each pair is an integer or a Residue mod p^e; check_congruence
-reduces every side into Z/p^e and compares each pair's residues.  That one
-residue comparison is the only comparison (a rational side with p in its
-denominator would be a failed row, NotPIntegralError).  Sides known only
-mod p (the Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum)
-are Residues mod p, so those rows fix e = 1.
+Each side of each pair is an int, taken mod p^e, or a Residue already at
+p^e; check_congruence compares each pair as two ints in [0, p^e), and that
+is the only comparison.  A side of any other type, or a Residue at another
+modulus, makes a failed row with a diagnostic.  Sides known only mod p (the
+Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are Residues
+mod p, so those rows fix e = 1.
 
 Every sum or product over an index runs in Z/p^e.  A product whose factors
 may hold p (the series terms, the G(n, k) column, the central binomials of
-ps-1/2/3 and central-2pr) is stepped through _stepped, which keeps the power
-of p apart from a unit mod p^e and raises EvaluatorError if p is left in a
-denominator; sums and products of units are plain loops of inverses mod
-p^e.  A single binomial value (central-2p1p, morley, morley-power) is
-reduced once.  The one exception is neg-binom-unit: it asserts the exact
-identity -C(-p^r-1, s) = prod_{j<=s} (1 + p^r/j) before its congruence, so
-both sides are stepped as exact integers; a residue comparison would only
-check the identity mod p^e.  The exact Fraction form of every row is the
-test oracle (PAIRS_EXACT in tests/oracles.py).
+ps-1/2/3 and central-2pr, the products of neg-binom-unit) is stepped through
+_stepped, which keeps the power of p apart from a unit mod p^e and raises
+EvaluatorError if p is left in a denominator; sums and products of units are
+plain loops of inverses mod p^e.  A single binomial value (central-2p1p,
+morley, morley-power) is reduced once.  neg-binom-unit certifies its exact
+identity -C(-p^r-1, s) = prod_{j<=s} (1 + p^r/j) by its term ratio, so no
+row builds a big integer.  The exact Fraction form of every row is the test
+oracle (PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -59,7 +58,6 @@ from .exactnum import (
     Residue,
     UnknownIdError,
     is_prime,
-    reduce_mod,
 )
 from .identities import W_H, W_H2, W_HH, W_ONE
 from .special import (
@@ -70,7 +68,7 @@ from .special import (
     legendre_symbol,
 )
 
-Side = Union[Fraction, int, Residue]
+Side = Union[int, Residue]
 
 
 class InapplicableError(ValueError):
@@ -505,31 +503,21 @@ def _pairs_ps_3(p, r, e):
 
 
 def _pairs_neg_binom_unit(p, r, e):
-    # The negated binomial -C(-p^r-1, p^r-2k) equals the product
-    # prod_{j=1}^{p^r-2k} (1 + p^r/j) = C(p^r+s, s) exactly, and that product
-    # is == 1 mod p.  (The binomial itself is == -1: p^r-2k is odd.)  Both
-    # are stepped as exact integers, so the self-check is exact, not mod p^e.
+    # -C(-n-1, s) = prod_{j<=s} (1 + n/j) = C(n+s, s) for n = p^r and every
+    # odd s = n-2k, by induction: both sides are n+1 at s = 1, and from s to
+    # s+2 the binomial steps by (-n-1-s)(-n-2-s) / ((s+1)(s+2)) and the
+    # product by (n+s+1)(n+s+2) / ((s+1)(s+2)).  The product is == 1 mod p.
     n = p**r
-    out = []
-    prod = 1
-    cb = 0
-    s_prev = 0
-    for k in range((n - 1) // 2, 0, -1):
-        s = n - 2 * k
-        for j in range(s_prev + 1, s + 1):
-            prod = prod * (n + j) // j
-        if s_prev == 0:
-            cb = -(n + 1)  # C(-n-1, 1)
-        else:
-            cb = cb * (-n - 1 - s_prev) * (-n - 2 - s_prev) // ((s_prev + 1) * (s_prev + 2))
-        s_prev = s
-        if cb != -prod:
+    for s in range(1, n - 1, 2):
+        if s == 1:
+            holds = -binomial(-n - 1, 1) == n + 1
+        else:  # the step from s-2 to s
+            holds = (-n + 1 - s) * (-n - s) == (n + s - 1) * (n + s)
+        if not holds:
             raise EvaluatorError(
-                f"product form of C({-n - 1}, {s}) failed at p={p}, r={r}, k={k}"
-            )
-        out.append((prod % p**e, 1))
-    out.reverse()
-    return out
+                f"product form of C({-n - 1}, {s}) failed at p={p}, r={r}, k={(n - s) // 2}")
+    prods = _stepped(p, e, ((n + j, j) for j in range(1, n - 1)))
+    return [(prods[n - 2 * k], 1) for k in range(1, (n - 1) // 2 + 1)]
 
 
 _E1 = lambda p, r: 1
@@ -772,23 +760,28 @@ def _require(cid: str) -> CongruenceSpec:
     return row
 
 
-def _reduce_side(value: Side, p: int, e: int) -> Residue:
+def _reduce_side(value: Side, p: int, e: int) -> int:
+    """A side as an int in [0, p^e)."""
     if isinstance(value, Residue):
         if (value.p, value.e) != (p, e):
             raise ModulusMismatchError(
                 f"evaluator returned residue mod {value.p}^{value.e}, expected {p}^{e}"
             )
-        return value
-    return reduce_mod(value, p, e)
+        return value.value
+    if isinstance(value, int):
+        return value % p**e
+    raise EvaluatorError(f"evaluator returned a side of type {type(value).__name__}, "
+                         f"neither an int nor a Residue mod {p}^{e}")
 
 
 def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
-    """Evaluate both sides at the row's modulus p^e, reduce them into Z/p^e
-    and compare the residues.
+    """Evaluate both sides at the row's modulus p^e and compare each pair
+    as two ints in [0, p^e).
 
     e comes from the registry alone and is passed to the row's evaluator.
-    Evaluation errors (a p-divisible denominator where none should occur)
-    yield a failed Verdict carrying a diagnostic instead of raising.
+    Evaluation errors (a p-divisible denominator where none should occur, a
+    side of the wrong type or modulus) yield a failed Verdict carrying a
+    diagnostic instead of raising.
     """
     row = _require(cid)
     if not row.applicable(p, r):
@@ -798,15 +791,11 @@ def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
     try:
         reduced = [(_reduce_side(lhs, p, e), _reduce_side(rhs, p, e))
                    for lhs, rhs in row.pairs(p, r, e)]
-        failing = [(lv, rv) for lv, rv in reduced if lv != rv]
-        if failing:
-            lhs, rhs = failing[0]
-        else:
-            lhs = Residue(sum(lv.value for lv, _ in reduced), p, e)
-            rhs = Residue(sum(rv.value for _, rv in reduced), p, e)
+        lhs, rhs = next(((lv, rv) for lv, rv in reduced if lv != rv),
+                        (sum(lv for lv, _ in reduced), sum(rv for _, rv in reduced)))
         micros = (time.perf_counter_ns() - start) // 1000
-        return Verdict(cid, p, r, lhs, rhs, e, micros)
-    except (NotPIntegralError, EvaluatorError) as exc:
+        return Verdict(cid, p, r, Residue(lhs, p, e), Residue(rhs, p, e), e, micros)
+    except (NotPIntegralError, ModulusMismatchError, EvaluatorError) as exc:
         micros = (time.perf_counter_ns() - start) // 1000
         return Verdict(cid, p, r, None, None, e, micros, str(exc))
 

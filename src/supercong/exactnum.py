@@ -1,9 +1,9 @@
 """Exact rational arithmetic and prime-power modular reduction.
 
 The congruence rows and the special values of special.py work mod p^e from
-the start; reduce_mod takes the few exact integers and rationals they hand
-over (a single binomial, a Fermat quotient) into Z/p^e, where a
-p-divisible denominator surfaces as NotPIntegralError.
+the start.  reduce_mod serves only the rational arguments of special.py's
+values and the tests: it takes a rational into Z/p^e, where a p-divisible
+denominator surfaces as NotPIntegralError.
 """
 
 from __future__ import annotations

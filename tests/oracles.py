@@ -220,11 +220,16 @@ def _central_2pr(p, r):
 
 
 def _neg_binom_unit(p, r):
-    # prod_{j<=s} (1 + p^r/j) for s = p^r - 2k, k = 1 .. (p^r-1)/2
+    # prod_{j<=s} (1 + p^r/j) for s = p^r - 2k, k = 1 .. (p^r-1)/2, each
+    # asserted equal to -C(-p^r-1, s) by the definition of the binomial:
+    # the falling product (-p^r-1)(-p^r-2)...(-p^r-s) over s!
     n = p**r
-    prods = [Fraction(1)]
+    prods, falling, fact = [Fraction(1)], 1, 1
     for j in range(1, n - 1):
         prods.append(prods[-1] * (1 + Fraction(n, j)))
+        falling, fact = falling * (-n - j), fact * j
+        if j % 2:
+            assert -Fraction(falling, fact) == prods[j], (p, r, j)
     return [(prods[n - 2 * k], 1) for k in range(1, (n - 1) // 2 + 1)]
 
 

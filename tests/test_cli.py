@@ -14,10 +14,14 @@ GOLDEN_ARGS = {
                     "--identities-n-max", "8", "--wz-grid", "6", "--no-timing"],
     "verify-3-61": ["verify", "--primes", "3:61", "--ids", "all", "--r-max", "1",
                     "--identities-n-max", "10", "--wz-grid", "6", "--no-timing"],
+    "verify-3-23-r3": ["verify", "--primes", "3:23", "--r-max", "3", "--no-timing", "--ids",
+                       "thm-prime-power,guo-half-64,guo-conj-full-64,morley-power,lemma-3.2,"
+                       "lemma-3.3,central-2pr,ps-1,ps-2,ps-3,neg-binom-unit"],
 }
 GOLDEN_CASES = [pytest.param("verify-5-13", fmt, jobs, id=f"{fmt}-{jobs}")
                 for jobs in ("1", "2") for fmt in ("jsonl", "csv", "table")]
 GOLDEN_CASES.append(pytest.param("verify-3-61", "jsonl", "2", id="3-61-jsonl-2"))
+GOLDEN_CASES.append(pytest.param("verify-3-23-r3", "jsonl", "2", id="3-23-r3-jsonl-2"))
 
 
 class TestParseArgs:

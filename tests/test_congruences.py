@@ -100,15 +100,16 @@ def test_every_row_has_an_exact_oracle():
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_row_matches_exact_oracle(cid):
-    # pair by pair: r = 1 for p <= 61, r = 2 for p <= 31, r = 3 for p in {5, 7}
+    # pair by pair: r = 1 for p <= 61, r = 2 for p <= 31, r = 3 for p in {5, 7},
+    # r = 4 for p = 5
     row = REGISTRY[cid]
     cases = [(p, 1) for p in primes_in(3, 61)] + [(p, 2) for p in primes_in(3, 31)]
-    cases = [(p, r) for p, r in cases + [(5, 3), (7, 3)] if row.applicable(p, r)]
+    cases = [(p, r) for p, r in cases + [(5, 3), (7, 3), (5, 4)] if row.applicable(p, r)]
     for p, r in cases:
         e = row.modulus_exponent(p, r)
         got = [(cong._reduce_side(lhs, p, e), cong._reduce_side(rhs, p, e))
                for lhs, rhs in row.pairs(p, r, e)]
-        want = [(reduce_mod(lhs, p, e), reduce_mod(rhs, p, e))
+        want = [(reduce_mod(lhs, p, e).value, reduce_mod(rhs, p, e).value)
                 for lhs, rhs in PAIRS_EXACT[cid](p, r)]
         assert got == want, (cid, p, r)
 
@@ -229,7 +230,7 @@ class TestCheckCongruence:
             "tmp-ill-posed",
             "denominator divisible by p on purpose",
             lambda p, r: 2,
-            lambda p, r, e: [(Fraction(1, p), 0)],
+            lambda p, r, e: [(reduce_mod(Fraction(1, p), p, e), 0)],
         )
         REGISTRY[row.id] = row
         try:
@@ -241,6 +242,30 @@ class TestCheckCongruence:
             assert rec["lhs"] is None and rec["pass"] is False
         finally:
             del REGISTRY[row.id]
+
+    @pytest.mark.parametrize("side, named", [
+        (Residue(1, 5, 1), "mod 5^1, expected 5^2"),
+        (Fraction(1, 2), "Fraction"),
+    ], ids=["residue-at-another-modulus", "fraction"])
+    def test_side_breaking_the_contract_is_a_failed_row(self, side, named, monkeypatch):
+        # run at e = 2: neither side is reduced or coerced, and the suite goes on
+        row = CongruenceSpec("tmp-bad-side", "a side outside the contract",
+                             lambda p, r: 2, lambda p, r, e: [(side, 1)])
+        monkeypatch.setitem(REGISTRY, row.id, row)
+        verdicts = suite([row.id, "morley"], [5])
+        assert [v.id for v in verdicts] == ["morley", row.id]
+        assert verdicts[0].passed
+        bad = verdicts[1]
+        assert not bad.passed and bad.lhs is None and bad.rhs is None
+        assert named in bad.diagnostic
+
+    def test_neg_binom_unit_certificate_catches_a_wrong_binomial(self, monkeypatch):
+        # a wrong C(-n-1, 1) breaks the base of the induction
+        real = cong.binomial
+        monkeypatch.setattr(cong, "binomial", lambda n, k: real(n, k) + (k == 1))
+        verdict = check_congruence("neg-binom-unit", 7, 2)
+        assert not verdict.passed and verdict.lhs is None
+        assert "product form of C(-50, 1)" in verdict.diagnostic
 
 
 class TestCrossChecks:
