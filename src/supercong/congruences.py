@@ -17,16 +17,14 @@ modulus, makes a failed row with a diagnostic.  Sides known only mod p (the
 Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are Residues
 mod p, so those rows fix e = 1.
 
-Every sum or product over an index runs in Z/p^e.  A product whose factors
-may hold p (the series terms, the G(n, k) column, the central binomials of
-ps-1/2/3 and central-2pr, the products of neg-binom-unit) is stepped through
-_stepped, which keeps the power of p apart from a unit mod p^e and raises
-EvaluatorError if p is left in a denominator; sums and products of units are
-plain loops of inverses mod p^e.  A single binomial value (central-2p1p,
-morley, morley-power) is reduced once.  neg-binom-unit certifies its exact
-identity -C(-p^r-1, s) = prod_{j<=s} (1 + p^r/j) by its term ratio, so no
-row builds a big integer.  The exact Fraction form of every row is the test
-oracle (PAIRS_EXACT in tests/oracles.py).
+Every sum or product over an index runs in Z/p^e, and no row inverts inside
+its own loop: a product whose steps divide is one _stepped run, which keeps
+the power of p apart from a unit mod p^e, inverts once per run and raises
+EvaluatorError if p is left in a denominator; every reciprocal 1/k in a sum
+comes from the column _inverses.  A single binomial value (central-2p1p,
+morley, morley-power) is reduced once, so no row builds a big integer.  The
+exact Fraction form of every row is the test oracle (PAIRS_EXACT in
+tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -48,6 +46,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Union
 
 from . import identities, wz
@@ -185,6 +184,13 @@ def _stepped(p: int, e: int, factors) -> list[int]:
     return out
 
 
+def _inverses(top: int, p: int, e: int) -> list[int]:
+    """The column 0, 1/1, 1/2, ..., 1/top mod p^e for top < p; the 0 at
+    index 0 leaves sums over the column unchanged."""
+    m = p**e
+    return [0] + [pow(k, -1, m) for k in range(1, top + 1)]
+
+
 # -- series ------------------------------------------------------------------
 
 
@@ -264,20 +270,13 @@ def _rhs_central_quarter(p: int, e: int) -> int:
     return p * legendre_symbol(-1, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_quarter(p)
 
 
-def _harmonic_mod(top: int, p: int, e: int, order: int = 1) -> int:
-    """H_top^(order) mod p^e for top < p, a sum of unit inverses."""
-    m = p**e
-    return sum(pow(k, -order, m) for k in range(1, top + 1)) % m
-
-
 def _half_fold(p: int, e: int, weight) -> int:
     """identities.fold((p-1)/2, floor((p-1)/4), weight) mod p^e: every
     C(h,k) C(h-k,k) / 4^k and H_k with k < p is a unit or p-integral."""
-    m, h = p**e, (p - 1) // 2
-    total, c, h1, h2 = weight(0, 0, 0), 1, 0, 0
-    for k in range(1, (p - 1) // 4 + 1):
-        c = c * (h - 2 * k + 2) * (h - 2 * k + 1) * pow(4 * k * k, -1, m) % m
-        inv = pow(k, -1, m)
+    m, h, f = p**e, (p - 1) // 2, (p - 1) // 4
+    cs = _stepped(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 4 * k * k) for k in range(1, f + 1)))
+    total, h1, h2 = 0, 0, 0
+    for k, (c, inv) in enumerate(zip(cs, _inverses(f, p, e))):
         h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
         total += c * weight(k, h1, h2)
     return total % m
@@ -285,17 +284,15 @@ def _half_fold(p: int, e: int, weight) -> int:
 
 def _sum64_h2(p: int) -> int:
     # sum_{k=1}^{floor((p-1)/4)} C(4k,2k) C(2k,k) H_k^(2) / 64^k mod p
-    total, d, h2 = 0, 1, 0
-    for k in range(1, (p - 1) // 4 + 1):
-        d = d * (4 * k - 1) * (4 * k - 3) * pow(16 * k * k, -1, p) % p
-        h2 += pow(k, -2, p)
-        total += d * h2
-    return total % p
+    f = (p - 1) // 4
+    ds = _stepped(p, 1, (((4 * k - 1) * (4 * k - 3), 16 * k * k) for k in range(1, f + 1)))
+    return sum(d * h2 for d, h2 in zip(ds, accumulate(inv * inv for inv in _inverses(f, p, 1)))) % p
 
 
 def _alt_quarter_sum(p: int) -> int:
-    # sum_{k=1}^{floor((p-1)/4)} (-1)^k / k^2 mod p
-    return sum(_sign(k) * pow(k, -2, p) for k in range(1, (p - 1) // 4 + 1)) % p
+    # sum_{k=1}^{floor((p-1)/4)} (-1)^k / k^2 mod p: the even k less the odd k
+    inverses = _inverses((p - 1) // 4, p, 1)
+    return (sum(inv * inv for inv in inverses[2::2]) - sum(inv * inv for inv in inverses[1::2])) % p
 
 
 def _g_column(n: int, p: int, e: int) -> list[int]:
@@ -329,11 +326,11 @@ def _pairs_vanhamme(p, r, e):
 
 
 def _pairs_wolstenholme_h1(p, r, e):
-    return [(_harmonic_mod(p - 1, p, e), 0)]
+    return [(sum(_inverses(p - 1, p, e)), 0)]
 
 
 def _pairs_wolstenholme_h2(p, r, e):
-    return [(_harmonic_mod(p - 1, p, e, 2), 0)]
+    return [(sum(inv * inv for inv in _inverses(p - 1, p, e)), 0)]
 
 
 def _pairs_central_2p1p(p, r, e):
@@ -433,13 +430,10 @@ def _pairs_lemma_2_7(p, r, e):
 
 def _pairs_binom_16k(p, r, e):
     # C((p-1)/2, 2k) and C(4k, 2k) / 16^k, stepped in k
-    m, h = p**e, (p - 1) // 2
-    a, b, out = 1, 1, [(1, 1)]
-    for k in range(1, (p - 1) // 4 + 1):
-        a = a * (h - 2 * k + 2) * (h - 2 * k + 1) * pow(2 * k * (2 * k - 1), -1, m) % m
-        b = b * (4 * k - 1) * (4 * k - 3) * pow(8 * k * (2 * k - 1), -1, m) % m
-        out.append((a, b))
-    return out
+    h, ks = (p - 1) // 2, range(1, (p - 1) // 4 + 1)
+    a = _stepped(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 2 * k * (2 * k - 1)) for k in ks))
+    b = _stepped(p, e, (((4 * k - 1) * (4 * k - 3), 8 * k * (2 * k - 1)) for k in ks))
+    return list(zip(a, b))
 
 
 def _pairs_poch_expansion(p, r, e):
@@ -447,12 +441,11 @@ def _pairs_poch_expansion(p, r, e):
     m = p**e
     half, quarter = pow(2, -1, m), pow(4, -1, m)
     poch, fact, h1, h2, out = 1, 1, 0, 0, []
-    for k in range(1, (p - 1) // 2 + 1):
-        if k > 1:
-            poch = poch * (p - 2 * (k - 1)) * half % m
-            fact = fact * (k - 1) % m
-            inv = pow(k - 1, -1, m)
-            h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
+    for j, inv in enumerate(_inverses((p - 3) // 2, p, e)):  # j = k - 1
+        if j:
+            poch = poch * (p - 2 * j) * half % m
+            fact = fact * j % m
+        h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
         rhs = fact * fact * (1 - p * h1 + p * p * quarter * (2 * h1 * h1 - h2))
         out.append((poch * poch, rhs))
     return out
@@ -478,7 +471,7 @@ def _pairs_central_2pr(p, r, e):
     a = _central_column(n, p, e)[-1]
     # n/j for j = 1 .. n-1, stepped by j/(j+1)
     b = 2 - 4 * sum(_stepped(p, e, [(n, 1)] + [(j, j + 1) for j in range(1, n - 1)])[1:])
-    c = 2 - 4 * p * _harmonic_mod(p - 1, p, e)
+    c = 2 - 4 * p * sum(_inverses(p - 1, p, e))
     return [(a, b), (b, c), (c, 2)]
 
 
@@ -504,18 +497,14 @@ def _pairs_ps_3(p, r, e):
 
 def _pairs_neg_binom_unit(p, r, e):
     # -C(-n-1, s) = prod_{j<=s} (1 + n/j) = C(n+s, s) for n = p^r and every
-    # odd s = n-2k, by induction: both sides are n+1 at s = 1, and from s to
-    # s+2 the binomial steps by (-n-1-s)(-n-2-s) / ((s+1)(s+2)) and the
-    # product by (n+s+1)(n+s+2) / ((s+1)(s+2)).  The product is == 1 mod p.
+    # odd s = n-2k, by induction: both sides are n+1 at s = 1, checked here,
+    # and from s to s+2 the binomial steps by (-n-1-s)(-n-2-s) / ((s+1)(s+2))
+    # and the product by (n+s+1)(n+s+2) / ((s+1)(s+2)), equal for every
+    # integer n and s.  The product is == 1 mod p.
     n = p**r
-    for s in range(1, n - 1, 2):
-        if s == 1:
-            holds = -binomial(-n - 1, 1) == n + 1
-        else:  # the step from s-2 to s
-            holds = (-n + 1 - s) * (-n - s) == (n + s - 1) * (n + s)
-        if not holds:
-            raise EvaluatorError(
-                f"product form of C({-n - 1}, {s}) failed at p={p}, r={r}, k={(n - s) // 2}")
+    if -binomial(-n - 1, 1) != n + 1:
+        raise EvaluatorError(
+            f"product form of C({-n - 1}, 1) failed at p={p}, r={r}, k={(n - 1) // 2}")
     prods = _stepped(p, e, ((n + j, j) for j in range(1, n - 1)))
     return [(prods[n - 2 * k], 1) for k in range(1, (n - 1) // 2 + 1)]
 

@@ -1,6 +1,9 @@
 """Finite prime-free identities used by the congruence machinery, each
 checkable exactly for every n in a declared range.
 
+I1-I6 are three identities in t, at t = 2n (I1, I3, I5) and t = 2n+1 (I2,
+I4, I6): fold(t, n, W) = C(2t, t)/2^t F(t), for three weights W and factors F.
+
 Provenance of I1-I9 is numerical evidence, not proof: the registry records
 them as assumptions-with-evidence and the range checks are the evidence.
 """
@@ -36,7 +39,7 @@ def _pointwise(lhs, rhs):
 def fold(top: int, n: int, weight) -> Fraction:
     """sum_{k=0}^{n} C(top,k) C(top-k,k) weight(k, H_k, H_k^(2)) / 4^k.
 
-    I1-I6 take top = 2n or 2n+1.  Lemmas 2.2-2.6a of the congruence
+    I1-I6 take top = t = 2n or 2n+1.  Lemmas 2.2-2.6a of the congruence
     registry no longer call it: they step the same sum at top = (p-1)/2 in
     Z/p^e (congruences._half_fold) and share only the weights below.
     """
@@ -58,33 +61,18 @@ W_H = lambda k, h1, h2: h1
 W_HH = lambda k, h1, h2: h1 * h1 + h2
 W_H2 = lambda k, h1, h2: h2
 
-_i1_lhs = lambda n: fold(2 * n, n, W_ONE)
-_i1_rhs = lambda n: Fraction(comb(4 * n, 2 * n), 4**n)
-_i2_lhs = lambda n: fold(2 * n + 1, n, W_ONE)
-_i2_rhs = lambda n: Fraction(comb(4 * n + 1, 2 * n + 1), 4**n)
-_i3_lhs = lambda n: fold(2 * n, n, W_H)
-_i3_rhs = lambda n: _i1_rhs(n) * (3 * harmonic(2 * n) - 2 * harmonic(4 * n))
-_i4_lhs = lambda n: fold(2 * n + 1, n, W_H)
-_i4_rhs = lambda n: _i2_rhs(n) * (3 * harmonic(2 * n + 1) - 2 * harmonic(4 * n + 2))
+_F_ONE = lambda t: 1
+_F_H = lambda t: 3 * harmonic(t) - 2 * harmonic(2 * t)
+_F_HH = lambda t: 5 * harmonic(t, 2) - 4 * harmonic(2 * t, 2) + _F_H(t) ** 2
 
 
-def _i5_rhs(n: int) -> Fraction:
-    c = _i1_rhs(n)
-    return c * (5 * harmonic(2 * n, 2) - 4 * harmonic(4 * n, 2)) + c * (
-        3 * harmonic(2 * n) - 2 * harmonic(4 * n)
-    ) ** 2
+def _fold_pair(t: int, weight, factor) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of I1-I6 at t: fold(t, floor(t/2), weight), C(2t, t)/2^t factor(t)."""
+    return fold(t, t // 2, weight), Fraction(comb(2 * t, t), 2**t) * factor(t)
 
 
-def _i6_rhs(n: int) -> Fraction:
-    c = _i2_rhs(n)
-    return c * (
-        (5 * harmonic(2 * n + 1, 2) - 4 * harmonic(4 * n + 2, 2))
-        + (3 * harmonic(2 * n + 1) - 2 * harmonic(4 * n + 2)) ** 2
-    )
-
-
-_i5_lhs = lambda n: fold(2 * n, n, W_HH)
-_i6_lhs = lambda n: fold(2 * n + 1, n, W_HH)
+def _fold_check(parity: int, weight, factor) -> Callable[[int], bool]:
+    return lambda n: operator.eq(*_fold_pair(2 * n + parity, weight, factor))
 
 
 # -- quarter-parameter identities ---------------------------------------------
@@ -179,30 +167,30 @@ REGISTRY: dict[str, IdentitySpec] = {
     s.id: s
     for s in (
         IdentitySpec("I1", "sum C(2n,k)C(2n-k,k)/4^k = C(4n,2n)/4^n", 0,
-                     _pointwise(_i1_lhs, _i1_rhs)),
+                     _fold_check(0, W_ONE, _F_ONE)),
         IdentitySpec("I2", "sum C(2n+1,k)C(2n+1-k,k)/4^k = C(4n+1,2n+1)/4^n", 0,
-                     _pointwise(_i2_lhs, _i2_rhs)),
+                     _fold_check(1, W_ONE, _F_ONE)),
         IdentitySpec(
             "I3",
             "sum C(2n,k)C(2n-k,k)H_k/4^k = C(4n,2n)/4^n (3H_{2n} - 2H_{4n})",
             0,
-            _pointwise(_i3_lhs, _i3_rhs),
+            _fold_check(0, W_H, _F_H),
         ),
         IdentitySpec(
             "I4",
             "sum C(2n+1,k)C(2n+1-k,k)H_k/4^k = C(4n+1,2n+1)/4^n (3H_{2n+1} - 2H_{4n+2})",
             0,
-            _pointwise(_i4_lhs, _i4_rhs),
+            _fold_check(1, W_H, _F_H),
         ),
         IdentitySpec(
             "I5",
             "sum C(2n,k)C(2n-k,k)(H_k^2+H_k^(2))/4^k = "
             "C(4n,2n)/4^n ((5H_{2n}^(2) - 4H_{4n}^(2)) + (3H_{2n} - 2H_{4n})^2)",
             0,
-            _pointwise(_i5_lhs, _i5_rhs),
+            _fold_check(0, W_HH, _F_HH),
         ),
         IdentitySpec("I6", "odd companion of I5 with upper row 2n+1", 0,
-                     _pointwise(_i6_lhs, _i6_rhs)),
+                     _fold_check(1, W_HH, _F_HH)),
         IdentitySpec(
             "I7",
             "sum C(n,k)C(-3/4,k)H_k^(2) = (-1)^n C(-1/4,n)(H_n^(2) - sum (-1)^k/(k^2 C(-1/4,k)))",
@@ -237,12 +225,17 @@ REGISTRY: dict[str, IdentitySpec] = {
 }
 
 
-def check_identity(identity_id: str, n: int) -> bool:
-    """True iff the identity holds exactly at n (quantified identities fold
-    their auxiliary parameters internally)."""
+def _require(identity_id: str) -> IdentitySpec:
     spec = REGISTRY.get(identity_id)
     if spec is None:
         raise UnknownIdError(f"unknown identity id: {identity_id}")
+    return spec
+
+
+def check_identity(identity_id: str, n: int) -> bool:
+    """True iff the identity holds exactly at n (quantified identities fold
+    their auxiliary parameters internally)."""
+    spec = _require(identity_id)
     if n < spec.n_min:
         raise ValueError(f"{identity_id} is declared for n >= {spec.n_min}, got {n}")
     return spec.check(n)
@@ -251,7 +244,5 @@ def check_identity(identity_id: str, n: int) -> bool:
 def check_identity_range(identity_id: str, n_max: int) -> tuple[int, ...]:
     """The n from the declared range start to n_max at which the identity
     fails; () means it holds on the whole range."""
-    spec = REGISTRY.get(identity_id)
-    if spec is None:
-        raise UnknownIdError(f"unknown identity id: {identity_id}")
+    spec = _require(identity_id)
     return tuple(n for n in range(spec.n_min, n_max + 1) if not spec.check(n))

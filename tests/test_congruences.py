@@ -1,3 +1,5 @@
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -114,11 +116,38 @@ def test_row_matches_exact_oracle(cid):
         assert got == want, (cid, p, r)
 
 
+def test_inverses_column():
+    for p in primes_in(3, 61):
+        for e in (1, 2, 3):
+            inverses = cong._inverses(p - 1, p, e)
+            assert len(inverses) == p and inverses[0] == 0
+            for k in range(1, p):
+                assert inverses[k] == reduce_mod(Fraction(1, k), p, e).value, (p, e, k)
+
+
+def test_no_row_inverts_inside_its_own_loop():
+    # pow(x, -a, m) inside a loop or comprehension is allowed in _inverses only:
+    # every other reciprocal comes from that column or from one _stepped run
+    tree = ast.parse(inspect.getsource(cong))
+    tree.body = [node for node in tree.body
+                 if not (isinstance(node, ast.FunctionDef) and node.name == "_inverses")]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    offenders = {
+        call.lineno
+        for loop in ast.walk(tree) if isinstance(loop, loops)
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "pow"
+        and len(call.args) >= 2 and isinstance(call.args[1], ast.UnaryOp)
+        and isinstance(call.args[1].op, ast.USub)
+    }
+    assert not offenders, f"pow with a negative exponent in a loop, lines {sorted(offenders)}"
+
+
 class TestKnownAnswers:
     def test_wolstenholme_prime(self):
         # 16843 is the first prime with H_{p-1} == 0 (mod p^3)
-        assert cong._harmonic_mod(16842, 16843, 3) == 0
-        assert cong._harmonic_mod(16828, 16829, 3) != 0
+        assert sum(cong._inverses(16842, 16843, 3)) % 16843**3 == 0
+        assert sum(cong._inverses(16828, 16829, 3)) % 16829**3 != 0
 
     def test_thm_main_where_the_euler_value_vanishes(self):
         # E_{p-3}(1/4) == 0 (mod 1019), so the right side is p(-1|p) = -1019

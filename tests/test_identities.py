@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from supercong import UnknownIdError, check_identity, check_identity_range, identities
-from supercong.identities import REGISTRY, _i10_point
+from supercong.identities import REGISTRY, W_H, W_ONE, _i10_point
 
 
 def test_registry_shape():
@@ -14,10 +14,10 @@ def test_registry_shape():
 
 class TestAnchors:
     def test_i1_at_1(self):
-        assert identities._i1_lhs(1) == identities._i1_rhs(1) == Fraction(3, 2)
+        assert identities._fold_pair(2, W_ONE, identities._F_ONE) == (Fraction(3, 2),) * 2
 
     def test_i3_at_1(self):
-        assert identities._i3_lhs(1) == identities._i3_rhs(1) == Fraction(1, 2)
+        assert identities._fold_pair(2, W_H, identities._F_H) == (Fraction(1, 2),) * 2
 
     def test_i9_at_2(self):
         assert identities._i9_lhs(2) == identities._i9_rhs(2) == Fraction(-1, 4)
