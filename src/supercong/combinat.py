@@ -59,15 +59,19 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
 
 
 def harmonic(n: int, order: int = 1) -> Fraction:
-    """H_n (order 1) or H_n^(2) (order 2), exactly; H_0 = 0."""
+    """H_n (order 1) or H_n^(2) (order 2), exactly; H_0 = 0.
+
+    The sum runs as one integer numerator over the unreduced denominator
+    k!^order, so the only gcd is the one of the single Fraction returned."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    total = Fraction(0)
+    num, den = 0, 1
     for k in range(1, n + 1):
-        total += Fraction(1, k**order)
-    return total
+        step = k**order
+        num, den = num * step + den, den * step
+    return Fraction(num, den)
 
 
 def frac_part(q: Fraction | int) -> Fraction:

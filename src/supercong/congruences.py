@@ -276,9 +276,10 @@ def _half_fold(p: int, e: int, weight) -> int:
     m, h, f = p**e, (p - 1) // 2, (p - 1) // 4
     cs = _stepped(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 4 * k * k) for k in range(1, f + 1)))
     total, h1, h2 = 0, 0, 0
-    for k, (c, inv) in enumerate(zip(cs, _inverses(f, p, e))):
+    for c, inv in zip(cs, _inverses(f, p, e)):
         h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
-        total += c * weight(k, h1, h2)
+        # u = 1: a weight homogeneous of degree 2 is then w(H_k, H_k^(2)) itself
+        total += c * weight(1, h1, h2)
     return total % m
 
 

@@ -4,6 +4,19 @@ checkable exactly for every n in a declared range.
 I1-I6 are three identities in t, at t = 2n (I1, I3, I5) and t = 2n+1 (I2,
 I4, I6): fold(t, n, W) = C(2t, t)/2^t F(t), for three weights W and factors F.
 
+Every sum in I1-I9 runs as one integer over a common denominator fixed
+before its loop (k!^order in combinat.harmonic, 4^n n!^2 in fold, 4^n n!^3
+for I7/I8, n!^2 for I9).  A sum becomes one Fraction at the end, or is
+compared as that integer, so no gcd runs per term and every comparison
+stays exact.  I10 sums its powers as integers against exact Bernoulli
+values; I11 and I12 keep the rational binomial and the 1/n! convention
+that their statements use.
+
+The fold weights are therefore homogeneous of degree 2, with H_k^(2)
+counted as degree 2: weight(u, h1, h2) = u^2 w(h1/u, h2/u^2) for the weight
+w(H_k, H_k^(2)) of the identity.  fold passes (n!, n! H_k, n!^2 H_k^(2)),
+which are all integers; congruences._half_fold passes u = 1 in Z/p^e.
+
 Provenance of I1-I9 is numerical evidence, not proof: the registry records
 them as assumptions-with-evidence and the range checks are the evidence.
 """
@@ -13,6 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Callable
 
@@ -37,29 +51,29 @@ def _pointwise(lhs, rhs):
 
 
 def fold(top: int, n: int, weight) -> Fraction:
-    """sum_{k=0}^{n} C(top,k) C(top-k,k) weight(k, H_k, H_k^(2)) / 4^k.
+    """sum_{k=0}^{n} C(top,k) C(top-k,k) w(H_k, H_k^(2)) / 4^k, summed as
+    one integer over 4^n n!^2 through the homogeneous weight(n!, n! H_k,
+    n!^2 H_k^(2)) = n!^2 w(H_k, H_k^(2)).
 
     I1-I6 take top = t = 2n or 2n+1.  Lemmas 2.2-2.6a of the congruence
     registry no longer call it: they step the same sum at top = (p-1)/2 in
     Z/p^e (congruences._half_fold) and share only the weights below.
     """
-    total = Fraction(0)
-    h1 = Fraction(0)
-    h2 = Fraction(0)
+    f = factorial(n)
+    total, h1, h2 = 0, 0, 0
     for k in range(n + 1):
         if k:
-            h1 += Fraction(1, k)
-            h2 += Fraction(1, k * k)
-        w = weight(k, h1, h2)
-        if w:
-            total += Fraction(comb(top, k) * comb(top - k, k), 4**k) * w
-    return total
+            step = f // k
+            h1, h2 = h1 + step, h2 + step * step
+        total += comb(top, k) * comb(top - k, k) * weight(f, h1, h2) << 2 * (n - k)
+    return Fraction(total, f * f << 2 * n)
 
 
-W_ONE = lambda k, h1, h2: 1
-W_H = lambda k, h1, h2: h1
-W_HH = lambda k, h1, h2: h1 * h1 + h2
-W_H2 = lambda k, h1, h2: h2
+# w = 1, H_k, H_k^2 + H_k^(2) and H_k^(2), each made homogeneous of degree 2
+W_ONE = lambda u, h1, h2: u * u
+W_H = lambda u, h1, h2: u * h1
+W_HH = lambda u, h1, h2: h1 * h1 + h2
+W_H2 = lambda u, h1, h2: h2
 
 _F_ONE = lambda t: 1
 _F_H = lambda t: 3 * harmonic(t) - 2 * harmonic(2 * t)
@@ -78,25 +92,31 @@ def _fold_check(parity: int, weight, factor) -> Callable[[int], bool]:
 # -- quarter-parameter identities ---------------------------------------------
 
 
-def _quarter_pair(n: int, a_num: int, b_num: int) -> tuple[Fraction, Fraction]:
+def _quarter_pair(n: int, a_num: int, b_num: int) -> tuple[int, int]:
     """(lhs, rhs) of sum_k C(n,k) C(b/4,k) H_k^(2)
-       = (-1)^n C(a/4,n) (H_n^(2) - sum_k (-1)^k / (k^2 C(a/4,k)))."""
-    a = Fraction(a_num, 4)
-    b = Fraction(b_num, 4)
-    lhs = Fraction(0)
-    inner = Fraction(0)
-    cb = Fraction(1)  # C(b, k)
-    ca = Fraction(1)  # C(a, k)
-    h2 = Fraction(0)
+       = (-1)^n C(a/4,n) (H_n^(2) - sum_k (-1)^k / (k^2 C(a/4,k))),
+    each times 4^n n!^3, as integers.
+
+    C(x/4, k) = X_k / (4^k k!) with X_k = prod_{j<k} (x - 4j), and
+    n!^2 H_k^(2) = sum_{j<=k} (n!/j)^2.  The inner sum times 4^n n!^3 / X_n
+    is sum_k (-1)^k 4^k k! (n!/k)^2 X_n/X_k, run by Horner's rule in the
+    factors a - 4j of X_n/X_k.
+    """
+    f = factorial(n)
+    lhs, inner, h2, xa, xb, fall, kf = 0, 0, 0, 1, 1, f, 1
     for k in range(1, n + 1):
-        cb *= (b - k + 1) / k
-        ca *= (a - k + 1) / k
-        h2 += Fraction(1, k * k)
-        lhs += comb(n, k) * cb * h2
-        inner += Fraction((-1) ** k, k * k) / ca
-    sign = -1 if n % 2 else 1
-    rhs = sign * binomial_rational(a, n) * (h2 - inner)
-    return lhs, rhs
+        step = f // k
+        h2 += step * step
+        fall //= k  # n!/k!
+        kf *= k
+        xb *= b_num - 4 * (k - 1)
+        lhs += comb(n, k) * xb * fall * h2 << 2 * (n - k)
+        factor = a_num - 4 * (k - 1)
+        term = kf * step * step << 2 * k
+        inner = inner * factor + (-term if k % 2 else term)
+        xa *= factor
+    rhs = xa * h2 - inner
+    return lhs, -rhs if n % 2 else rhs
 
 
 _i7_check = lambda n: operator.eq(*_quarter_pair(n, -1, -3))
@@ -104,45 +124,46 @@ _i8_check = lambda n: operator.eq(*_quarter_pair(n, -3, -1))
 
 
 def _i9_lhs(n: int) -> Fraction:
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction((-1) ** k, k * k * comb(n, k))
-    return total
+    # times n!^2, term k is (-1)^k k! (n-k)! n!/k^2 = (-1)^k (k-1)! (n-k)! (n!/k)
+    fact = list(accumulate(range(1, n + 1), operator.mul, initial=1))
+    total = sum((-1) ** k * fact[k - 1] * fact[n - k] * (fact[n] // k) for k in range(1, n + 1))
+    return Fraction(total, fact[n] ** 2)
 
 
 def _i9_rhs(n: int) -> Fraction:
-    alt = Fraction(0)
-    for k in range(1, n + 1):
-        alt += Fraction((-1) ** k, k * k)
-    return harmonic(n, 2) + 2 * alt
+    # H_n^(2) + 2 sum (-1)^k / k^2 = sum (1 + 2(-1)^k) / k^2, times n!^2
+    f = factorial(n)
+    total = sum((3 if k % 2 == 0 else -1) * (f // k) ** 2 for k in range(1, n + 1))
+    return Fraction(total, f * f)
 
 
 # -- power-sum / Bernoulli formula (3 extra parameters) -----------------------
-
-
-def _i10_point(big_p: int, m: int, r: int, k: int) -> bool:
-    lhs = 0
-    for x in range(r % m, big_p, m):
-        lhs += x**k
-    upper = Fraction(big_p, m) + frac_part(Fraction(r - big_p, m))
-    lower = frac_part(Fraction(r, m))
-    rhs = Fraction(m**k, k + 1) * (
-        bernoulli_poly_exact(k + 1, upper) - bernoulli_poly_exact(k + 1, lower)
-    )
-    return lhs == rhs
 
 
 _I10_M_MAX = 8
 _I10_K_MAX = 6
 
 
+def _i10_class(big_p: int, m: int, r: int) -> list[tuple[int, Fraction]]:
+    """(lhs, rhs) of I10 at k = 0 .. _I10_K_MAX for the class x == r (mod m)
+    below P: the bounds of the Bernoulli side are taken once per class, and
+    the powers x^k run as one column."""
+    upper = Fraction(big_p, m) + frac_part(Fraction(r - big_p, m))
+    lower = frac_part(Fraction(r, m))
+    xs = range(r % m, big_p, m)
+    powers = [1] * len(xs)
+    out = []
+    for k in range(_I10_K_MAX + 1):
+        diff = bernoulli_poly_exact(k + 1, upper) - bernoulli_poly_exact(k + 1, lower)
+        out.append((sum(powers), Fraction(m**k * diff.numerator, (k + 1) * diff.denominator)))
+        powers = [w * x for w, x in zip(powers, xs)]
+    return out
+
+
 def _i10_check(big_p: int) -> bool:
-    for m in range(1, _I10_M_MAX + 1):
-        for r in range(m):
-            for k in range(_I10_K_MAX + 1):
-                if not _i10_point(big_p, m, r, k):
-                    return False
-    return True
+    return all(lhs == rhs
+               for m in range(1, _I10_M_MAX + 1) for r in range(m)
+               for lhs, rhs in _i10_class(big_p, m, r))
 
 
 _i11_lhs = lambda n: Fraction(comb(4 * n, 2 * n) * comb(2 * n, n), 64**n)

@@ -6,9 +6,10 @@ numbers come from the explicit double sum instead of the inverted recurrence,
 Euler polynomials from the generating-function recurrence instead of the
 Bernoulli bridge, modular reductions from a linear scan instead of the
 extended-gcd inverse, quadratic residues from squaring everything, the
-congruence series as exact Fraction sums instead of sums in Z/p^e, and
+congruence series as exact Fraction sums instead of sums in Z/p^e,
 every congruence row as its exact (lhs, rhs) pairs (PAIRS_EXACT) instead of
-residues stepped in Z/p^e.
+residues stepped in Z/p^e, and the identity sums with one Fraction per term
+instead of one integer over a common denominator.
 """
 
 from fractions import Fraction
@@ -156,6 +157,41 @@ def _sign(n: int) -> int:
 
 def harmonic(n: int, order: int = 1) -> Fraction:
     return sum((Fraction(1, k**order) for k in range(1, n + 1)), Fraction(0))
+
+
+def fold(top: int, n: int, weight) -> Fraction:
+    """sum_{k=0}^{n} C(top,k) C(top-k,k) weight(H_k, H_k^(2)) / 4^k, one
+    Fraction per term."""
+    total = Fraction(0)
+    h1 = Fraction(0)
+    h2 = Fraction(0)
+    for k in range(n + 1):
+        if k:
+            h1 += Fraction(1, k)
+            h2 += Fraction(1, k * k)
+        total += Fraction(comb(top, k) * comb(top - k, k), 4**k) * weight(h1, h2)
+    return total
+
+
+def quarter_pair(n: int, a_num: int, b_num: int) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of sum_k C(n,k) C(b/4,k) H_k^(2)
+       = (-1)^n C(a/4,n) (H_n^(2) - sum_k (-1)^k / (k^2 C(a/4,k))),
+    stepping each binomial by its term ratio in Fractions."""
+    a = Fraction(a_num, 4)
+    b = Fraction(b_num, 4)
+    lhs = Fraction(0)
+    inner = Fraction(0)
+    cb = Fraction(1)  # C(b, k)
+    ca = Fraction(1)  # C(a, k)
+    h2 = Fraction(0)
+    for k in range(1, n + 1):
+        cb *= (b - k + 1) / k
+        ca *= (a - k + 1) / k
+        h2 += Fraction(1, k * k)
+        lhs += comb(n, k) * cb * h2
+        inner += Fraction((-1) ** k, k * k) / ca
+    rhs = _sign(n) * falling_product(a, n) * (h2 - inner)
+    return lhs, rhs
 
 
 def g_exact(n: int, k: int) -> Fraction:

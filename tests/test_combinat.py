@@ -11,6 +11,7 @@ from supercong import (
     pochhammer,
     recip_factorial,
 )
+import oracles
 from oracles import binomial_factorial, falling_product
 
 
@@ -110,6 +111,11 @@ class TestHarmonic:
         for order in (1, 2):
             for n in range(1, 101):
                 assert harmonic(n, order) - harmonic(n - 1, order) == Fraction(1, n**order)
+
+    def test_matches_fraction_oracle(self):
+        for order in (1, 2):
+            for n in range(301):
+                assert harmonic(n, order) == oracles.harmonic(n, order), (n, order)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):

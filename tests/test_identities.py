@@ -1,9 +1,15 @@
+import ast
+import dataclasses
+import inspect
+import operator
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from supercong import UnknownIdError, check_identity, check_identity_range, identities
-from supercong.identities import REGISTRY, W_H, W_ONE, _i10_point
+import oracles
+from supercong import UnknownIdError, check_identity, check_identity_range, combinat, identities
+from supercong.identities import REGISTRY, W_H, W_H2, W_HH, W_ONE, _i10_class
 
 
 def test_registry_shape():
@@ -27,7 +33,7 @@ class TestAnchors:
 
     def test_i10_point_example(self):
         # x in {0,2,4}: 0+2+4 = 6 = (2/2)(B_2(3) - B_2(0))
-        assert _i10_point(5, 2, 0, 1)
+        assert _i10_class(5, 2, 0)[1] == (6, 6)
 
     def test_empty_sums_at_zero(self):
         for iid in ("I7", "I8", "I9"):
@@ -59,3 +65,69 @@ def test_range_verdict_reports_bounds(monkeypatch):
     monkeypatch.setitem(REGISTRY, "I12", identities.IdentitySpec(
         spec.id, spec.description, spec.n_min, lambda n: n % 2 == 0))
     assert check_identity_range("I12", 7) == (1, 3, 5, 7)
+
+
+# each homogeneous package weight with the plain weight w(H_k, H_k^(2)) it scales
+WEIGHTS = (
+    (W_ONE, lambda h1, h2: 1),
+    (W_H, lambda h1, h2: h1),
+    (W_HH, lambda h1, h2: h1 * h1 + h2),
+    (W_H2, lambda h1, h2: h2),
+)
+
+
+def test_fold_matches_fraction_oracle():
+    for weight, plain in WEIGHTS:
+        for t in range(60):
+            assert identities.fold(t, t // 2, weight) == oracles.fold(t, t // 2, plain), t
+
+
+def test_quarter_pair_is_the_oracle_times_common_denominator():
+    for a_num, b_num in ((-1, -3), (-3, -1)):
+        for n in range(40):
+            scale = 4**n * factorial(n) ** 3
+            lhs, rhs = oracles.quarter_pair(n, a_num, b_num)
+            assert identities._quarter_pair(n, a_num, b_num) == (lhs * scale, rhs * scale), n
+
+
+def _replaced_check(monkeypatch, iid, check):
+    monkeypatch.setitem(REGISTRY, iid, dataclasses.replace(REGISTRY[iid], check=check))
+
+
+def test_perturbed_i3_factor_is_reported(monkeypatch):
+    # the registry binds each factor when it is built, so the perturbed
+    # factor enters through an I3 check built by the same _fold_check
+    factor = identities._F_H
+    monkeypatch.setattr(identities, "_F_H", lambda t: factor(t) + Fraction(1, 10**6))
+    _replaced_check(monkeypatch, "I3", identities._fold_check(0, W_H, identities._F_H))
+    assert check_identity_range("I3", 10) == tuple(range(11))
+
+
+def test_wrong_quarter_parameter_is_reported(monkeypatch):
+    # C(-5/4, k) in place of C(-3/4, k): the empty sums still agree at n = 0
+    _replaced_check(monkeypatch, "I7", lambda n: operator.eq(*identities._quarter_pair(n, -1, -5)))
+    assert check_identity_range("I7", 10) == tuple(range(1, 11))
+
+
+def test_perturbed_i9_side_is_reported(monkeypatch):
+    # the right side off by one in its numerator over n!^2
+    off = lambda n: identities._i9_rhs(n) + Fraction(1, factorial(n) ** 2)
+    _replaced_check(monkeypatch, "I9", identities._pointwise(identities._i9_lhs, off))
+    assert check_identity_range("I9", 10) == tuple(range(11))
+
+
+def test_no_fraction_is_built_inside_a_sum():
+    # each side is one integer over a common denominator: a Fraction(...)
+    # call inside a loop or comprehension would bring back a gcd per term
+    functions = (combinat.harmonic, identities.fold, identities._quarter_pair,
+                 identities._i9_lhs, identities._i9_rhs)
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    offenders = {
+        (fn.__name__, call.lineno)
+        for fn in functions
+        for loop in ast.walk(ast.parse(inspect.getsource(fn)))
+        if isinstance(loop, loops)
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+    }
+    assert not offenders, f"Fraction built inside a loop: {sorted(offenders)}"
