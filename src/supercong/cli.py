@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -121,7 +120,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         parser.error(f"--identities-n-max must be positive, got {ns.identities_n_max}")
 
     if ns.jobs == "auto":
-        jobs = os.cpu_count() or 1
+        jobs = congruences.usable_cpus()
     else:
         try:
             jobs = int(ns.jobs)

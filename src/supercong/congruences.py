@@ -1,5 +1,5 @@
 """Registry of congruences at prime-power moduli, each bound to its
-left/right evaluators; the one suite runner for every check family; and
+left/right evaluator; the one suite runner for every check family; and
 Verdict, the one record type of a report.
 
 Three families of checks exist, each with its own table keyed by id:
@@ -8,23 +8,31 @@ congruences (REGISTRY here, checked per (p, r)), identities
 certificates (wz.REGISTRY, checked up to a grid depth).  all_ids() lists
 the ids of all three, and run_suite() runs any selection of them.
 
-Row contract: a CongruenceSpec states its modulus exponent e as a function
-of (p, r), and check_congruence computes e once and calls pairs(p, r, e).
-Each side of each pair is an int, taken mod p^e, or a Residue already at
-p^e; check_congruence compares each pair as two ints in [0, p^e), and that
-is the only comparison.  A side of any other type, or a Residue at another
-modulus, makes a failed row with a diagnostic.  Sides known only mod p (the
-Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are Residues
-mod p, so those rows fix e = 1.
+Row contract: each row is one _row declaration on its evaluator
+pairs(p, r, e), giving the row's id, its statement and its modulus
+exponent e, an int or a function of (p, r); rows enter REGISTRY, and so
+all_ids(), in the order they are declared.  A row that is another row's
+r = 1 case shares that row's evaluator (vanhamme with guo-half-64, morley
+with morley-power).  check_congruence computes e once and calls
+pairs(p, r, e).  Each side of each pair is an int, taken mod p^e, or a
+Residue already at p^e; check_congruence compares each pair as two ints
+in [0, p^e), and that is the only comparison.  A side of any other type,
+or a Residue at another modulus, makes a failed row with a diagnostic.
+Sides known only mod p (the Euler and Bernoulli values of lemma-2.6b and
+lemma-2.6-altsum) are Residues mod p, so those rows fix e = 1.
 
 Every sum or product over an index runs in Z/p^e, and no row inverts inside
 its own loop: a product whose steps divide is one _stepped run, which keeps
 the power of p apart from a unit mod p^e, inverts once per run and raises
 EvaluatorError if p is left in a denominator; every reciprocal 1/k in a sum
-comes from the column _inverses.  A single binomial value (central-2p1p,
-morley, morley-power) is reduced once, so no row builds a big integer.  The
-exact Fraction form of every row is the test oracle (PAIRS_EXACT in
-tests/oracles.py).
+comes from the column _inverses.  The exception is a single binomial value
+(central-2p1p, morley, morley-power): one exact math.comb value, of about
+2p bits for central-2p1p and p^r bits for morley-power, reduced once.  That
+makes central-2p1p the slowest r = 1 row at p = 100003 (0.6-0.75 s), but
+stepped it would slow the wolstenholme-sweep benchmark, which checks it at
+primes below 2820: at p = 2803, C(2p-1, p-1) mod p^3 took 2.3 ms by
+_stepped against 1.0 ms by comb.  The exact Fraction form of every row is
+the test oracle (PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -42,6 +50,7 @@ otherwise (unequal).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,9 +134,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class CongruenceSpec:
-    """Registry row: modulus exponent e as a function of (p, r),
-    applicability, and an evaluator pairs(p, r, e) producing one or more
-    (lhs, rhs) pairs to compare mod p^e."""
+    """Registry row: the statement, its modulus exponent e as a function of
+    (p, r), applicability, and an evaluator pairs(p, r, e) producing one or
+    more (lhs, rhs) pairs to compare mod p^e.  The rows of REGISTRY are
+    built by the _row decorator on their evaluators."""
 
     id: str
     description: str
@@ -313,80 +323,125 @@ def _central_column(n: int, p: int, e: int) -> list[int]:
 
 # -- per-row pair evaluators ---------------------------------------------------
 
+REGISTRY: dict[str, CongruenceSpec] = {}
 
+
+def _row(cid: str, statement: str, e: int | Callable[[int, int], int], *,
+         min_prime: int = 5, r_indexed: bool = False):
+    """Decorator: enter the evaluator below it into REGISTRY as the row cid,
+    stated at modulus p^e; e is an int, or a function of (p, r) for a row
+    whose modulus grows with r."""
+    exponent = e if callable(e) else lambda p, r: e
+
+    def register(pairs):
+        REGISTRY[cid] = CongruenceSpec(cid, statement, exponent, pairs, min_prime, r_indexed)
+        return pairs
+
+    return register
+
+
+@_row("thm-main",
+      "sum_{n<=(p-1)/2} (3n+1)(-8)^-n C(2n,n)^3 == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)", 4)
 def _pairs_thm_main(p, r, e):
     return [(eval_series("S8-half", p, r, e), _rhs_central_quarter(p, e))]
 
 
+@_row("thm-prime-power",
+      "sum_{n<p^r} (3n+1)(-8)^-n C(2n,n)^3 == (-1)^((p^r-1)/2) p^r (mod p^(r+2))",
+      lambda p, r: r + 2, r_indexed=True)
 def _pairs_thm_prime_power(p, r, e):
     return [(eval_series("S8-full", p, r, e), _sign((p**r - 1) // 2) * p**r)]
 
 
-def _pairs_vanhamme(p, r, e):
-    return [(eval_series("S64-half", p, r, e), _sign((p - 1) // 2) * p)]
+# vanhamme is the r = 1 case of guo-half-64, which is declared further down
+@_row("vanhamme",
+      "sum_{k<=(p-1)/2} (4k+1)(-1)^k ((1/2)_k/k!)^3 == (-1)^((p-1)/2) p (mod p^3)", 3, min_prime=3)
+def _pairs_guo_half_64(p, r, e):
+    return [(eval_series("S64-half", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
 
+@_row("wolstenholme-h1", "H_{p-1} == 0 (mod p^2)", 2)
 def _pairs_wolstenholme_h1(p, r, e):
     return [(sum(_inverses(p - 1, p, e)), 0)]
 
 
+@_row("wolstenholme-h2", "H_{p-1}^(2) == 0 (mod p)", 1)
 def _pairs_wolstenholme_h2(p, r, e):
     return [(sum(inv * inv for inv in _inverses(p - 1, p, e)), 0)]
 
 
+@_row("central-2p1p", "C(2p-1, p-1) == 1 (mod p^3)", 3)
 def _pairs_central_2p1p(p, r, e):
     return [(binomial(2 * p - 1, p - 1), 1)]
 
 
+def _rhs_sign_euler(p: int) -> int:
+    # (-1)^((p-1)/2) p + p^3 E_{p-3}, the right side of sun-64 and cxh-8-full
+    return _sign((p - 1) // 2) * p + p**3 * _euler_number(p)
+
+
+@_row("sun-64",
+      "sum_{k<p} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)/2) p + p^3 E_{p-3} (mod p^4)", 4)
 def _pairs_sun_64(p, r, e):
-    rhs = _sign((p - 1) // 2) * p + p**3 * _euler_number(p)
-    return [(eval_series("S64-full", p, r, e), rhs)]
+    return [(eval_series("S64-full", p, r, e), _rhs_sign_euler(p))]
 
 
+@_row("guo-liu",
+      "sum_{k<=(p+1)/2} (-1)^k (4k-1)(-1/2)_k^3/k!^3 == p(-1)^((p+1)/2) + p^3(2 - E_{p-3}) (mod p^4)", 4)
 def _pairs_guo_liu(p, r, e):
     rhs = p * _sign((p + 1) // 2) + p**3 * (2 - _euler_number(p))
     return [(eval_series("Sgl", p, r, e), rhs)]
 
 
+# mao-512 sharpens this row to p^4, but its E_{p-3} mod p needs p >= 5, and
+# this row is stated at p = 3 too
+@_row("long-cxh-512", "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) (mod p^2)", 2, min_prime=3)
 def _pairs_long_cxh_512(p, r, e):
     return [(eval_series("S512-half", p, r, e), p * legendre_symbol(-2, p))]
 
 
+@_row("mao-512",
+      "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) + (p^3/4)(2|p) E_{p-3} (mod p^4)", 4)
 def _pairs_mao_512(p, r, e):
     rhs = p * legendre_symbol(-2, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_number(p)
     return [(eval_series("S512-half", p, r, e), rhs)]
 
 
+@_row("cxh-8-full", "sum_{k<p} (3k+1)(-8)^-k C(2k,k)^3 == p(-1)^((p-1)/2) + p^3 E_{p-3} (mod p^4)", 4)
 def _pairs_cxh_8_full(p, r, e):
-    rhs = p * _sign((p - 1) // 2) + p**3 * _euler_number(p)
-    return [(eval_series("S8-full", p, r, e), rhs)]
+    return [(eval_series("S8-full", p, r, e), _rhs_sign_euler(p))]
 
 
+@_row("remark-sun-c51", "half 8-sum == 4(2|p) * full 512-sum - 3p(-1|p) (mod p^4)", 4)
 def _pairs_remark_sun_c51(p, r, e):
     full = eval_series("S512-full", p, r, e).value
     rhs = Residue(4 * legendre_symbol(2, p) * full - 3 * p * legendre_symbol(-1, p), p, e)
     return [(eval_series("S8-half", p, r, e), rhs)]
 
 
-def _pairs_guo_half_64(p, r, e):
-    return [(eval_series("S64-half", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
+_row("guo-half-64",
+     "sum_{k<=(p^r-1)/2} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
+     lambda p, r: r + 2, r_indexed=True)(_pairs_guo_half_64)
 
 
+@_row("guo-conj-full-64",
+      "sum_{k<p^r} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
+      lambda p, r: r + 2, r_indexed=True)
 def _pairs_guo_conj_full_64(p, r, e):
     return [(eval_series("S64-full", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
 
-def _pairs_morley(p, r, e):
-    h = (p - 1) // 2
-    return [(binomial(p - 1, h), _sign(h) * pow(4, p - 1, p**e))]
-
-
+@_row("morley-power", "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1) (mod p^3)", 3, r_indexed=True)
+@_row("morley", "C(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) (mod p^3)", 3)
 def _pairs_morley_power(p, r, e):
     n = p**r
     h = (n - 1) // 2
     return [(binomial(n - 1, h), _sign(h) * pow(4, n - 1, p**e))]
 
 
+@_row("lemma-2.2",
+      "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)/4^k == (-1)^((p-1)/2)(1 + 6pq + 15p^2q^2) (mod p^3), q = q_p(2)",
+      3)
 def _pairs_lemma_2_2(p, r, e):
     q = fermat_quotient2(p)
     lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_ONE)
@@ -394,6 +449,8 @@ def _pairs_lemma_2_2(p, r, e):
     return [(lhs, rhs)]
 
 
+@_row("lemma-2.3",
+      "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)H_k/4^k == -3(-1)^((p-1)/2)(2q + 11pq^2) (mod p^2)", 2)
 def _pairs_lemma_2_3(p, r, e):
     q = fermat_quotient2(p)
     lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_H)
@@ -401,6 +458,8 @@ def _pairs_lemma_2_3(p, r, e):
     return [(lhs, rhs)]
 
 
+@_row("lemma-2.4",
+      "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)(H_k^2+H_k^(2))/4^k == 36(-1)^((p-1)/2) q^2 (mod p)", 1)
 def _pairs_lemma_2_4(p, r, e):
     q = fermat_quotient2(p)
     lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_HH)
@@ -408,14 +467,21 @@ def _pairs_lemma_2_4(p, r, e):
     return [(lhs, rhs)]
 
 
+@_row("lemma-2.6a",
+      "sum C((p-1)/2,2k)C(2k,k)H_k^(2)/4^k == sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k (mod p)",
+      1)
 def _pairs_lemma_2_6a(p, r, e):
     return [(_half_fold(p, e, W_H2), _sum64_h2(p))]
 
 
+@_row("lemma-2.6b", "sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k == -E_{p-3}(1/4) (mod p)", 1)
 def _pairs_lemma_2_6b(p, r, e):
     return [(_sum64_h2(p), Residue(-_euler_quarter(p) % p, p, 1))]
 
 
+@_row("lemma-2.6-altsum",
+      "-2(-1)^floor((p-1)/4) sum (-1)^k/k^2 == -(1/4)(-1)^floor((p-1)/4) "
+      "(B_{p-2}({(4-p)/8}) - B_{p-2}({-p/8})) (mod p)", 1)
 def _pairs_lemma_2_6_altsum(p, r, e):
     f = (p - 1) // 4
     lhs = -2 * _sign(f) * _alt_quarter_sum(p)
@@ -424,11 +490,14 @@ def _pairs_lemma_2_6_altsum(p, r, e):
     return [(lhs, rhs)]
 
 
+@_row("lemma-2.7",
+      "sum_{k<=(p-1)/2} G((p+1)/2,k) == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)", 4)
 def _pairs_lemma_2_7(p, r, e):
     # G((p+1)/2, k) = 0 for every k past the column, up to (p-1)/2
     return [(sum(_g_column((p + 1) // 2, p, e)), _rhs_central_quarter(p, e))]
 
 
+@_row("binom-16k", "C((p-1)/2, 2k) == C(4k,2k)/16^k (mod p) for every 0 <= k <= floor((p-1)/4)", 1)
 def _pairs_binom_16k(p, r, e):
     # C((p-1)/2, 2k) and C(4k, 2k) / 16^k, stepped in k
     h, ks = (p - 1) // 2, range(1, (p - 1) // 4 + 1)
@@ -437,6 +506,9 @@ def _pairs_binom_16k(p, r, e):
     return list(zip(a, b))
 
 
+@_row("poch-expansion",
+      "(p/2+1-k)_{k-1}^2 == (k-1)!^2 (1 - pH_{k-1} + (p^2/4)(2H_{k-1}^2 - H_{k-1}^(2))) "
+      "(mod p^3) for every 1 <= k <= (p-1)/2", 3)
 def _pairs_poch_expansion(p, r, e):
     # (p/2 + 1 - k)_{k-1}^2 vs (k-1)!^2 (1 - p H_{k-1} + (p^2/4)(2 H_{k-1}^2 - H_{k-1}^(2)))
     m = p**e
@@ -452,21 +524,26 @@ def _pairs_poch_expansion(p, r, e):
     return out
 
 
+@_row("two-power-half", "2^((p-1)/2) == (2|p)(1 + (p/2)q - (p^2/8)q^2) (mod p^3), q = q_p(2)", 3)
 def _pairs_two_power_half(p, r, e):
     q, m = fermat_quotient2(p), p**e
     rhs = legendre_symbol(2, p) * (1 + p * pow(2, -1, m) * q - p * p * pow(8, -1, m) * q * q)
     return [(pow(2, (p - 1) // 2, m), rhs)]
 
 
+@_row("lemma-3.2", "G(p^r, (p^r+1)/2) == (-1)^((p^r-1)/2) p^r (mod p^(r+2))", lambda p, r: r + 2, r_indexed=True)
 def _pairs_lemma_3_2(p, r, e):
     return [(_g_column(p**r, p, e)[-1], _sign((p**r - 1) // 2) * p**r)]
 
 
+@_row("lemma-3.3", "sum_{k<=(p^r-1)/2} G(p^r,k) == 0 (mod p^(r+2))", lambda p, r: r + 2, r_indexed=True)
 def _pairs_lemma_3_3(p, r, e):
     # k <= (p^r-1)/2: every k of the column but its last, (p^r+1)/2
     return [(sum(_g_column(p**r, p, e)[:-1]), 0)]
 
 
+@_row("central-2pr", "C(2p^r,p^r) == 2 - 4p^r H_{p^r-1} == 2 - 4p H_{p-1} == 2 (mod p^2), chained", 2,
+      r_indexed=True)
 def _pairs_central_2pr(p, r, e):
     n = p**r
     a = _central_column(n, p, e)[-1]
@@ -476,12 +553,15 @@ def _pairs_central_2pr(p, r, e):
     return [(a, b), (b, c), (c, 2)]
 
 
+@_row("ps-1", "l C(2l,l) C(2k,k) == -2p^r (mod p^(r+1)) for all k+l = p^r, 0 < l < p^r/2",
+      lambda p, r: r + 1, r_indexed=True)
 def _pairs_ps_1(p, r, e):
     n = p**r
     c = _central_column(n - 1, p, e)
     return [(l * c[l] * c[n - l], -2 * n) for l in range(1, (n + 1) // 2)]
 
 
+@_row("ps-2", "-2p^r/(l C(2l,l)) == C(2k,k) (mod p^2) for all k+l = p^r, 0 < l < p^r/2", 2, r_indexed=True)
 def _pairs_ps_2(p, r, e):
     # -2p^r / (l C(2l, l)) is -p^r at l = 1, times (l-1) / (2(2l-1)) per step
     n = p**r
@@ -490,12 +570,16 @@ def _pairs_ps_2(p, r, e):
     return [(lhs[l], c[n - l]) for l in range(1, (n + 1) // 2)]
 
 
+@_row("ps-3", "C(2p^r-2l, p^r-l) == 0 (mod p) for all 0 < l < p^r/2", 1, r_indexed=True)
 def _pairs_ps_3(p, r, e):
     n = p**r
     c = _central_column(n - 1, p, e)
     return [(c[n - l], 0) for l in range(1, (n + 1) // 2)]
 
 
+@_row("neg-binom-unit",
+      "-C(-p^r-1, p^r-2k) = prod_{j<=p^r-2k}(1 + p^r/j) == 1 (mod p) for every 1 <= k <= (p^r-1)/2", 1,
+      r_indexed=True)
 def _pairs_neg_binom_unit(p, r, e):
     # -C(-n-1, s) = prod_{j<=s} (1 + n/j) = C(n+s, s) for n = p^r and every
     # odd s = n-2k, by induction: both sides are n+1 at s = 1, checked here,
@@ -508,234 +592,6 @@ def _pairs_neg_binom_unit(p, r, e):
             f"product form of C({-n - 1}, 1) failed at p={p}, r={r}, k={(n - 1) // 2}")
     prods = _stepped(p, e, ((n + j, j) for j in range(1, n - 1)))
     return [(prods[n - 2 * k], 1) for k in range(1, (n - 1) // 2 + 1)]
-
-
-_E1 = lambda p, r: 1
-_E2 = lambda p, r: 2
-_E3 = lambda p, r: 3
-_E4 = lambda p, r: 4
-_ER1 = lambda p, r: r + 1
-_ER2 = lambda p, r: r + 2
-
-REGISTRY: dict[str, CongruenceSpec] = {
-    s.id: s
-    for s in (
-        CongruenceSpec(
-            "thm-main",
-            "sum_{n<=(p-1)/2} (3n+1)(-8)^-n C(2n,n)^3 == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)",
-            _E4,
-            _pairs_thm_main,
-        ),
-        CongruenceSpec(
-            "thm-prime-power",
-            "sum_{n<p^r} (3n+1)(-8)^-n C(2n,n)^3 == (-1)^((p^r-1)/2) p^r (mod p^(r+2))",
-            _ER2,
-            _pairs_thm_prime_power,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "vanhamme",
-            "sum_{k<=(p-1)/2} (4k+1)(-1)^k ((1/2)_k/k!)^3 == (-1)^((p-1)/2) p (mod p^3)",
-            _E3,
-            _pairs_vanhamme,
-            min_prime=3,
-        ),
-        CongruenceSpec(
-            "wolstenholme-h1",
-            "H_{p-1} == 0 (mod p^2)",
-            _E2,
-            _pairs_wolstenholme_h1,
-        ),
-        CongruenceSpec(
-            "wolstenholme-h2",
-            "H_{p-1}^(2) == 0 (mod p)",
-            _E1,
-            _pairs_wolstenholme_h2,
-        ),
-        CongruenceSpec(
-            "central-2p1p",
-            "C(2p-1, p-1) == 1 (mod p^3)",
-            _E3,
-            _pairs_central_2p1p,
-        ),
-        CongruenceSpec(
-            "sun-64",
-            "sum_{k<p} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)/2) p + p^3 E_{p-3} (mod p^4)",
-            _E4,
-            _pairs_sun_64,
-        ),
-        CongruenceSpec(
-            "guo-liu",
-            "sum_{k<=(p+1)/2} (-1)^k (4k-1)(-1/2)_k^3/k!^3 == p(-1)^((p+1)/2) + p^3(2 - E_{p-3}) (mod p^4)",
-            _E4,
-            _pairs_guo_liu,
-        ),
-        CongruenceSpec(
-            "long-cxh-512",
-            "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) (mod p^2)",
-            _E2,
-            _pairs_long_cxh_512,
-            min_prime=3,
-        ),
-        CongruenceSpec(
-            "mao-512",
-            "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) + (p^3/4)(2|p) E_{p-3} (mod p^4)",
-            _E4,
-            _pairs_mao_512,
-        ),
-        CongruenceSpec(
-            "cxh-8-full",
-            "sum_{k<p} (3k+1)(-8)^-k C(2k,k)^3 == p(-1)^((p-1)/2) + p^3 E_{p-3} (mod p^4)",
-            _E4,
-            _pairs_cxh_8_full,
-        ),
-        CongruenceSpec(
-            "remark-sun-c51",
-            "half 8-sum == 4(2|p) * full 512-sum - 3p(-1|p) (mod p^4)",
-            _E4,
-            _pairs_remark_sun_c51,
-        ),
-        CongruenceSpec(
-            "guo-half-64",
-            "sum_{k<=(p^r-1)/2} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
-            _ER2,
-            _pairs_guo_half_64,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "guo-conj-full-64",
-            "sum_{k<p^r} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
-            _ER2,
-            _pairs_guo_conj_full_64,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "morley",
-            "C(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) (mod p^3)",
-            _E3,
-            _pairs_morley,
-        ),
-        CongruenceSpec(
-            "morley-power",
-            "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1) (mod p^3)",
-            _E3,
-            _pairs_morley_power,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "lemma-2.2",
-            "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)/4^k == (-1)^((p-1)/2)(1 + 6pq + 15p^2q^2) (mod p^3), q = q_p(2)",
-            _E3,
-            _pairs_lemma_2_2,
-        ),
-        CongruenceSpec(
-            "lemma-2.3",
-            "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)H_k/4^k == -3(-1)^((p-1)/2)(2q + 11pq^2) (mod p^2)",
-            _E2,
-            _pairs_lemma_2_3,
-        ),
-        CongruenceSpec(
-            "lemma-2.4",
-            "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)(H_k^2+H_k^(2))/4^k == 36(-1)^((p-1)/2) q^2 (mod p)",
-            _E1,
-            _pairs_lemma_2_4,
-        ),
-        CongruenceSpec(
-            "lemma-2.6a",
-            "sum C((p-1)/2,2k)C(2k,k)H_k^(2)/4^k == sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k (mod p)",
-            _E1,
-            _pairs_lemma_2_6a,
-        ),
-        CongruenceSpec(
-            "lemma-2.6b",
-            "sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k == -E_{p-3}(1/4) (mod p)",
-            _E1,
-            _pairs_lemma_2_6b,
-        ),
-        CongruenceSpec(
-            "lemma-2.6-altsum",
-            "-2(-1)^floor((p-1)/4) sum (-1)^k/k^2 == -(1/4)(-1)^floor((p-1)/4) "
-            "(B_{p-2}({(4-p)/8}) - B_{p-2}({-p/8})) (mod p)",
-            _E1,
-            _pairs_lemma_2_6_altsum,
-        ),
-        CongruenceSpec(
-            "lemma-2.7",
-            "sum_{k<=(p-1)/2} G((p+1)/2,k) == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)",
-            _E4,
-            _pairs_lemma_2_7,
-        ),
-        CongruenceSpec(
-            "binom-16k",
-            "C((p-1)/2, 2k) == C(4k,2k)/16^k (mod p) for every 0 <= k <= floor((p-1)/4)",
-            _E1,
-            _pairs_binom_16k,
-        ),
-        CongruenceSpec(
-            "poch-expansion",
-            "(p/2+1-k)_{k-1}^2 == (k-1)!^2 (1 - pH_{k-1} + (p^2/4)(2H_{k-1}^2 - H_{k-1}^(2))) "
-            "(mod p^3) for every 1 <= k <= (p-1)/2",
-            _E3,
-            _pairs_poch_expansion,
-        ),
-        CongruenceSpec(
-            "two-power-half",
-            "2^((p-1)/2) == (2|p)(1 + (p/2)q - (p^2/8)q^2) (mod p^3), q = q_p(2)",
-            _E3,
-            _pairs_two_power_half,
-        ),
-        CongruenceSpec(
-            "lemma-3.2",
-            "G(p^r, (p^r+1)/2) == (-1)^((p^r-1)/2) p^r (mod p^(r+2))",
-            _ER2,
-            _pairs_lemma_3_2,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "lemma-3.3",
-            "sum_{k<=(p^r-1)/2} G(p^r,k) == 0 (mod p^(r+2))",
-            _ER2,
-            _pairs_lemma_3_3,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "central-2pr",
-            "C(2p^r,p^r) == 2 - 4p^r H_{p^r-1} == 2 - 4p H_{p-1} == 2 (mod p^2), chained",
-            _E2,
-            _pairs_central_2pr,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "ps-1",
-            "l C(2l,l) C(2k,k) == -2p^r (mod p^(r+1)) for all k+l = p^r, 0 < l < p^r/2",
-            _ER1,
-            _pairs_ps_1,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "ps-2",
-            "-2p^r/(l C(2l,l)) == C(2k,k) (mod p^2) for all k+l = p^r, 0 < l < p^r/2",
-            _E2,
-            _pairs_ps_2,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "ps-3",
-            "C(2p^r-2l, p^r-l) == 0 (mod p) for all 0 < l < p^r/2",
-            _E1,
-            _pairs_ps_3,
-            r_indexed=True,
-        ),
-        CongruenceSpec(
-            "neg-binom-unit",
-            "-C(-p^r-1, p^r-2k) = prod_{j<=p^r-2k}(1 + p^r/j) == 1 (mod p) "
-            "for every 1 <= k <= (p^r-1)/2",
-            _E1,
-            _pairs_neg_binom_unit,
-            r_indexed=True,
-        ),
-    )
-}
 
 
 def all_ids() -> tuple[str, ...]:
@@ -832,6 +688,14 @@ def _run_task(task: _Task) -> list[Verdict]:
     return [check_congruence(cid, p, r) for cid, r in checks]
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
               wz_grid: int) -> list[Verdict]:
     """One Verdict per selected exact check and per applicable (id, p, r)
@@ -842,16 +706,18 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
     to depth wz_grid; congruence rows for every r <= r_max they are stated
     for.  The work is one task per exact check plus one per prime; the
     exact checks come first, then the primes from the largest down, so the
-    longest tasks start early.  With jobs > 1 the tasks run in a process
-    pool, otherwise in this process.  Neither the order of ids nor the
+    longest tasks start early.  The tasks run in a pool of
+    min(jobs, tasks, usable_cpus()) worker processes when that is more than
+    one, otherwise in this process.  Neither the order of ids nor the
     scheduling changes the result.  Raises UnknownIdError for an id from
     no family.
     """
     tasks = _tasks(ids, primes, r_max, identities_n_max, wz_grid)
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), usable_cpus())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_task, tasks))
     else:
         chunks = [_run_task(t) for t in tasks]

@@ -71,6 +71,12 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(["--primes", "5:7", "--jobs", "0"])
 
+    def test_jobs_auto_counts_usable_cpus(self, monkeypatch):
+        # the CPUs this process may run on, not every CPU of the machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert parse_args(["--primes", "5:7", "--jobs", "auto"]).jobs == 3
+
     def test_prime_cache_stays_bounded(self):
         parse_args(["--primes", "5:20000"])
         assert is_prime.cache_info().currsize <= 128

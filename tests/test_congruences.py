@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,24 @@ class TestEvalSeries:
 
 def test_every_row_has_an_exact_oracle():
     assert set(PAIRS_EXACT) == set(REGISTRY)
+
+
+def test_every_statement_names_the_modulus_it_is_checked_at():
+    # (mod p), (mod p^k) or (mod p^(r+k)), once per statement, against e at
+    # r = 1, and at r = 2 for a row stated for every r
+    stated = re.compile(r"\(mod p(?:\^(\d+)|\^\(r\+(\d+)\))?\)")
+    for cid, row in REGISTRY.items():
+        found = stated.findall(row.description)
+        assert len(found) == 1, (cid, row.description)
+        (k, rk), = found
+        for r in (1, 2) if row.r_indexed else (1,):
+            want = int(k) if k else r + int(rk) if rk else 1
+            assert row.modulus_exponent(5, r) == want, (cid, r, row.description)
+
+
+def test_every_evaluator_belongs_to_a_row():
+    evaluators = {f for name, f in vars(cong).items() if name.startswith("_pairs_")}
+    assert evaluators == {row.pairs for row in REGISTRY.values()}
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
@@ -363,9 +382,10 @@ class TestRunSuite:
         with pytest.raises(UnknownIdError):
             suite(["no-such-row"], [5])
 
-    def test_pool_never_larger_than_task_list(self, monkeypatch):
-        # a pool forks all its workers at start, so --jobs 500 on two tasks
-        # must ask for two; the fake pool maps in this process
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        # a pool forks all its workers at start; this fake records the size
+        # asked for and maps in this process
         import concurrent.futures
 
         sizes = []
@@ -384,10 +404,30 @@ class TestRunSuite:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    def test_pool_never_larger_than_task_list(self, pool_sizes, monkeypatch):
+        # --jobs 500 on two tasks must ask for two
+        monkeypatch.setattr(cong.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         pooled = suite(["morley"], [5, 7], jobs=500)
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert [v.record(no_timing=True) for v in pooled] == [
             v.record(no_timing=True) for v in suite(["morley"], [5, 7])]
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
+    def test_pool_never_larger_than_usable_cpus(self, pool_sizes, monkeypatch, affinity):
+        # --jobs 500 on ten tasks asks for the CPUs this process may use:
+        # its affinity set, or os.cpu_count() where there is no such call
+        if affinity:
+            monkeypatch.setattr(cong.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+            monkeypatch.setattr(cong.os, "cpu_count", lambda: 64)
+        else:
+            monkeypatch.delattr(cong.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cong.os, "cpu_count", lambda: 2)
+        primes = primes_in(5, 37)
+        assert len(primes) == 10
+        suite(["morley"], primes, jobs=500)
+        assert pool_sizes == [2]
 
     def test_repeated_ids_checked_once(self):
         once = suite(["morley", "thm-main", "I3"], [5, 7])
