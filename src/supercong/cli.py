@@ -150,26 +150,27 @@ def collect_records(config: RunConfig) -> list[congruences.Verdict]:
         identities_n_max=config.identities_n_max, wz_grid=config.wz_grid)
 
 
+_COLUMNS = ("id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros")
+
+
 def _render(records: list[dict], fmt: str) -> str:
     if fmt == "jsonl":
         return "".join(json.dumps(rec) + "\n" for rec in records)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        keys = ["id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros"]
-        writer.writerow(keys)
+        writer.writerow(_COLUMNS)
         for rec in records:
             writer.writerow(
                 ["true" if rec[k] is True else "false" if rec[k] is False else
-                 ("" if rec[k] is None else rec[k]) for k in keys]
+                 ("" if rec[k] is None else rec[k]) for k in _COLUMNS]
             )
         return buf.getvalue()
     # table
-    keys = ["id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros"]
     cells = [[("ok" if rec[k] is True else "FAIL" if rec[k] is False else
-               ("-" if rec[k] is None else str(rec[k]))) for k in keys] for rec in records]
-    widths = [max([len(k)] + [len(row[i]) for row in cells]) for i, k in enumerate(keys)]
-    lines = ["  ".join(k.ljust(widths[i]) for i, k in enumerate(keys)).rstrip()]
+               ("-" if rec[k] is None else str(rec[k]))) for k in _COLUMNS] for rec in records]
+    widths = [max([len(k)] + [len(row[i]) for row in cells]) for i, k in enumerate(_COLUMNS)]
+    lines = ["  ".join(k.ljust(widths[i]) for i, k in enumerate(_COLUMNS)).rstrip()]
     for row in cells:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
     return "\n".join(lines) + "\n"

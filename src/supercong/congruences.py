@@ -25,14 +25,14 @@ Every sum or product over an index runs in Z/p^e, and no row inverts inside
 its own loop: a product whose steps divide is one _stepped run, which keeps
 the power of p apart from a unit mod p^e, inverts once per run and raises
 EvaluatorError if p is left in a denominator; every reciprocal 1/k in a sum
-comes from the column _inverses.  The exception is a single binomial value
-(central-2p1p, morley, morley-power): one exact math.comb value, of about
-2p bits for central-2p1p and p^r bits for morley-power, reduced once.  That
-makes central-2p1p the slowest r = 1 row at p = 100003 (0.6-0.75 s), but
-stepped it would slow the wolstenholme-sweep benchmark, which checks it at
-primes below 2820: at p = 2803, C(2p-1, p-1) mod p^3 took 2.3 ms by
-_stepped against 1.0 ms by comb.  The exact Fraction form of every row is
-the test oracle (PAIRS_EXACT in tests/oracles.py).
+comes from the column exactnum.inverse_column.  The exception is a single
+binomial value (central-2p1p, morley, morley-power): one exact math.comb
+value, of about 2p bits for central-2p1p and p^r bits for morley-power,
+reduced once.  That makes central-2p1p the slowest r = 1 row at p = 100003
+(0.6-0.75 s), but stepped it would slow the wolstenholme-sweep benchmark,
+which checks it at primes below 2820: at p = 2803, C(2p-1, p-1) mod p^3
+took 2.3 ms by _stepped against 1.0 ms by comb.  The exact Fraction form of
+every row is the test oracle (PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -65,6 +65,7 @@ from .exactnum import (
     NotPIntegralError,
     Residue,
     UnknownIdError,
+    inverse_column,
     is_prime,
 )
 from .identities import W_H, W_H2, W_HH, W_ONE
@@ -194,13 +195,6 @@ def _stepped(p: int, e: int, factors) -> list[int]:
     return out
 
 
-def _inverses(top: int, p: int, e: int) -> list[int]:
-    """The column 0, 1/1, 1/2, ..., 1/top mod p^e for top < p; the 0 at
-    index 0 leaves sums over the column unchanged."""
-    m = p**e
-    return [0] + [pow(k, -1, m) for k in range(1, top + 1)]
-
-
 # -- series ------------------------------------------------------------------
 
 
@@ -286,7 +280,7 @@ def _half_fold(p: int, e: int, weight) -> int:
     m, h, f = p**e, (p - 1) // 2, (p - 1) // 4
     cs = _stepped(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 4 * k * k) for k in range(1, f + 1)))
     total, h1, h2 = 0, 0, 0
-    for c, inv in zip(cs, _inverses(f, p, e)):
+    for c, inv in zip(cs, inverse_column(f, p, e)):
         h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
         # u = 1: a weight homogeneous of degree 2 is then w(H_k, H_k^(2)) itself
         total += c * weight(1, h1, h2)
@@ -297,12 +291,13 @@ def _sum64_h2(p: int) -> int:
     # sum_{k=1}^{floor((p-1)/4)} C(4k,2k) C(2k,k) H_k^(2) / 64^k mod p
     f = (p - 1) // 4
     ds = _stepped(p, 1, (((4 * k - 1) * (4 * k - 3), 16 * k * k) for k in range(1, f + 1)))
-    return sum(d * h2 for d, h2 in zip(ds, accumulate(inv * inv for inv in _inverses(f, p, 1)))) % p
+    h2s = accumulate(inv * inv for inv in inverse_column(f, p, 1))
+    return sum(d * h2 for d, h2 in zip(ds, h2s)) % p
 
 
 def _alt_quarter_sum(p: int) -> int:
     # sum_{k=1}^{floor((p-1)/4)} (-1)^k / k^2 mod p: the even k less the odd k
-    inverses = _inverses((p - 1) // 4, p, 1)
+    inverses = inverse_column((p - 1) // 4, p, 1)
     return (sum(inv * inv for inv in inverses[2::2]) - sum(inv * inv for inv in inverses[1::2])) % p
 
 
@@ -362,12 +357,12 @@ def _pairs_guo_half_64(p, r, e):
 
 @_row("wolstenholme-h1", "H_{p-1} == 0 (mod p^2)", 2)
 def _pairs_wolstenholme_h1(p, r, e):
-    return [(sum(_inverses(p - 1, p, e)), 0)]
+    return [(sum(inverse_column(p - 1, p, e)), 0)]
 
 
 @_row("wolstenholme-h2", "H_{p-1}^(2) == 0 (mod p)", 1)
 def _pairs_wolstenholme_h2(p, r, e):
-    return [(sum(inv * inv for inv in _inverses(p - 1, p, e)), 0)]
+    return [(sum(inv * inv for inv in inverse_column(p - 1, p, e)), 0)]
 
 
 @_row("central-2p1p", "C(2p-1, p-1) == 1 (mod p^3)", 3)
@@ -514,7 +509,7 @@ def _pairs_poch_expansion(p, r, e):
     m = p**e
     half, quarter = pow(2, -1, m), pow(4, -1, m)
     poch, fact, h1, h2, out = 1, 1, 0, 0, []
-    for j, inv in enumerate(_inverses((p - 3) // 2, p, e)):  # j = k - 1
+    for j, inv in enumerate(inverse_column((p - 3) // 2, p, e)):  # j = k - 1
         if j:
             poch = poch * (p - 2 * j) * half % m
             fact = fact * j % m
@@ -549,7 +544,7 @@ def _pairs_central_2pr(p, r, e):
     a = _central_column(n, p, e)[-1]
     # n/j for j = 1 .. n-1, stepped by j/(j+1)
     b = 2 - 4 * sum(_stepped(p, e, [(n, 1)] + [(j, j + 1) for j in range(1, n - 1)])[1:])
-    c = 2 - 4 * p * sum(_inverses(p - 1, p, e))
+    c = 2 - 4 * p * sum(inverse_column(p - 1, p, e))
     return [(a, b), (b, c), (c, 2)]
 
 

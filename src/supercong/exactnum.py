@@ -3,14 +3,18 @@
 The congruence rows and the special values of special.py work mod p^e from
 the start.  reduce_mod serves only the rational arguments of special.py's
 values and the tests: it takes a rational into Z/p^e, where a p-divisible
-denominator surfaces as NotPIntegralError.
+denominator surfaces as NotPIntegralError.  inverse_column is the one table
+of reciprocals 1/k mod p^e: the harmonic sums of the congruence rows and the
+mod-p Bernoulli recurrence of special.py read every 1/k from it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partialmethod
+from typing import Callable
 
 class UnknownIdError(KeyError):
     """Requested id is not in the relevant registry."""
@@ -66,26 +70,16 @@ class Residue:
     def modulus(self) -> int:
         return self.p**self.e
 
-    def _same_ring(self, other: Residue) -> None:
+    def _combine(self, other: Residue, op: Callable[[int, int], int]) -> Residue:
         if (self.p, self.e) != (other.p, other.e):
             raise ModulusMismatchError(
                 f"cannot combine residues mod {self.p}^{self.e} and mod {other.p}^{other.e}"
             )
+        return Residue(op(self.value, other.value), self.p, self.e)
 
-    def __add__(self, other: Residue) -> Residue:
-        self._same_ring(other)
-        return Residue((self.value + other.value) % self.modulus, self.p, self.e)
-
-    def __sub__(self, other: Residue) -> Residue:
-        self._same_ring(other)
-        return Residue((self.value - other.value) % self.modulus, self.p, self.e)
-
-    def __mul__(self, other: Residue) -> Residue:
-        self._same_ring(other)
-        return Residue(self.value * other.value % self.modulus, self.p, self.e)
-
-    def __neg__(self) -> Residue:
-        return Residue(-self.value % self.modulus, self.p, self.e)
+    __add__ = partialmethod(_combine, op=operator.add)
+    __sub__ = partialmethod(_combine, op=operator.sub)
+    __mul__ = partialmethod(_combine, op=operator.mul)
 
     def __int__(self) -> int:
         return self.value
@@ -132,3 +126,23 @@ def reduce_mod(q: Fraction | int, p: int, e: int) -> Residue:
         )
     m = p**e
     return Residue(q.numerator * pow(q.denominator, -1, m) % m, p, e)
+
+
+def inverse_column(top: int, p: int, e: int) -> list[int]:
+    """The column 0, 1/1, 1/2, ..., 1/top mod m = p^e for top < p, at O(1)
+    per entry; the 0 at index 0 leaves sums over the column unchanged.
+
+    Each entry comes from a smaller one: for 1 < k < p, write
+    m = (m // k) k + (m mod k).  Then 0 < m mod k < k, because k does not
+    divide p^e, so inv[m mod k] is already computed, and
+    k (-(m // k)) inv[m mod k] == (m mod k) inv[m mod k] == 1 (mod m).
+
+    Raises NotPIntegralError for top >= p: 1/p is not p-integral.
+    """
+    if top >= p:
+        raise NotPIntegralError(f"1/{p} is not {p}-integral; the column of 1/k mod {p}^{e} ends below {p}")
+    m = p**e
+    inv = [0, 1][: top + 1]
+    for k in range(2, top + 1):
+        inv.append((m - m // k) * inv[m % k] % m)
+    return inv

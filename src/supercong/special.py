@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactnum import Residue, is_prime, reduce_mod
+from .exactnum import Residue, inverse_column, is_prime, reduce_mod
 
 _BERNOULLI_EXACT: list[Fraction] = [Fraction(1)]
 
@@ -53,15 +53,6 @@ def bernoulli_poly_exact(n: int, x: Fraction | int) -> Fraction:
 _BERNOULLI_MOD: dict[int, list[int]] = {}
 
 
-def _inverse_table(p: int, limit: int) -> list[int]:
-    # inv[k] for 1 <= k <= limit < p, via k^(-1) = -(p//k)(p mod k)^(-1)
-    inv = [0] * (limit + 1)
-    inv[1] = 1
-    for k in range(2, limit + 1):
-        inv[k] = (p - p // k) * inv[p % k] % p
-    return inv
-
-
 def bernoulli_table_mod_p(p: int, max_index: int) -> tuple[int, ...]:
     """The residues of B_0 .. B_max_index mod p via the recurrence run in
     GF(p), in O(p^2); the oracle for bernoulli_diff_mod_p.
@@ -83,7 +74,7 @@ def bernoulli_table_mod_p(p: int, max_index: int) -> tuple[int, ...]:
         )
     tab = _BERNOULLI_MOD.setdefault(p, [1])
     if len(tab) <= max_index:
-        inv = _inverse_table(p, max_index + 1)
+        inv = inverse_column(max_index + 1, p, 1)
         for m in range(len(tab), max_index + 1):
             c = 1  # C(m+1, j), updated in j
             acc = 0
@@ -103,14 +94,11 @@ def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
         raise ValueError(f"degree {n} out of range [0, {p - 2}] for p = {p}")
     xr = reduce_mod(x, p, 1).value
     tab = bernoulli_table_mod_p(p, n)
-    xpow = [1] * (n + 1)
-    for i in range(1, n + 1):
-        xpow[i] = xpow[i - 1] * xr % p
-    inv = _inverse_table(p, max(n, 1))
+    inv = inverse_column(n, p, 1)
     c = 1  # C(n, k), updated in k
     acc = 0
-    for k in range(n + 1):
-        acc = (acc + c * tab[k] % p * xpow[n - k]) % p
+    for k in range(n + 1):  # Horner in x: acc = sum_{j<=k} C(n,j) B_j x^(k-j)
+        acc = (acc * xr + c * tab[k]) % p
         if k < n:
             c = c * (n - k) % p * inv[k + 1] % p
     return Residue(acc, p, 1)

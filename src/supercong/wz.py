@@ -140,8 +140,9 @@ def _full_sum_failures(grid: int) -> int:
 
 
 def _closed_form_failures(grid: int) -> int:
+    # p_odd = 5 is checked at every grid, the smallest included
     failures = 0
-    for p_odd in range(5, 2 * grid, 2):
+    for p_odd in range(5, max(2 * grid, 6), 2):
         for k in range(1, (p_odd + 1) // 2 + 1):
             if closed_form_g(p_odd, k) != eval_g((p_odd + 1) // 2, k):
                 failures += 1

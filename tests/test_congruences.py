@@ -1,5 +1,5 @@
 import ast
-import inspect
+import os
 import re
 from fractions import Fraction
 
@@ -7,6 +7,7 @@ import pytest
 
 from supercong import (
     InapplicableError,
+    NotPIntegralError,
     Residue,
     UnknownIdError,
     CongruenceSpec,
@@ -21,6 +22,7 @@ from supercong import (
 )
 from supercong import congruences as cong
 from supercong.congruences import REGISTRY, EvaluatorError, _alt_quarter_sum, _sign
+from supercong.exactnum import inverse_column
 from conftest import primes_in
 from oracles import PAIRS_EXACT, SERIES_EXACT
 
@@ -137,36 +139,43 @@ def test_row_matches_exact_oracle(cid):
 
 def test_inverses_column():
     for p in primes_in(3, 61):
-        for e in (1, 2, 3):
-            inverses = cong._inverses(p - 1, p, e)
+        for e in (1, 2, 3, 4, 5):
+            inverses = inverse_column(p - 1, p, e)
             assert len(inverses) == p and inverses[0] == 0
             for k in range(1, p):
                 assert inverses[k] == reduce_mod(Fraction(1, k), p, e).value, (p, e, k)
+    assert inverse_column(0, 5, 3) == [0]
+    with pytest.raises(NotPIntegralError):
+        inverse_column(7, 7, 2)
 
 
 def test_no_row_inverts_inside_its_own_loop():
-    # pow(x, -a, m) inside a loop or comprehension is allowed in _inverses only:
-    # every other reciprocal comes from that column or from one _stepped run
-    tree = ast.parse(inspect.getsource(cong))
-    tree.body = [node for node in tree.body
-                 if not (isinstance(node, ast.FunctionDef) and node.name == "_inverses")]
+    # pow(x, -a, m) inside a loop or comprehension appears in no module of the
+    # package: every reciprocal comes from inverse_column or one _stepped run
+    package = os.path.dirname(cong.__file__)
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    offenders = {
-        call.lineno
-        for loop in ast.walk(tree) if isinstance(loop, loops)
-        for call in ast.walk(loop)
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "pow"
-        and len(call.args) >= 2 and isinstance(call.args[1], ast.UnaryOp)
-        and isinstance(call.args[1].op, ast.USub)
-    }
-    assert not offenders, f"pow with a negative exponent in a loop, lines {sorted(offenders)}"
+    offenders = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        offenders |= {
+            (name, call.lineno)
+            for loop in ast.walk(tree) if isinstance(loop, loops)
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "pow"
+            and len(call.args) >= 2 and isinstance(call.args[1], ast.UnaryOp)
+            and isinstance(call.args[1].op, ast.USub)
+        }
+    assert not offenders, f"pow with a negative exponent in a loop: {sorted(offenders)}"
 
 
 class TestKnownAnswers:
     def test_wolstenholme_prime(self):
         # 16843 is the first prime with H_{p-1} == 0 (mod p^3)
-        assert sum(cong._inverses(16842, 16843, 3)) % 16843**3 == 0
-        assert sum(cong._inverses(16828, 16829, 3)) % 16829**3 != 0
+        assert sum(inverse_column(16842, 16843, 3)) % 16843**3 == 0
+        assert sum(inverse_column(16828, 16829, 3)) % 16829**3 != 0
 
     def test_thm_main_where_the_euler_value_vanishes(self):
         # E_{p-3}(1/4) == 0 (mod 1019), so the right side is p(-1|p) = -1019

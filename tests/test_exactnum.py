@@ -127,7 +127,6 @@ class TestResidue:
         assert (a + b).value == 4
         assert (a - b).value == 11
         assert (a * b).value == 5
-        assert (-b).value == 16
         assert a.modulus == 25
 
     def test_distinct_moduli_compare_unequal(self):

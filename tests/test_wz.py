@@ -127,3 +127,11 @@ class TestClosedFormG:
         monkeypatch.setattr(wz, "eval_g", lambda n, k: 0)
         assert wz.REGISTRY["wz-closed-form"](52) == 0
         assert sorted(set(seen)) == list(range(5, 2 * 52, 2))
+
+    def test_smallest_grids_still_check_p_odd_5(self, monkeypatch):
+        # range(5, 2g, 2) is empty for g <= 2; p_odd = 5 is checked anyway
+        from supercong import wz
+
+        monkeypatch.setattr(wz, "closed_form_g", lambda p_odd, k: Fraction(-1))
+        for grid in (1, 2):
+            assert wz.REGISTRY["wz-closed-form"](grid) > 0
