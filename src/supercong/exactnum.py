@@ -84,9 +84,6 @@ class Residue:
     def __int__(self) -> int:
         return self.value
 
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.p}^{self.e})"
-
 
 def padic_valuation(q: Fraction | int, p: int) -> int:
     """Exponent of p in q: q = p^v * (unit with p-free numerator and denominator).

@@ -4,13 +4,13 @@ checkable exactly for every n in a declared range.
 I1-I6 are three identities in t, at t = 2n (I1, I3, I5) and t = 2n+1 (I2,
 I4, I6): fold(t, n, W) = C(2t, t)/2^t F(t), for three weights W and factors F.
 
-Every sum in I1-I9 runs as one integer over a common denominator fixed
+Every sum in I1-I10 runs as one integer over a common denominator fixed
 before its loop (k!^order in combinat.harmonic, 4^n n!^2 in fold, 4^n n!^3
-for I7/I8, n!^2 for I9).  A sum becomes one Fraction at the end, or is
-compared as that integer, so no gcd runs per term and every comparison
-stays exact.  I10 sums its powers as integers against exact Bernoulli
-values; I11 and I12 keep the rational binomial and the 1/n! convention
-that their statements use.
+for I7/I8, n!^2 for I9, D (k+1) m for I10 with D the lcm of the Bernoulli
+denominators).  A sum becomes one Fraction at the end, or is compared as
+that integer, so no gcd runs per term and every comparison stays exact.
+I11 and I12 keep the rational binomial and the 1/n! convention that their
+statements use.
 
 The fold weights are therefore homogeneous of degree 2, with H_k^(2)
 counted as degree 2: weight(u, h1, h2) = u^2 w(h1/u, h2/u^2) for the weight
@@ -27,12 +27,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 from typing import Callable
 
-from .combinat import binomial, binomial_rational, factorial, frac_part, harmonic, recip_factorial
+from .combinat import binomial, binomial_rational, factorial, harmonic, recip_factorial
 from .exactnum import UnknownIdError
-from .special import bernoulli_poly_exact
+from .special import bernoulli_exact
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def fold(top: int, n: int, weight) -> Fraction:
     n!^2 H_k^(2)) = n!^2 w(H_k, H_k^(2)).
 
     I1-I6 take top = t = 2n or 2n+1.  Lemmas 2.2-2.6a of the congruence
-    registry no longer call it: they step the same sum at top = (p-1)/2 in
-    Z/p^e (congruences._half_fold) and share only the weights below.
+    registry step the same sum at top = (p-1)/2 in Z/p^e
+    (congruences._half_fold) and share only the weights below with it.
     """
     f = factorial(n)
     total, h1, h2 = 0, 0, 0
@@ -144,18 +144,27 @@ _I10_M_MAX = 8
 _I10_K_MAX = 6
 
 
-def _i10_class(big_p: int, m: int, r: int) -> list[tuple[int, Fraction]]:
-    """(lhs, rhs) of I10 at k = 0 .. _I10_K_MAX for the class x == r (mod m)
-    below P: the bounds of the Bernoulli side are taken once per class, and
-    the powers x^k run as one column."""
-    upper = Fraction(big_p, m) + frac_part(Fraction(r - big_p, m))
-    lower = frac_part(Fraction(r, m))
-    xs = range(r % m, big_p, m)
+def _i10_class(big_p: int, m: int, r: int) -> list[tuple[int, int]]:
+    """(lhs, rhs) of I10 at k = 0 .. K = _I10_K_MAX for the class x == r
+    (mod m) below P, both times D n m, with n = k+1 and D the lcm of the
+    denominators of B_0 .. B_{K+1} (210 for K = 6).
+
+    The bounds are a/m and b/m, a = P + ((r-P) mod m) and b = r mod m.  As
+    m^n B_n(a/m) = sum_{i<=n} C(n,i) B_i m^i a^(n-i), the right side times
+    D n m is sum_{i<n} C(n,i) (D B_i) m^i (a^(n-i) - b^(n-i)), an integer:
+    D is a multiple of the denominator of each B_i, i <= K+1.  D n m != 0,
+    so the scaled sides are equal iff the stated ones are.
+    """
+    bern = [bernoulli_exact(i) for i in range(_I10_K_MAX + 2)]
+    scale = lcm(*(bn.denominator for bn in bern))
+    scaled = [bn.numerator * (scale // bn.denominator) for bn in bern]
+    a, b = big_p + (r - big_p) % m, r % m
+    xs = range(b, big_p, m)
     powers = [1] * len(xs)
     out = []
-    for k in range(_I10_K_MAX + 1):
-        diff = bernoulli_poly_exact(k + 1, upper) - bernoulli_poly_exact(k + 1, lower)
-        out.append((sum(powers), Fraction(m**k * diff.numerator, (k + 1) * diff.denominator)))
+    for n in range(1, _I10_K_MAX + 2):
+        rhs = sum(comb(n, i) * scaled[i] * m**i * (a ** (n - i) - b ** (n - i)) for i in range(n))
+        out.append((scale * n * m * sum(powers), rhs))
         powers = [w * x for w, x in zip(powers, xs)]
     return out
 

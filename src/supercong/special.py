@@ -9,14 +9,13 @@ Three routes, pinned together by the tests:
     recurrence run in GF(p).  Nothing in the package calls them; they are
     the oracle for the power-sum route.
   - bernoulli_exact and bernoulli_poly_exact: exact rationals, the oracle
-    for the mod-p table.  Both are cached: B_n up to the largest n seen, and
-    B_n(x) on (n, x), since identity I10 asks for the same values many times.
+    for the mod-p table.  bernoulli_exact caches B_n up to the largest n
+    seen; bernoulli_poly_exact is the test oracle of identity I10.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .exactnum import Residue, inverse_column, is_prime, reduce_mod
@@ -38,7 +37,6 @@ def bernoulli_exact(n: int) -> Fraction:
     return _BERNOULLI_EXACT[n]
 
 
-@lru_cache(maxsize=None)
 def bernoulli_poly_exact(n: int, x: Fraction | int) -> Fraction:
     """Exact B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^(n-k)."""
     if n < 0:

@@ -14,11 +14,6 @@ from typing import Callable
 from .combinat import binomial, factorial, pochhammer, recip_factorial
 
 
-def _pow2(e: int) -> Fraction:
-    # 2^e for possibly negative e, exactly
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-
-
 def eval_f(n: int, k: int) -> Fraction:
     """F(n,k) = (-1)^n (3n-2k+1) C(2n,n) C(2n-2k,n-k) C(2n-2k,n) / 2^(3n-2k).
 
@@ -30,7 +25,7 @@ def eval_f(n: int, k: int) -> Fraction:
     if c == 0:
         return Fraction(0)
     sign = -1 if n % 2 else 1
-    return sign * (3 * n - 2 * k + 1) * c / _pow2(3 * n - 2 * k)
+    return Fraction(sign * (3 * n - 2 * k + 1) * c, 1 << 3 * n - 2 * k)
 
 
 def eval_g(n: int, k: int) -> Fraction:
@@ -46,7 +41,7 @@ def eval_g(n: int, k: int) -> Fraction:
     if c == 0:
         return Fraction(0)
     sign = 1 if n % 2 else -1
-    return sign * n * c / _pow2(3 * n - 2 * k)
+    return Fraction(sign * n * c, 1 << 3 * n - 2 * k)
 
 
 def check_pair_identity(n_max: int, k_max: int) -> tuple[tuple[int, int], ...]:
@@ -111,7 +106,7 @@ def closed_form_g(p_odd: int, k: int) -> Fraction:
         raise ValueError(f"k = {k} outside [1, {(p_odd + 1) // 2}]")
     h = (p_odd - 1) // 2
     sign = -1 if h % 2 else 1
-    prefactor = sign * 32 * p_odd * binomial(p_odd - 1, h) ** 3 / _pow2((3 * p_odd + 3) // 2)
+    prefactor = Fraction(sign * 32 * p_odd * binomial(p_odd - 1, h) ** 3, 1 << (3 * p_odd + 3) // 2)
     shifted = pochhammer(Fraction(p_odd, 2) + 1 - k, k - 1)  # never zero for odd p
     tail = factorial(h) * recip_factorial((p_odd + 3) // 2 - 2 * k) / (shifted * shifted) / Fraction(4) ** k
     return prefactor * tail

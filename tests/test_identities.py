@@ -3,12 +3,13 @@ import dataclasses
 import inspect
 import operator
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 import oracles
-from supercong import UnknownIdError, check_identity, check_identity_range, combinat, identities
+from supercong import (UnknownIdError, bernoulli_poly_exact, check_identity, check_identity_range,
+                       combinat, identities, special)
 from supercong.identities import REGISTRY, W_H, W_H2, W_HH, W_ONE, _i10_class
 
 
@@ -32,8 +33,8 @@ class TestAnchors:
         assert identities._i11_lhs(2) == identities._i11_rhs(2) == Fraction(105, 1024)
 
     def test_i10_point_example(self):
-        # x in {0,2,4}: 0+2+4 = 6 = (2/2)(B_2(3) - B_2(0))
-        assert _i10_class(5, 2, 0)[1] == (6, 6)
+        # x in {0,2,4}: 0+2+4 = 6 = (2/2)(B_2(3) - B_2(0)), times D n m = 210 * 2 * 2
+        assert _i10_class(5, 2, 0)[1] == (6 * 840, 6 * 840)
 
     def test_empty_sums_at_zero(self):
         for iid in ("I7", "I8", "I9"):
@@ -116,11 +117,36 @@ def test_perturbed_i9_side_is_reported(monkeypatch):
     assert check_identity_range("I9", 10) == tuple(range(11))
 
 
+def test_i10_class_is_the_oracle_times_common_denominator():
+    # both sides times D (k+1) m, with D = 210 the lcm of the denominators of B_0 .. B_7
+    k_max = identities._I10_K_MAX
+    assert lcm(*(special.bernoulli_exact(i).denominator for i in range(k_max + 2))) == 210
+    for big_p in range(1, 21):
+        for m in range(1, identities._I10_M_MAX + 1):
+            for r in range(m):
+                upper = Fraction(big_p, m) + combinat.frac_part(Fraction(r - big_p, m))
+                lower = combinat.frac_part(Fraction(r, m))
+                for k, pair in enumerate(_i10_class(big_p, m, r)):
+                    lhs = sum(x**k for x in range(r, big_p, m))
+                    diff = bernoulli_poly_exact(k + 1, upper) - bernoulli_poly_exact(k + 1, lower)
+                    scale = 210 * (k + 1) * m
+                    assert pair == (lhs * scale, Fraction(m**k, k + 1) * diff * scale), (big_p, m, r, k)
+    assert k == k_max
+
+
+def test_wrong_bernoulli_number_is_reported(monkeypatch):
+    # I10 reads B_0 .. B_7 at run time; B_2 = 1/7 in place of 1/6 breaks k >= 2 at every P
+    exact = special.bernoulli_exact
+    monkeypatch.setattr(identities, "bernoulli_exact",
+                        lambda n: Fraction(1, 7) if n == 2 else exact(n))
+    assert check_identity_range("I10", 10) == tuple(range(1, 11))
+
+
 def test_no_fraction_is_built_inside_a_sum():
     # each side is one integer over a common denominator: a Fraction(...)
     # call inside a loop or comprehension would bring back a gcd per term
     functions = (combinat.harmonic, identities.fold, identities._quarter_pair,
-                 identities._i9_lhs, identities._i9_rhs)
+                 identities._i9_lhs, identities._i9_rhs, identities._i10_class)
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     offenders = {
         (fn.__name__, call.lineno)
