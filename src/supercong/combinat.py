@@ -1,5 +1,9 @@
 """Combinatorial kernels: factorials, generalized binomials, raising factorials,
-harmonic numbers, fractional parts.  All exact."""
+harmonic numbers, fractional parts.  All exact.
+
+Each rational kernel runs its product or sum in integers over a denominator
+fixed before the loop (d^k k! for a = u/d, k!^order for H_n) and builds one
+Fraction at the end, so no gcd runs per step."""
 
 from __future__ import annotations
 
@@ -37,25 +41,19 @@ def binomial(n: int, k: int) -> int:
 
 
 def binomial_rational(a: Fraction | int, k: int) -> Fraction:
-    """a(a-1)...(a-k+1)/k! for rational a and k >= 0."""
+    """a(a-1)...(a-k+1)/k! = prod_{j<k} (u - j d) / (d^k k!) for a = u/d, k >= 0."""
     if k < 0:
         raise ValueError(f"lower index must be nonnegative, got {k}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for j in range(k):
-        out *= a - j
-    return out / math.factorial(k)
+    num, den = Fraction(a).as_integer_ratio()
+    return Fraction(math.prod(num - j * den for j in range(k)), den**k * math.factorial(k))
 
 
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
-    """Raising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1."""
+    """(a)_n = a(a+1)...(a+n-1) = prod_{j<n} (u + j d) / d^n for a = u/d; (a)_0 = 1."""
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for j in range(n):
-        out *= a + j
-    return out
+    num, den = Fraction(a).as_integer_ratio()
+    return Fraction(math.prod(num + j * den for j in range(n)), den**n)
 
 
 def harmonic(n: int, order: int = 1) -> Fraction:

@@ -4,13 +4,12 @@ checkable exactly for every n in a declared range.
 I1-I6 are three identities in t, at t = 2n (I1, I3, I5) and t = 2n+1 (I2,
 I4, I6): fold(t, n, W) = C(2t, t)/2^t F(t), for three weights W and factors F.
 
-Every sum in I1-I10 runs as one integer over a common denominator fixed
+Every sum and product runs as one integer over a common denominator fixed
 before its loop (k!^order in combinat.harmonic, 4^n n!^2 in fold, 4^n n!^3
 for I7/I8, n!^2 for I9, D (k+1) m for I10 with D the lcm of the Bernoulli
-denominators).  A sum becomes one Fraction at the end, or is compared as
-that integer, so no gcd runs per term and every comparison stays exact.
-I11 and I12 keep the rational binomial and the 1/n! convention that their
-statements use.
+denominators, d^k k! in combinat.binomial_rational for I11, (n-1)! (n+1-2k)!
+for I12).  A side becomes one Fraction at the end, or is compared as that
+integer, so no gcd runs per term and every comparison stays exact.
 
 The fold weights are therefore homogeneous of degree 2, with H_k^(2)
 counted as degree 2: weight(u, h1, h2) = u^2 w(h1/u, h2/u^2) for the weight
@@ -30,7 +29,7 @@ from itertools import accumulate
 from math import comb, lcm
 from typing import Callable
 
-from .combinat import binomial, binomial_rational, factorial, harmonic, recip_factorial
+from .combinat import binomial, binomial_rational, factorial, harmonic
 from .exactnum import UnknownIdError
 from .special import bernoulli_exact
 
@@ -144,10 +143,17 @@ _I10_M_MAX = 8
 _I10_K_MAX = 6
 
 
-def _i10_class(big_p: int, m: int, r: int) -> list[tuple[int, int]]:
+def _i10_bernoulli() -> tuple[int, list[int]]:
+    """(D, [D B_0, ..., D B_{K+1}]), D = lcm of the denominators (210 for K = 6)."""
+    bern = [bernoulli_exact(i) for i in range(_I10_K_MAX + 2)]
+    scale = lcm(*(bn.denominator for bn in bern))
+    return scale, [bn.numerator * (scale // bn.denominator) for bn in bern]
+
+
+def _i10_class(big_p: int, m: int, r: int, scale: int, scaled: list[int]) -> list[tuple[int, int]]:
     """(lhs, rhs) of I10 at k = 0 .. K = _I10_K_MAX for the class x == r
-    (mod m) below P, both times D n m, with n = k+1 and D the lcm of the
-    denominators of B_0 .. B_{K+1} (210 for K = 6).
+    (mod m) below P, both times D n m, with n = k+1 and (D, scaled) =
+    _i10_bernoulli().
 
     The bounds are a/m and b/m, a = P + ((r-P) mod m) and b = r mod m.  As
     m^n B_n(a/m) = sum_{i<=n} C(n,i) B_i m^i a^(n-i), the right side times
@@ -155,9 +161,6 @@ def _i10_class(big_p: int, m: int, r: int) -> list[tuple[int, int]]:
     D is a multiple of the denominator of each B_i, i <= K+1.  D n m != 0,
     so the scaled sides are equal iff the stated ones are.
     """
-    bern = [bernoulli_exact(i) for i in range(_I10_K_MAX + 2)]
-    scale = lcm(*(bn.denominator for bn in bern))
-    scaled = [bn.numerator * (scale // bn.denominator) for bn in bern]
     a, b = big_p + (r - big_p) % m, r % m
     xs = range(b, big_p, m)
     powers = [1] * len(xs)
@@ -170,27 +173,27 @@ def _i10_class(big_p: int, m: int, r: int) -> list[tuple[int, int]]:
 
 
 def _i10_check(big_p: int) -> bool:
+    # read once per P, at run time, so that a replaced bernoulli_exact is seen
+    bern = _i10_bernoulli()
     return all(lhs == rhs
                for m in range(1, _I10_M_MAX + 1) for r in range(m)
-               for lhs, rhs in _i10_class(big_p, m, r))
+               for lhs, rhs in _i10_class(big_p, m, r, *bern))
 
 
 _i11_lhs = lambda n: Fraction(comb(4 * n, 2 * n) * comb(2 * n, n), 64**n)
 _i11_rhs = lambda n: binomial_rational(Fraction(-1, 4), n) * binomial_rational(Fraction(-3, 4), n)
 
 
-def _i12_check(n: int) -> bool:
-    # C(2n-2k, n-1) = C(2n-2k, n-k) (n-k)!^2 / ((n-1)! (n+1-2k)!) for 1 <= k <= n
-    for k in range(1, n + 1):
-        lhs = Fraction(binomial(2 * n - 2 * k, n - 1))
-        rhs = (
-            binomial(2 * n - 2 * k, n - k)
-            * Fraction(factorial(n - k) ** 2, factorial(n - 1))
-            * recip_factorial(n + 1 - 2 * k)
-        )
-        if lhs != rhs:
-            return False
-    return True
+def _i12_pair(n: int, k: int) -> tuple[int, int]:
+    """Both sides of I12 at (n, k) times (n-1)! (n+1-2k)!, as integers; where
+    2k > n+1, 1/(n+1-2k)! = 0 leaves (C(2n-2k, n-1), 0)."""
+    top, tail, lhs = 2 * n - 2 * k, n + 1 - 2 * k, binomial(2 * n - 2 * k, n - 1)
+    if tail < 0:
+        return lhs, 0
+    return lhs * factorial(n - 1) * factorial(tail), binomial(top, n - k) * factorial(n - k) ** 2
+
+
+_i12_check = lambda n: all(operator.eq(*_i12_pair(n, k)) for k in range(1, n + 1))
 
 
 REGISTRY: dict[str, IdentitySpec] = {

@@ -4,6 +4,10 @@ REGISTRY, the grid certificates the suite runner checks by id.
 
 F(n,0) reduces to (3n+1)(-8)^(-n) C(2n,n)^3, so the telescoped F-column is
 exactly the half/full central-binomial sum checked by the congruence registry.
+
+Both terms have the denominator 2^(3n-2k), so _f8 = 8^n F and _g8 = 8^n G
+are integers.  Every check works in them over a power of 8 fixed before its
+loop; eval_f, eval_g and each telescoped side build one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -14,6 +18,18 @@ from typing import Callable
 from .combinat import binomial, factorial, pochhammer, recip_factorial
 
 
+def _f8(n: int, k: int) -> int:
+    """8^n F(n,k) = (-1)^n (3n-2k+1) C(2n,n) C(2n-2k,n-k) C(2n-2k,n) 4^k."""
+    c = binomial(2 * n, n) * binomial(2 * n - 2 * k, n - k) * binomial(2 * n - 2 * k, n)
+    return (-1) ** n * (3 * n - 2 * k + 1) * c << 2 * k
+
+
+def _g8(n: int, k: int) -> int:
+    """8^n G(n,k) = (-1)^(n+1) n C(2n,n) C(2n-2k,n-k) C(2n-2k,n-1) 4^k."""
+    c = binomial(2 * n, n) * binomial(2 * n - 2 * k, n - k) * binomial(2 * n - 2 * k, n - 1)
+    return (-1) ** (n + 1) * n * c << 2 * k
+
+
 def eval_f(n: int, k: int) -> Fraction:
     """F(n,k) = (-1)^n (3n-2k+1) C(2n,n) C(2n-2k,n-k) C(2n-2k,n) / 2^(3n-2k).
 
@@ -21,11 +37,7 @@ def eval_f(n: int, k: int) -> Fraction:
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    c = binomial(2 * n, n) * binomial(2 * n - 2 * k, n - k) * binomial(2 * n - 2 * k, n)
-    if c == 0:
-        return Fraction(0)
-    sign = -1 if n % 2 else 1
-    return Fraction(sign * (3 * n - 2 * k + 1) * c, 1 << 3 * n - 2 * k)
+    return Fraction(_f8(n, k), 8**n)
 
 
 def eval_g(n: int, k: int) -> Fraction:
@@ -35,23 +47,17 @@ def eval_g(n: int, k: int) -> Fraction:
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    if n == 0:
-        return Fraction(0)
-    c = binomial(2 * n, n) * binomial(2 * n - 2 * k, n - k) * binomial(2 * n - 2 * k, n - 1)
-    if c == 0:
-        return Fraction(0)
-    sign = 1 if n % 2 else -1
-    return Fraction(sign * n * c, 1 << 3 * n - 2 * k)
+    return Fraction(_g8(n, k), 8**n)
 
 
 def check_pair_identity(n_max: int, k_max: int) -> tuple[tuple[int, int], ...]:
     """The points (n, k) of 0 <= n <= n_max, 1 <= k <= k_max at which
     F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) fails exactly; () means it holds
-    on the whole grid."""
+    on the whole grid.  Both sides are compared times 8^(n+1), as integers."""
     if n_max < 1 or k_max < 1:
         raise ValueError("grid bounds must be at least 1")
     return tuple((n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)
-                 if eval_f(n, k - 1) - eval_f(n, k) != eval_g(n + 1, k) - eval_g(n, k))
+                 if 8 * (_f8(n, k - 1) - _f8(n, k)) != _g8(n + 1, k) - 8 * _g8(n, k))
 
 
 def telescope_half_sum(m: int) -> tuple[Fraction, Fraction]:
@@ -71,23 +77,16 @@ def telescope_full_sum(big_m: int) -> tuple[Fraction, Fraction]:
     """
     if big_m < 2:
         raise ValueError(f"M must be at least 2, got {big_m}")
-    f_side = Fraction(0)
-    for n in range(big_m):
-        f_side += eval_f(n, 0)
-    g_side = Fraction(0)
-    for k in range(1, big_m):
-        g_side += eval_g(big_m, k)
-    return f_side, g_side
+    f_side = sum(_f8(n, 0) << 3 * (big_m - n) for n in range(big_m))
+    g_side = sum(_g8(big_m, k) for k in range(1, big_m))
+    return Fraction(f_side, 8**big_m), Fraction(g_side, 8**big_m)
 
 
 def upper_tail_vanishes(big_m: int) -> bool:
     """For odd M: G(M,k) = 0 for all (M+1)/2 < k <= M-1."""
     if big_m < 3 or big_m % 2 == 0:
         raise ValueError(f"odd M >= 3 required, got {big_m}")
-    for k in range((big_m + 1) // 2 + 1, big_m):
-        if eval_g(big_m, k) != 0:
-            return False
-    return True
+    return not any(_g8(big_m, k) for k in range((big_m + 1) // 2 + 1, big_m))
 
 
 def closed_form_g(p_odd: int, k: int) -> Fraction:

@@ -8,8 +8,9 @@ Bernoulli bridge, modular reductions from a linear scan instead of the
 extended-gcd inverse, quadratic residues from squaring everything, the
 congruence series as exact Fraction sums instead of sums in Z/p^e,
 every congruence row as its exact (lhs, rhs) pairs (PAIRS_EXACT) instead of
-residues stepped in Z/p^e, and the identity sums with one Fraction per term
-instead of one integer over a common denominator.
+residues stepped in Z/p^e, the identity sums with one Fraction per term
+instead of one integer over a common denominator, and the WZ terms F and G
+as one Fraction each from their definitions instead of integers times 8^n.
 """
 
 from fractions import Fraction
@@ -194,8 +195,18 @@ def quarter_pair(n: int, a_num: int, b_num: int) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+def f_exact(n: int, k: int) -> Fraction:
+    """F(n,k) = (-1)^n (3n-2k+1) C(2n,n) C(2n-2k,n-k) C(2n-2k,n) / 2^(3n-2k), 0 for k > n."""
+    if k > n:
+        return Fraction(0)
+    c = comb(2 * n, n) * comb(2 * n - 2 * k, n - k) * comb(2 * n - 2 * k, n)
+    return Fraction(_sign(n) * (3 * n - 2 * k + 1) * c, 2 ** (3 * n - 2 * k))
+
+
 def g_exact(n: int, k: int) -> Fraction:
-    """G(n,k) = (-1)^(n+1) n C(2n,n) C(2n-2k,n-k) C(2n-2k,n-1) / 2^(3n-2k)."""
+    """G(n,k) = (-1)^(n+1) n C(2n,n) C(2n-2k,n-k) C(2n-2k,n-1) / 2^(3n-2k), 0 for k > n or n = 0."""
+    if k > n or n == 0:
+        return Fraction(0)
     c = comb(2 * n, n) * comb(2 * n - 2 * k, n - k) * comb(2 * n - 2 * k, n - 1)
     return Fraction(_sign(n + 1) * n * c, 2 ** (3 * n - 2 * k))
 

@@ -3,13 +3,13 @@ import dataclasses
 import inspect
 import operator
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial
 
 import pytest
 
 import oracles
 from supercong import (UnknownIdError, bernoulli_poly_exact, check_identity, check_identity_range,
-                       combinat, identities, special)
+                       combinat, identities, special, wz)
 from supercong.identities import REGISTRY, W_H, W_H2, W_HH, W_ONE, _i10_class
 
 
@@ -34,7 +34,7 @@ class TestAnchors:
 
     def test_i10_point_example(self):
         # x in {0,2,4}: 0+2+4 = 6 = (2/2)(B_2(3) - B_2(0)), times D n m = 210 * 2 * 2
-        assert _i10_class(5, 2, 0)[1] == (6 * 840, 6 * 840)
+        assert _i10_class(5, 2, 0, *identities._i10_bernoulli())[1] == (6 * 840, 6 * 840)
 
     def test_empty_sums_at_zero(self):
         for iid in ("I7", "I8", "I9"):
@@ -120,13 +120,14 @@ def test_perturbed_i9_side_is_reported(monkeypatch):
 def test_i10_class_is_the_oracle_times_common_denominator():
     # both sides times D (k+1) m, with D = 210 the lcm of the denominators of B_0 .. B_7
     k_max = identities._I10_K_MAX
-    assert lcm(*(special.bernoulli_exact(i).denominator for i in range(k_max + 2))) == 210
+    bern = identities._i10_bernoulli()
+    assert bern == (210, [210 * special.bernoulli_exact(i) for i in range(k_max + 2)])
     for big_p in range(1, 21):
         for m in range(1, identities._I10_M_MAX + 1):
             for r in range(m):
                 upper = Fraction(big_p, m) + combinat.frac_part(Fraction(r - big_p, m))
                 lower = combinat.frac_part(Fraction(r, m))
-                for k, pair in enumerate(_i10_class(big_p, m, r)):
+                for k, pair in enumerate(_i10_class(big_p, m, r, *bern)):
                     lhs = sum(x**k for x in range(r, big_p, m))
                     diff = bernoulli_poly_exact(k + 1, upper) - bernoulli_poly_exact(k + 1, lower)
                     scale = 210 * (k + 1) * m
@@ -142,16 +143,48 @@ def test_wrong_bernoulli_number_is_reported(monkeypatch):
     assert check_identity_range("I10", 10) == tuple(range(1, 11))
 
 
+def test_i10_reads_the_bernoulli_numbers_once_per_p(monkeypatch):
+    calls = []
+    exact = special.bernoulli_exact
+    monkeypatch.setattr(identities, "bernoulli_exact", lambda n: calls.append(n) or exact(n))
+    assert check_identity_range("I10", 5) == ()
+    assert calls == list(range(identities._I10_K_MAX + 2)) * 5
+
+
+def test_perturbed_i12_side_is_reported(monkeypatch):
+    # the right side off by one at k = 1, where 2k <= n + 1 for every n >= 1
+    pair = identities._i12_pair
+
+    def off(n, k):
+        lhs, rhs = pair(n, k)
+        return lhs, rhs + (k == 1)
+
+    monkeypatch.setattr(identities, "_i12_pair", off)
+    assert check_identity_range("I12", 10) == tuple(range(1, 11))
+
+
+def test_i12_pair_is_the_rational_statement_times_its_denominator():
+    # 1/(negative)! = 0 leaves only the left side where 2k > n + 1
+    for n in range(1, 40):
+        for k in range(1, n + 1):
+            lhs = comb(2 * n - 2 * k, n - 1)
+            if 2 * k > n + 1:
+                assert identities._i12_pair(n, k) == (lhs, 0) and lhs == 0
+                continue
+            scale = factorial(n - 1) * factorial(n + 1 - 2 * k)
+            rhs = comb(2 * n - 2 * k, n - k) * Fraction(factorial(n - k) ** 2, scale)
+            assert identities._i12_pair(n, k) == (lhs * scale, rhs * scale), (n, k)
+
+
 def test_no_fraction_is_built_inside_a_sum():
-    # each side is one integer over a common denominator: a Fraction(...)
-    # call inside a loop or comprehension would bring back a gcd per term
-    functions = (combinat.harmonic, identities.fold, identities._quarter_pair,
-                 identities._i9_lhs, identities._i9_rhs, identities._i10_class)
+    # each exact value is one integer over a common denominator: a
+    # Fraction(...) call inside a loop or comprehension, in any function or
+    # lambda of these modules, would bring back a gcd per term
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     offenders = {
-        (fn.__name__, call.lineno)
-        for fn in functions
-        for loop in ast.walk(ast.parse(inspect.getsource(fn)))
+        (module.__name__, call.lineno)
+        for module in (combinat, identities, wz)
+        for loop in ast.walk(ast.parse(inspect.getsource(module)))
         if isinstance(loop, loops)
         for call in ast.walk(loop)
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "Fraction"

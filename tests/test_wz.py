@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from supercong import (
     binomial,
     check_pair_identity,
@@ -35,6 +36,13 @@ class TestEvalF:
             eval_f(-1, 0)
 
 
+def test_f_and_g_equal_their_definitions():
+    for n in range(41):
+        for k in range(41):
+            assert eval_f(n, k) == oracles.f_exact(n, k), (n, k)
+            assert eval_g(n, k) == oracles.g_exact(n, k), (n, k)
+
+
 class TestEvalG:
     def test_examples(self):
         for k in range(5):
@@ -59,6 +67,18 @@ class TestPairIdentity:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             check_pair_identity(0, 5)
+
+
+def test_perturbed_f_is_reported(monkeypatch):
+    # 8^n F(3, 0) off by one: the pair identity fails at (3, 1) only, and
+    # every full sum that contains F(3, 0), M = 4 .. 10 at grid depth 5
+    from supercong import wz
+
+    f8 = wz._f8
+    monkeypatch.setattr(wz, "_f8", lambda n, k: f8(n, k) + ((n, k) == (3, 0)))
+    assert wz.check_pair_identity(5, 5) == ((3, 1),)
+    assert wz.REGISTRY["wz-pair"](5) == 1
+    assert wz.REGISTRY["wz-full-sum"](5) == 7
 
 
 class TestTelescoping:
