@@ -96,7 +96,10 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo > hi:
         parser.error(f"empty prime range {lo}:{hi}")
-    primes = _primes_between(lo, hi)
+    try:
+        primes = _primes_between(lo, hi)
+    except MemoryError:
+        parser.error(f"prime range {lo}:{hi} is too wide to sieve")
     if primes[:1] == (2,):
         print("warning: skipping p = 2 (statements require odd p)", file=sys.stderr)
         primes = primes[1:]

@@ -17,8 +17,8 @@ def factorial(n: int) -> int:
 
 
 def recip_factorial(n: int) -> Fraction:
-    """1/n!, with 1/(negative)! = 0 -- the convention that makes the closed
-    forms in the wz module total (it matches the vanishing of the
+    """1/n!, with 1/(negative)! = 0 -- the convention under which the closed
+    form of wz.closed_form_g is total (it matches the vanishing of the
     corresponding binomial coefficient)."""
     if n < 0:
         return Fraction(0)

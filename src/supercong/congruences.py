@@ -60,14 +60,7 @@ from typing import Callable, Union
 
 from . import identities, wz
 from .combinat import binomial, frac_part
-from .exactnum import (
-    ModulusMismatchError,
-    NotPIntegralError,
-    Residue,
-    UnknownIdError,
-    inverse_column,
-    is_prime,
-)
+from .exactnum import NotPIntegralError, Residue, UnknownIdError, inverse_column, is_prime
 from .identities import W_H, W_H2, W_HH, W_ONE
 from .special import (
     bernoulli_diff_mod_p,
@@ -605,9 +598,7 @@ def _reduce_side(value: Side, p: int, e: int) -> int:
     """A side as an int in [0, p^e)."""
     if isinstance(value, Residue):
         if (value.p, value.e) != (p, e):
-            raise ModulusMismatchError(
-                f"evaluator returned residue mod {value.p}^{value.e}, expected {p}^{e}"
-            )
+            raise EvaluatorError(f"evaluator returned residue mod {value.p}^{value.e}, expected {p}^{e}")
         return value.value
     if isinstance(value, int):
         return value % p**e
@@ -636,7 +627,7 @@ def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
                         (sum(lv for lv, _ in reduced), sum(rv for _, rv in reduced)))
         micros = (time.perf_counter_ns() - start) // 1000
         return Verdict(cid, p, r, Residue(lhs, p, e), Residue(rhs, p, e), e, micros)
-    except (NotPIntegralError, ModulusMismatchError, EvaluatorError) as exc:
+    except (NotPIntegralError, EvaluatorError) as exc:
         micros = (time.perf_counter_ns() - start) // 1000
         return Verdict(cid, p, r, None, None, e, micros, str(exc))
 

@@ -6,15 +6,18 @@ values and the tests: it takes a rational into Z/p^e, where a p-divisible
 denominator surfaces as NotPIntegralError.  inverse_column is the one table
 of reciprocals 1/k mod p^e: the harmonic sums of the congruence rows and the
 mod-p Bernoulli recurrence of special.py read every 1/k from it.
+
+Residue is a checked value with no arithmetic: a value normalised into
+[0, p^e) together with its modulus.  Sides are compared as ints, so nothing
+adds or multiplies Residues.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partialmethod
-from typing import Callable
+from functools import lru_cache
+
 
 class UnknownIdError(KeyError):
     """Requested id is not in the relevant registry."""
@@ -22,10 +25,6 @@ class UnknownIdError(KeyError):
 
 class NotPIntegralError(ValueError):
     """p divides the denominator, so reduction mod p^e is ill-posed."""
-
-
-class ModulusMismatchError(ValueError):
-    """Arithmetic between residues living in different Z/p^e is a bug, not a coercion."""
 
 
 @lru_cache  # bounded: the hot path repeats only the prime of the current task
@@ -65,21 +64,6 @@ class Residue:
         m = self.p**self.e
         if not 0 <= self.value < m:
             object.__setattr__(self, "value", self.value % m)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.e
-
-    def _combine(self, other: Residue, op: Callable[[int, int], int]) -> Residue:
-        if (self.p, self.e) != (other.p, other.e):
-            raise ModulusMismatchError(
-                f"cannot combine residues mod {self.p}^{self.e} and mod {other.p}^{other.e}"
-            )
-        return Residue(op(self.value, other.value), self.p, self.e)
-
-    __add__ = partialmethod(_combine, op=operator.add)
-    __sub__ = partialmethod(_combine, op=operator.sub)
-    __mul__ = partialmethod(_combine, op=operator.mul)
 
     def __int__(self) -> int:
         return self.value

@@ -7,15 +7,17 @@ exactly the half/full central-binomial sum checked by the congruence registry.
 
 Both terms have the denominator 2^(3n-2k), so _f8 = 8^n F and _g8 = 8^n G
 are integers.  Every check works in them over a power of 8 fixed before its
-loop; eval_f, eval_g and each telescoped side build one Fraction at the end.
+loop; eval_f, eval_g, each telescoped side and closed_form_g build one
+Fraction at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Callable
 
-from .combinat import binomial, factorial, pochhammer, recip_factorial
+from .combinat import binomial, factorial
 
 
 def _f8(n: int, k: int) -> int:
@@ -98,17 +100,22 @@ def closed_form_g(p_odd: int, k: int) -> Fraction:
     with 1/(negative)! = 0, which makes the form total on its k-range.
     p_odd only needs to be odd: the identity is rational-function algebra,
     not a primality fact, so composite odd values exercise it too.
+
+    (p/2 + 1 - k)_{k-1} = P / 2^(k-1), where P is the product of the odd
+    numbers p + 2 - 2k, ..., p - 2, so the form is the one Fraction
+    8 p (-1)^h C(p-1, h)^3 h! / (((p+3)/2 - 2k)! P^2 2^((3p+3)/2)), h = (p-1)/2.
     """
     if p_odd < 5 or p_odd % 2 == 0:
         raise ValueError(f"odd integer >= 5 required, got {p_odd}")
     if not 1 <= k <= (p_odd + 1) // 2:
         raise ValueError(f"k = {k} outside [1, {(p_odd + 1) // 2}]")
     h = (p_odd - 1) // 2
-    sign = -1 if h % 2 else 1
-    prefactor = Fraction(sign * 32 * p_odd * binomial(p_odd - 1, h) ** 3, 1 << (3 * p_odd + 3) // 2)
-    shifted = pochhammer(Fraction(p_odd, 2) + 1 - k, k - 1)  # never zero for odd p
-    tail = factorial(h) * recip_factorial((p_odd + 3) // 2 - 2 * k) / (shifted * shifted) / Fraction(4) ** k
-    return prefactor * tail
+    low = (p_odd + 3) // 2 - 2 * k
+    if low < 0:
+        return Fraction(0)
+    odd = prod(range(p_odd + 2 - 2 * k, p_odd - 1, 2))  # never zero: its factors are odd
+    num = (-1) ** h * 8 * p_odd * binomial(p_odd - 1, h) ** 3 * factorial(h)
+    return Fraction(num, factorial(low) * odd * odd << (3 * p_odd + 3) // 2)
 
 
 # -- grid certificates: id -> (grid depth -> number of failing points) -------

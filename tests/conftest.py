@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from supercong import is_prime
+from supercong.exactnum import is_prime
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

@@ -9,8 +9,10 @@ extended-gcd inverse, quadratic residues from squaring everything, the
 congruence series as exact Fraction sums instead of sums in Z/p^e,
 every congruence row as its exact (lhs, rhs) pairs (PAIRS_EXACT) instead of
 residues stepped in Z/p^e, the identity sums with one Fraction per term
-instead of one integer over a common denominator, and the WZ terms F and G
-as one Fraction each from their definitions instead of integers times 8^n.
+instead of one integer over a common denominator, the WZ terms F and G
+as one Fraction each from their definitions instead of integers times 8^n,
+and the closed form of G((p+1)/2, k) as a product of Fractions (a raising
+factorial at p/2 + 1 - k and 1/n!) instead of one integer quotient.
 """
 
 from fractions import Fraction
@@ -209,6 +211,20 @@ def g_exact(n: int, k: int) -> Fraction:
         return Fraction(0)
     c = comb(2 * n, n) * comb(2 * n - 2 * k, n - k) * comb(2 * n - 2 * k, n - 1)
     return Fraction(_sign(n + 1) * n * c, 2 ** (3 * n - 2 * k))
+
+
+def closed_form_g_rational(p_odd: int, k: int) -> Fraction:
+    """32 p (-1)^h C(p-1,h)^3 / 2^((3p+3)/2) * h! / (((p+3)/2 - 2k)! (p/2 + 1 - k)_{k-1}^2 4^k),
+    h = (p-1)/2, with 1/(negative)! = 0."""
+    h = (p_odd - 1) // 2
+    low = (p_odd + 3) // 2 - 2 * k
+    if low < 0:
+        return Fraction(0)
+    shifted = Fraction(1)
+    for j in range(k - 1):
+        shifted *= Fraction(p_odd, 2) + 1 - k + j
+    prefactor = Fraction(_sign(h) * 32 * p_odd * comb(p_odd - 1, h) ** 3, 2 ** ((3 * p_odd + 3) // 2))
+    return prefactor * factorial(h) / factorial(low) / (shifted * shifted) / Fraction(4) ** k
 
 
 def half_fold(p: int, weight) -> Fraction:

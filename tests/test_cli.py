@@ -204,6 +204,17 @@ class TestMain:
             assert captured.out == ""
             assert "no selected id is stated for a prime" in captured.err
 
+    def test_range_too_wide_to_sieve_is_a_usage_error(self, capsys, monkeypatch):
+        # exit 1 would read as "a check failed"; the sieve is stubbed, nothing is allocated
+        def out_of_memory(lo, hi):
+            raise MemoryError
+
+        monkeypatch.setattr("supercong.cli._primes_between", out_of_memory)
+        with pytest.raises(SystemExit) as err:
+            main(["--primes", "5:10000000000000", "--ids", "morley"])
+        assert err.value.code == 2
+        assert "5:10000000000000" in capsys.readouterr().err
+
     def test_unwritable_out_path_exits_three(self, capsys, tmp_path):
         code = main(["--primes", "5:5", "--ids", "morley",
                      "--out", str(tmp_path / "missing-dir" / "x.jsonl")])

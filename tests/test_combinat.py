@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import (
+from supercong.combinat import (
     binomial,
     binomial_rational,
     factorial,

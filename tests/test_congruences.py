@@ -5,24 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import (
-    InapplicableError,
-    NotPIntegralError,
-    Residue,
-    UnknownIdError,
-    CongruenceSpec,
-    check_congruence,
-    eval_series,
-    euler_poly_mod_p,
-    harmonic,
-    padic_valuation,
-    reduce_mod,
-    run_suite,
-    telescope_half_sum,
-)
+from supercong import InapplicableError, Residue, UnknownIdError, check_congruence, run_suite
 from supercong import congruences as cong
-from supercong.congruences import REGISTRY, EvaluatorError, _alt_quarter_sum, _sign
-from supercong.exactnum import inverse_column
+from supercong.combinat import harmonic
+from supercong.congruences import REGISTRY, CongruenceSpec, EvaluatorError, _alt_quarter_sum, _sign, eval_series
+from supercong.exactnum import NotPIntegralError, inverse_column, padic_valuation, reduce_mod
+from supercong.special import euler_poly_mod_p
+from supercong.wz import telescope_half_sum
 from conftest import primes_in
 from oracles import PAIRS_EXACT, SERIES_EXACT
 
@@ -40,7 +29,7 @@ class TestEvalSeries:
 
     def test_term_oracle(self):
         # 1 - 4 + 189/8 against the running-product route
-        from supercong import binomial
+        from supercong.combinat import binomial
 
         total = Fraction(0)
         for n in range(3):
@@ -52,7 +41,7 @@ class TestEvalSeries:
         # ((1/2)_k / k!)^3 = (C(2k,k)/4^k)^3 makes the two S64 kernels agree
         for p in (5, 11, 17):
             half = (p - 1) // 2
-            from supercong import binomial
+            from supercong.combinat import binomial
 
             direct = sum(
                 Fraction((4 * k + 1) * binomial(2 * k, k) ** 3, (-64) ** k)
@@ -220,7 +209,7 @@ class TestEvalRhs:
         for p in (5, 13, 29):
             base = euler_poly_mod_p(p - 3, Fraction(1, 4), p).value
             expected = check_congruence("thm-main", p).rhs
-            from supercong import legendre_symbol
+            from supercong.special import legendre_symbol
 
             for t in (1, 2, 3):
                 lifted = base + t * p
@@ -334,7 +323,7 @@ class TestCrossChecks:
             assert eval_series("S8-half", p, 1, 4) == reduce_mod(g_side, p, 4)
 
     def test_remark_relation(self):
-        from supercong import legendre_symbol
+        from supercong.special import legendre_symbol
 
         for p in primes_in(5, 61):
             lhs = eval_series("S8-half", p, 1, 4)

@@ -8,8 +8,8 @@ from math import comb, factorial
 import pytest
 
 import oracles
-from supercong import (UnknownIdError, bernoulli_poly_exact, check_identity, check_identity_range,
-                       combinat, identities, special, wz)
+from supercong import UnknownIdError, check_identity, check_identity_range, combinat, identities, special, wz
+from supercong.special import bernoulli_poly_exact
 from supercong.identities import REGISTRY, W_H, W_H2, W_HH, W_ONE, _i10_class
 
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import (
-    NotPIntegralError,
+from supercong.combinat import frac_part
+from supercong.exactnum import NotPIntegralError, reduce_mod
+from supercong.special import (
     bernoulli_diff_mod_p,
     bernoulli_exact,
     bernoulli_poly_exact,
@@ -13,8 +14,6 @@ from supercong import (
     euler_poly_mod_p,
     fermat_quotient2,
     legendre_symbol,
-    frac_part,
-    reduce_mod,
 )
 from conftest import primes_in
 from oracles import bernoulli_double_sum, euler_number_gf, euler_poly_gf, legendre_by_squares

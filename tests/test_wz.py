@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from supercong import (
-    binomial,
+from supercong.combinat import binomial
+from supercong.wz import (
     check_pair_identity,
     closed_form_g,
     eval_f,
@@ -126,6 +126,11 @@ class TestClosedFormG:
         for p_odd in range(5, 32, 2):
             for k in range(1, (p_odd + 1) // 2 + 1):
                 assert closed_form_g(p_odd, k) == eval_g((p_odd + 1) // 2, k)
+
+    def test_integer_route_matches_rational_formula(self):
+        for p_odd in range(5, 62, 2):
+            for k in range(1, (p_odd + 1) // 2 + 1):
+                assert closed_form_g(p_odd, k) == oracles.closed_form_g_rational(p_odd, k)
 
     def test_domain(self):
         with pytest.raises(ValueError):
