@@ -24,22 +24,48 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from . import congruences
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    primes: tuple[int, ...]
-    r_max: int
-    ids: tuple[str, ...]
-    wz_grid: int
-    identities_n_max: int
-    fmt: str
-    jobs: int
-    out_path: str | None
-    no_timing: bool
+def _positive(text: str, expects: str = "a positive integer") -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects {expects}, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    return congruences.usable_cpus() if text == "auto" else _positive(text, "an integer or 'auto'")
+
+
+def _id_list(text: str) -> tuple[str, ...]:
+    known = congruences.all_ids()
+    if text.strip() == "all":
+        return known
+    ids = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    if not ids:
+        raise argparse.ArgumentTypeError(f"must name at least one id, got {text!r}")
+    for cid in ids:
+        if cid not in known:
+            raise argparse.ArgumentTypeError(f"unknown id {cid!r}")
+    return ids
+
+
+def _prime_window(text: str) -> tuple[int, ...]:
+    match = re.fullmatch(r"(-?\d+):(-?\d+)", text)
+    if not match:
+        raise argparse.ArgumentTypeError(f"expects LO:HI, got {text!r}")
+    lo, hi = int(match.group(1)), int(match.group(2))
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty prime range {lo}:{hi}")
+    try:
+        return _primes_between(lo, hi)
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"prime range {lo}:{hi} is too wide to sieve") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,19 +74,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Check binomial-sum congruences, identities and telescoping "
         "certificates over a range of primes, in exact arithmetic.",
     )
-    parser.add_argument("--primes", required=True, metavar="LO:HI",
+    parser.add_argument("--primes", type=_prime_window, required=True, metavar="LO:HI",
                         help="inclusive integer range; composites are skipped")
-    parser.add_argument("--ids", default="all",
+    parser.add_argument("--ids", type=_id_list, default="all",
                         help="comma-separated congruence/identity ids, or 'all'")
-    parser.add_argument("--r-max", type=int, default=2, dest="r_max",
+    parser.add_argument("--r-max", type=_positive, default=2, dest="r_max",
                         help="cap on the power index r for p^r-indexed rows (default 2)")
-    parser.add_argument("--wz-grid", type=int, default=50, dest="wz_grid",
+    parser.add_argument("--wz-grid", type=_positive, default=50, dest="wz_grid",
                         help="depth of the certificate grid checks (default 50)")
-    parser.add_argument("--identities-n-max", type=int, default=50, dest="identities_n_max",
+    parser.add_argument("--identities-n-max", type=_positive, default=50, dest="identities_n_max",
                         help="upper n for identity range checks (default 50)")
     parser.add_argument("--format", choices=("jsonl", "csv", "table"), default="jsonl",
                         dest="fmt")
-    parser.add_argument("--jobs", default="1", help="worker processes, or 'auto'")
+    parser.add_argument("--jobs", type=_jobs, default="1", help="worker processes, or 'auto'")
     parser.add_argument("--out", default=None, dest="out_path", metavar="PATH")
     parser.add_argument("--no-timing", action="store_true", dest="no_timing",
                         help="emit micros as 0 so identical runs are byte-identical")
@@ -80,72 +106,19 @@ def _primes_between(lo: int, hi: int) -> tuple[int, ...]:
     return tuple(lo + i for i, flag in enumerate(window) if flag)
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
-    """Validated RunConfig; exits with code 2 on usage errors."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if argv and argv[0] == "verify":
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The run as parsed and checked; exits with code 2 on usage errors."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["verify"]:
         argv = argv[1:]
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-
-    match = re.fullmatch(r"(-?\d+):(-?\d+)", ns.primes)
-    if not match:
-        parser.error(f"--primes expects LO:HI, got {ns.primes!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
-    if lo > hi:
-        parser.error(f"empty prime range {lo}:{hi}")
-    try:
-        primes = _primes_between(lo, hi)
-    except MemoryError:
-        parser.error(f"prime range {lo}:{hi} is too wide to sieve")
-    if primes[:1] == (2,):
+    config = _build_parser().parse_args(argv)
+    if config.primes[:1] == (2,):
         print("warning: skipping p = 2 (statements require odd p)", file=sys.stderr)
-        primes = primes[1:]
-
-    if ns.ids.strip() == "all":
-        ids = congruences.all_ids()
-    else:
-        ids = tuple(tok.strip() for tok in ns.ids.split(",") if tok.strip())
-        if not ids:
-            parser.error("--ids must name at least one id")
-        known = set(congruences.all_ids())
-        for cid in ids:
-            if cid not in known:
-                parser.error(f"unknown id {cid!r}")
-
-    if ns.r_max < 1:
-        parser.error(f"--r-max must be positive, got {ns.r_max}")
-    if ns.wz_grid < 1:
-        parser.error(f"--wz-grid must be positive, got {ns.wz_grid}")
-    if ns.identities_n_max < 1:
-        parser.error(f"--identities-n-max must be positive, got {ns.identities_n_max}")
-
-    if ns.jobs == "auto":
-        jobs = congruences.usable_cpus()
-    else:
-        try:
-            jobs = int(ns.jobs)
-        except ValueError:
-            parser.error(f"--jobs expects an integer or 'auto', got {ns.jobs!r}")
-        if jobs < 1:
-            parser.error(f"--jobs must be positive, got {jobs}")
-
-    return RunConfig(
-        primes=tuple(primes),
-        r_max=ns.r_max,
-        ids=ids,
-        wz_grid=ns.wz_grid,
-        identities_n_max=ns.identities_n_max,
-        fmt=ns.fmt,
-        jobs=jobs,
-        out_path=ns.out_path,
-        no_timing=ns.no_timing,
-    )
+        config.primes = config.primes[1:]
+    return config
 
 
-def collect_records(config: RunConfig) -> list[congruences.Verdict]:
+def collect_records(config: argparse.Namespace) -> list[congruences.Verdict]:
     """Every selected check of every family, in deterministic (id, p, r)
     order."""
     return congruences.run_suite(
@@ -156,27 +129,24 @@ def collect_records(config: RunConfig) -> list[congruences.Verdict]:
 _COLUMNS = ("id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros")
 
 
+def _cells(records: list[dict], yes: str, no: str, missing: str) -> list[list[str]]:
+    """The header, then each record as strings, its flags and absent values spelled out."""
+    return [list(_COLUMNS)] + [[yes if rec[k] is True else no if rec[k] is False else
+                                missing if rec[k] is None else str(rec[k]) for k in _COLUMNS]
+                               for rec in records]
+
+
 def _render(records: list[dict], fmt: str) -> str:
     if fmt == "jsonl":
         return "".join(json.dumps(rec) + "\n" for rec in records)
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                ["true" if rec[k] is True else "false" if rec[k] is False else
-                 ("" if rec[k] is None else rec[k]) for k in _COLUMNS]
-            )
+        csv.writer(buf, lineterminator="\n").writerows(_cells(records, "true", "false", ""))
         return buf.getvalue()
-    # table
-    cells = [[("ok" if rec[k] is True else "FAIL" if rec[k] is False else
-               ("-" if rec[k] is None else str(rec[k]))) for k in _COLUMNS] for rec in records]
-    widths = [max([len(k)] + [len(row[i]) for row in cells]) for i, k in enumerate(_COLUMNS)]
-    lines = ["  ".join(k.ljust(widths[i]) for i, k in enumerate(_COLUMNS)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    rows = _cells(records, "ok", "FAIL", "-")
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
 
 
 def emit_report(rows: list, fmt: str, out_path: str | None = None,

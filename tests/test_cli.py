@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from supercong.cli import _primes_between, collect_records, emit_report, main, parse_args
+from supercong.cli import (_build_parser, _primes_between, collect_records, emit_report, main,
+                           parse_args)
 from supercong.congruences import all_ids
 from supercong.exactnum import is_prime
 
@@ -77,9 +80,11 @@ class TestParseArgs:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert parse_args(["--primes", "5:7", "--jobs", "auto"]).jobs == 3
 
-    def test_prime_cache_stays_bounded(self):
+    def test_prime_window_is_sieved_not_trial_divided(self):
+        before = is_prime.cache_info()
         parse_args(["--primes", "5:20000"])
-        assert is_prime.cache_info().currsize <= 128
+        after = is_prime.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
 
     @pytest.mark.parametrize("lo, hi", [(0, 30), (-40, 12), (9973, 9973), (24, 28),
                                         (999_000, 1_000_100)])
@@ -90,6 +95,25 @@ class TestParseArgs:
         with_word = parse_args(["verify", "--primes", "5:7"])
         without = parse_args(["--primes", "5:7"])
         assert with_word == without
+
+    def test_parsed_namespace_is_the_run(self):
+        # each option is checked where it is declared: no second copy of the run
+        argv = ["--primes", "5:31", "--ids", "thm-main,I1", "--r-max", "3", "--jobs", "2"]
+        assert parse_args(argv) == _build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--r-max", "0", "0"), ("--wz-grid", "0", "0"), ("--identities-n-max", "0", "0"),
+        ("--ids", ",", "','"), ("--ids", "thm-main,bogus", "'bogus'"),
+        ("--jobs", "0", "0"), ("--jobs", "zero", "'zero'"),
+        ("--primes", "5..9", "'5..9'"), ("--primes", "4:3", "4:3"),
+    ])
+    def test_bad_value_is_a_usage_error_naming_it(self, option, value, named, capsys):
+        argv = [option, value] if option == "--primes" else ["--primes", "5:7", option, value]
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert f"argument {option}:" in message and message.endswith(named)
 
 
 class TestEmitReport:
@@ -234,6 +258,22 @@ class TestMain:
         main(["--primes", "5:5", "--ids", "thm-main"])
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["micros"] >= 0
+
+
+@pytest.mark.parametrize("argv, code, rows", [
+    (["--primes", "5:7", "--ids", "two-power-half", "--r-max", "1", "--no-timing"], 0, 2),
+    (["--primes", "5:7", "--r-max", "0"], 2, 0),
+])
+def test_module_entry_point_exit_codes(argv, code, rows):
+    # the program as a process: `python -m supercong.cli` from the source tree
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "supercong.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    assert len(done.stdout.splitlines()) == rows
+    assert all(json.loads(line)["pass"] for line in done.stdout.splitlines())
 
 
 @pytest.mark.parametrize("golden, fmt, jobs", GOLDEN_CASES)
