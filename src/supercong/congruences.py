@@ -25,14 +25,13 @@ Every sum or product over an index runs in Z/p^e, and no row inverts inside
 its own loop: a product whose steps divide is one _stepped run, which keeps
 the power of p apart from a unit mod p^e, inverts once per run and raises
 EvaluatorError if p is left in a denominator; every reciprocal 1/k in a sum
-comes from the column exactnum.inverse_column.  The exception is a single
-binomial value (central-2p1p, morley, morley-power): one exact math.comb
-value, of about 2p bits for central-2p1p and p^r bits for morley-power,
-reduced once.  That makes central-2p1p the slowest r = 1 row at p = 100003
-(0.6-0.75 s), but stepped it would slow the wolstenholme-sweep benchmark,
-which checks it at primes below 2820: at p = 2803, C(2p-1, p-1) mod p^3
-took 2.3 ms by _stepped against 1.0 ms by comb.  The exact Fraction form of
-every row is the test oracle (PAIRS_EXACT in tests/oracles.py).
+comes from the column exactnum.inverse_column.  central-2p1p needs no
+stepping: C(2p-1, p-1) = (p+1)...(2p-1) / (p-1)! is a quotient of two
+products of units, each reduced once per block of factors, with one
+inversion.  The exception is the single binomial value of morley and
+morley-power, which share an evaluator: one exact math.comb value of about
+p^r bits, reduced once.  The exact Fraction form of every row is the test
+oracle (PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -56,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import prod
 from typing import Callable, Union
 
 from . import identities, wz
@@ -262,6 +262,18 @@ def _euler_number(p: int) -> int:
     return euler_number_mod_p(p - 3, p).value
 
 
+@lru_cache(maxsize=1)
+def _full_inverses(p: int) -> list[int]:
+    # 1/k mod p^2 for k < p, shared by wolstenholme-h1 and -h2 and the third
+    # side of central-2pr; the callers only read it
+    return inverse_column(p - 1, p, 2)
+
+
+# Factors per exact product in central-2p1p: one reduction mod p^e per block
+# of factors rather than per factor
+_BLOCK = 32
+
+
 def _rhs_central_quarter(p: int, e: int) -> int:
     # p (-1|p) + (p^3/4) (2|p) E_{p-3}(1/4)
     return p * legendre_symbol(-1, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_quarter(p)
@@ -350,17 +362,26 @@ def _pairs_guo_half_64(p, r, e):
 
 @_row("wolstenholme-h1", "H_{p-1} == 0 (mod p^2)", 2)
 def _pairs_wolstenholme_h1(p, r, e):
-    return [(sum(inverse_column(p - 1, p, e)), 0)]
+    return [(sum(_full_inverses(p)), 0)]
 
 
 @_row("wolstenholme-h2", "H_{p-1}^(2) == 0 (mod p)", 1)
 def _pairs_wolstenholme_h2(p, r, e):
-    return [(sum(inv * inv for inv in inverse_column(p - 1, p, e)), 0)]
+    # 1/k mod p^2 is 1/k mod p too; check_congruence reduces the sum mod p
+    return [(sum(inv * inv for inv in _full_inverses(p)), 0)]
 
 
 @_row("central-2p1p", "C(2p-1, p-1) == 1 (mod p^3)", 3)
 def _pairs_central_2p1p(p, r, e):
-    return [(binomial(2 * p - 1, p - 1), 1)]
+    # C(2p-1, p-1) = (p+1)...(2p-1) / (p-1)!, every factor a unit mod p^e;
+    # one exact product per block of _BLOCK factors, reduced once per block
+    m = p**e
+    num = den = 1
+    for lo in range(1, p, _BLOCK):
+        hi = min(lo + _BLOCK, p)
+        num = num * prod(range(p + lo, p + hi)) % m
+        den = den * prod(range(lo, hi)) % m
+    return [(num * pow(den, -1, m) % m, 1)]
 
 
 def _rhs_sign_euler(p: int) -> int:
@@ -537,7 +558,7 @@ def _pairs_central_2pr(p, r, e):
     a = _central_column(n, p, e)[-1]
     # n/j for j = 1 .. n-1, stepped by j/(j+1)
     b = 2 - 4 * sum(_stepped(p, e, [(n, 1)] + [(j, j + 1) for j in range(1, n - 1)])[1:])
-    c = 2 - 4 * p * sum(inverse_column(p - 1, p, e))
+    c = 2 - 4 * p * sum(_full_inverses(p))  # p/k needs 1/k mod p^(e-1), e = 2
     return [(a, b), (b, c), (c, 2)]
 
 
@@ -674,6 +695,40 @@ def _run_task(task: _Task) -> list[Verdict]:
     return [check_congruence(cid, p, r) for cid, r in checks]
 
 
+def _run_batch(batch: list[_Task]) -> list[Verdict]:
+    return [v for task in batch for v in _run_task(task)]
+
+
+def _batches(tasks: list[_Task], workers: int) -> list[list[_Task]]:
+    """The tasks, in order, cut into the batches a pool of workers is sent.
+
+    Guided self-scheduling (Polychronopoulos and Kuck, IEEE Trans. Computers
+    C-36(12), 1987): each exact check is a batch of its own, its cost being
+    unknown; a prime task costs the term count of its rows, sum p^r over its
+    (id, r) pairs, and a batch of consecutive prime tasks closes once its
+    cost reaches 1/(4 workers) of the cost not yet batched.  So the large
+    primes, which come first, go one at a time, and a long tail of cheap
+    primes goes in a few dozen messages instead of one per prime.  The
+    factor 4 keeps the first batches small enough to balance: at
+    1/(2 workers) the first batch of --primes 5:43 --r-max 2 on the 11
+    r-indexed rows would hold p = 43 and 41, 42 % of the terms, on one
+    worker, while at 1/(4 workers) every batch there is one prime.
+    """
+    batches = [[task] for task in tasks if task[0] == 0]
+    costs = [(task, sum(task[0] ** r for _, r in task[1])) for task in tasks if task[0] != 0]
+    left = sum(cost for _, cost in costs)
+    batch: list[_Task] = []
+    batch_cost = 0
+    for task, cost in costs:
+        batch.append(task)
+        batch_cost += cost
+        if 4 * workers * batch_cost >= left:
+            batches.append(batch)
+            left -= batch_cost
+            batch, batch_cost = [], 0
+    return batches
+
+
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -694,9 +749,12 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
     exact checks come first, then the primes from the largest down, so the
     longest tasks start early.  The tasks run in a pool of
     min(jobs, tasks, usable_cpus()) worker processes when that is more than
-    one, otherwise in this process.  Neither the order of ids nor the
-    scheduling changes the result.  Raises UnknownIdError for an id from
-    no family.
+    one, otherwise in this process.  The pool is sent batches of
+    consecutive tasks (_batches): each exact check alone, and the primes in
+    batches that close once their term count, sum p^r over their rows,
+    reaches 1/(4 workers) of the count not yet sent.  Neither the order of
+    ids nor the scheduling changes the result.  Raises UnknownIdError for
+    an id from no family.
     """
     tasks = _tasks(ids, primes, r_max, identities_n_max, wz_grid)
     workers = min(jobs, len(tasks), usable_cpus())
@@ -704,9 +762,9 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_task, tasks))
+            chunks = list(pool.map(_run_batch, _batches(tasks, workers)))
     else:
-        chunks = [_run_task(t) for t in tasks]
+        chunks = [_run_batch(tasks)]
     verdicts = [v for chunk in chunks for v in chunk]
     verdicts.sort(key=lambda v: (v.id, v.p, v.r))
     return verdicts

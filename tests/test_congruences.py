@@ -2,6 +2,7 @@ import ast
 import os
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,6 +15,19 @@ from supercong.special import euler_poly_mod_p
 from supercong.wz import telescope_half_sum
 from conftest import primes_in
 from oracles import PAIRS_EXACT, SERIES_EXACT
+
+
+R_INDEXED = sorted(cid for cid, row in REGISTRY.items() if row.r_indexed)
+WOLSTENHOLME_IDS = ["central-2p1p", "wolstenholme-h1", "wolstenholme-h2", "morley", "two-power-half"]
+EXACT_IDS = [f"I{i}" for i in range(1, 13)] + ["wz-pair", "wz-half-sum", "wz-full-sum", "wz-closed-form"]
+# (ids, primes, r_max) of each benchmark workload and of its set-up launch
+SCHEDULES = {
+    "main-large-p": (["thm-main"], primes_in(2000, 2069), 1),
+    "prime-power-r2": (R_INDEXED, primes_in(5, 43), 2),
+    "exact-certificates": (EXACT_IDS, [5], 1),
+    "wolstenholme-sweep": (WOLSTENHOLME_IDS, primes_in(5, 2819)[:400], 1),
+    "set-up": (["two-power-half"], [5, 7], 1),
+}
 
 
 def suite(ids, primes, r_max=1, jobs=1, identities_n_max=1, wz_grid=1):
@@ -138,6 +152,22 @@ def test_inverses_column():
         inverse_column(7, 7, 2)
 
 
+def test_central_2p1p_matches_comb_beyond_the_oracle():
+    # the block products run past the oracle's p <= 61, into many blocks of 32
+    for p in primes_in(5, 2999):
+        (lhs, rhs), = cong._pairs_central_2p1p(p, 1, 3)
+        assert (lhs % p**3, rhs) == (comb(2 * p - 1, p - 1) % p**3, 1), p
+
+
+def test_wolstenholme_h2_from_the_shared_column():
+    # the squares of 1/k mod p^2 are 1/k^2 mod p, term by term and summed
+    for p in primes_in(5, 499):
+        column = cong._full_inverses(p)
+        assert [inv * inv % p for inv in column[1:]] == [pow(k, -2, p) for k in range(1, p)], p
+        (lhs, _), = cong._pairs_wolstenholme_h2(p, 1, 1)
+        assert lhs % p == sum(pow(k, -2, p) for k in range(1, p)) % p
+
+
 def test_no_row_inverts_inside_its_own_loop():
     # pow(x, -a, m) inside a loop or comprehension appears in no module of the
     # package: every reciprocal comes from inverse_column or one _stepped run
@@ -165,6 +195,16 @@ class TestKnownAnswers:
         # 16843 is the first prime with H_{p-1} == 0 (mod p^3)
         assert sum(inverse_column(16842, 16843, 3)) % 16843**3 == 0
         assert sum(inverse_column(16828, 16829, 3)) % 16829**3 != 0
+
+    def test_central_2p1p_at_the_wolstenholme_prime(self):
+        # v_p(C(2p-1, p-1) - 1) = 4 at p = 16843, and 3 at 16829
+        def side(p, e):
+            (lhs, _), = cong._pairs_central_2p1p(p, 1, e)
+            return lhs % p**e
+
+        assert side(16843, 4) == 1
+        assert side(16843, 5) != 1
+        assert side(16829, 4) != 1
 
     def test_thm_main_where_the_euler_value_vanishes(self):
         # E_{p-3}(1/4) == 0 (mod 1019), so the right side is p(-1|p) = -1019
@@ -194,6 +234,20 @@ class TestKnownAnswers:
                           "thm-main", "lemma-2.6b", "lemma-2.7"], [101])
         assert all(v.passed for v in verdicts)
         assert calls == {"number": 1, "poly": 1}
+
+    def test_reciprocals_computed_once_per_prime(self, monkeypatch):
+        # wolstenholme-h1, -h2 and central-2pr read one column of 1/k mod p^2
+        calls = []
+
+        def counted(top, p, e):
+            calls.append((top, p, e))
+            return inverse_column(top, p, e)
+
+        cong._full_inverses.cache_clear()
+        monkeypatch.setattr(cong, "inverse_column", counted)
+        verdicts = suite(["wolstenholme-h1", "wolstenholme-h2", "central-2pr"], [11, 13], r_max=2)
+        assert len(verdicts) == 4 * 2 and all(v.passed for v in verdicts)
+        assert calls == [(12, 13, 2), (10, 11, 2)]
 
 
 class TestEvalRhs:
@@ -375,6 +429,37 @@ class TestRunSuite:
         exact = [v for v in serial if v.modulus is None]
         assert [v.id for v in exact] == ["I10", "I3", "wz-closed-form", "wz-pair"]
         assert all(v.passed and v.lhs == 0 for v in exact)
+
+    def test_parallel_matches_serial_over_batches_of_primes(self):
+        ids = ["wolstenholme-h1", "wolstenholme-h2", "central-2p1p", "two-power-half"]
+        primes = primes_in(5, 1000)
+        assert max(len(b) for b in cong._batches(cong._tasks(ids, primes, 1, 1, 1), 2)) > 1
+        serial = suite(ids, primes)
+        parallel = suite(ids, primes, jobs=2)
+        assert [v.record(no_timing=True) for v in parallel] == [v.record(no_timing=True) for v in serial]
+        assert len(serial) == 4 * len(primes) and all(v.passed for v in serial)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("ids, primes, r_max", SCHEDULES.values(), ids=list(SCHEDULES))
+    def test_batches_keep_the_task_order(self, ids, primes, r_max, workers):
+        tasks = cong._tasks(ids, primes, r_max, 80, 40)
+        batches = cong._batches(tasks, workers)
+        assert [task for batch in batches for task in batch] == tasks
+        assert all(len(batch) == 1 for batch in batches if any(p == 0 for p, _ in batch))
+
+    def test_r_indexed_rows_go_one_prime_at_a_time(self):
+        # p = 43 alone is 22 % of the terms, under the 1/8 a first batch takes
+        tasks = cong._tasks(R_INDEXED, primes_in(5, 43), 2, 1, 1)
+        assert len(R_INDEXED) == 11
+        assert cong._batches(tasks, 2) == [[task] for task in tasks]
+
+    @pytest.mark.parametrize("window", ["lowest", "highest"])
+    def test_cheap_primes_go_in_few_batches(self, window):
+        primes = primes_in(5, 2819)
+        primes = primes[:400] if window == "lowest" else primes[-400:]
+        batches = cong._batches(cong._tasks(WOLSTENHOLME_IDS, primes, 1, 1, 1), 2)
+        assert len(batches) <= 64
+        assert len(batches[0]) > 1 and len(batches[-1]) == 1
 
     def test_unknown_id_rejected(self):
         with pytest.raises(UnknownIdError):
