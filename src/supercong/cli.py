@@ -6,7 +6,8 @@ report emission.
            [--out PATH] [--no-timing]
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage error or a
-selection with no check to run, 3 I/O or internal arithmetic error.
+selection with no check to run, 3 I/O or internal arithmetic error, 130
+interrupted (Ctrl-C).
 
 Every row is a congruences.Verdict.  Congruence rows report both residues at
 their modulus, at each odd prime the row is stated for (p = 2 is dropped
@@ -164,21 +165,25 @@ def emit_report(rows: list, fmt: str, out_path: str | None = None,
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(argv)
     try:
-        rows = collect_records(config)
-    except Exception as exc:  # internal arithmetic error
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if not rows:
-        print("error: no selected id is stated for a prime in the --primes range",
-              file=sys.stderr)
-        return 2
-    try:
-        return emit_report(rows, config.fmt, config.out_path, config.no_timing)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        config = parse_args(argv)
+        try:
+            rows = collect_records(config)
+        except Exception as exc:  # internal arithmetic error
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        if not rows:
+            print("error: no selected id is stated for a prime in the --primes range",
+                  file=sys.stderr)
+            return 2
+        try:
+            return emit_report(rows, config.fmt, config.out_path, config.no_timing)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -40,6 +40,12 @@ lemma-2.6b and lemma-2.6-altsum assert E_{p-3}(1/4) and a Bernoulli
 difference equal to a 64-weighted and an alternating sum, and neither sum
 is used to compute them.
 
+The runner (run_suite) runs the checks in this process, or, with more
+than one worker and where os.fork exists, in forked children: they inherit
+the tasks, take batch indices from one shared pipe, and each sends back one
+pickled payload, its verdicts or the exception it caught.  The first error
+is raised in the parent, which kills the other workers at once.
+
 A Verdict stores the residues, never a pass flag: a row passes exactly
 when lhs == rhs.  Per-index families (one congruence for every k or l in a
 stated range) are checked index by index; their Verdict reports the summed
@@ -737,6 +743,109 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _work(batches: list[list[_Task]], todo_r: int, todo_w: int, result_w: int) -> None:
+    """The body of a forked worker; it never returns.  It runs _run_batch on
+    each batch index it reads from the pipe todo_r, 4 bytes at a time, until
+    EOF, then writes one pickled payload to the pipe result_w:
+    [(index, verdicts), ...], or the exception it caught.  SIGINT is left to
+    the parent, which kills its workers, and os._exit skips the atexit
+    handlers and the stdout buffer this process inherited."""
+    import pickle
+    import signal
+
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(todo_w)  # the parent's write end: while open here, no EOF
+        try:
+            payload = []
+            while chunk := os.read(todo_r, 4):
+                index = int.from_bytes(chunk, "little")
+                payload.append((index, _run_batch(batches[index])))
+        except Exception as exc:
+            payload = exc
+        with open(result_w, "wb") as out:
+            pickle.dump(payload, out)
+        status = 0
+    finally:
+        os._exit(status)  # never unwind into the caller's frames
+
+
+def _forked(batches: list[list[_Task]], workers: int) -> list[list[Verdict]]:
+    """_run_batch of each batch, in order, computed by `workers` forked
+    child processes.
+
+    The children inherit the batches by fork, so no task is pickled.  After
+    forking, the parent writes the batch indices into one pipe that all
+    children read, 4 bytes each; reads and writes of 4 bytes are atomic, so
+    each child takes the next index in order, and the indices are written
+    as the pipe drains, so no list is too long for it.  Each child sends
+    back one pickled payload on its own pipe (_work).  The first exception
+    a child sends is raised here unchanged; a child that dies or exits
+    without a payload raises RuntimeError naming its signal or status.
+    However this call ends, every child still running is killed and every
+    child is reaped, so none outlives it.  A fork copies only the calling
+    thread, so the caller must run no other thread (verify runs none).
+    """
+    import pickle
+    import select
+    import signal
+
+    todo = b"".join(i.to_bytes(4, "little") for i in range(len(batches)))
+    done: dict[int, list[Verdict]] = {}
+    fds: set[int] = set()  # pipe ends open in this process
+    children: dict[int, tuple[int, bytearray]] = {}  # result pipe -> (pid, bytes read)
+    try:
+        todo_r, todo_w = os.pipe()
+        fds.update((todo_r, todo_w))
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            fds.update((result_r, result_w))
+            pid = os.fork()
+            if pid == 0:
+                _work(batches, todo_r, todo_w, result_w)
+            os.close(result_w)
+            fds.discard(result_w)
+            children[result_r] = (pid, bytearray())
+        os.close(todo_r)
+        fds.discard(todo_r)
+        while children:
+            readable, writable, _ = select.select(
+                list(children), [todo_w] if todo_w in fds else [], [])
+            for fd in readable:
+                pid, payload = children[fd]
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    payload += chunk
+                    continue
+                os.close(fd)
+                fds.discard(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[fd]
+                if code < 0:
+                    raise RuntimeError(f"a worker process was killed by signal {-code} "
+                                       f"({signal.Signals(-code).name})")
+                if code or not payload:
+                    raise RuntimeError(f"a worker process exited with status {code} "
+                                       "and no result")
+                payload = pickle.loads(payload)
+                if isinstance(payload, BaseException):
+                    raise payload
+                done.update(payload)
+            if writable:  # after the reads: a child that ended early says why first
+                todo = todo[os.write(todo_w, todo[:select.PIPE_BUF]):]
+                if not todo:
+                    os.close(todo_w)
+                    fds.discard(todo_w)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [done[i] for i in range(len(batches))]
+
+
 def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
               wz_grid: int) -> list[Verdict]:
     """One Verdict per selected exact check and per applicable (id, p, r)
@@ -747,22 +856,21 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
     to depth wz_grid; congruence rows for every r <= r_max they are stated
     for.  The work is one task per exact check plus one per prime; the
     exact checks come first, then the primes from the largest down, so the
-    longest tasks start early.  The tasks run in a pool of
-    min(jobs, tasks, usable_cpus()) worker processes when that is more than
-    one, otherwise in this process.  The pool is sent batches of
-    consecutive tasks (_batches): each exact check alone, and the primes in
-    batches that close once their term count, sum p^r over their rows,
-    reaches 1/(4 workers) of the count not yet sent.  Neither the order of
-    ids nor the scheduling changes the result.  Raises UnknownIdError for
-    an id from no family.
+    longest tasks start early.  The tasks run in
+    min(jobs, tasks, usable_cpus()) forked worker processes (_forked) when
+    that is more than one, otherwise in this process, as they do wherever
+    os.fork is missing.  The workers take batches of consecutive tasks
+    (_batches): each exact check alone, and the primes in batches that
+    close once their term count, sum p^r over their rows, reaches
+    1/(4 workers) of the count not yet batched.  The first error in a
+    worker is raised here, and the other workers are killed at once.
+    Neither the order of ids nor the scheduling changes the result.  Raises
+    UnknownIdError for an id from no family.
     """
     tasks = _tasks(ids, primes, r_max, identities_n_max, wz_grid)
-    workers = min(jobs, len(tasks), usable_cpus())
+    workers = min(jobs, len(tasks), usable_cpus()) if hasattr(os, "fork") else 1
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_batch, _batches(tasks, workers)))
+        chunks = _forked(_batches(tasks, workers), workers)
     else:
         chunks = [_run_batch(tasks)]
     verdicts = [v for chunk in chunks for v in chunk]

@@ -7,7 +7,7 @@ import pytest
 
 from supercong.cli import (_build_parser, _primes_between, collect_records, emit_report, main,
                            parse_args)
-from supercong.congruences import all_ids
+from supercong.congruences import all_ids, usable_cpus
 from supercong.exactnum import is_prime
 
 JSONL_KEYS = ["id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros"]
@@ -254,6 +254,16 @@ class TestMain:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_interrupt_exits_130_without_traceback(self, capsys, monkeypatch):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("supercong.cli.collect_records", interrupted)
+        assert main(["--primes", "5:7", "--ids", "morley"]) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: interrupted\n"
+
     def test_timing_field_populated_without_flag(self, capsys):
         main(["--primes", "5:5", "--ids", "thm-main"])
         rec = json.loads(capsys.readouterr().out.strip())
@@ -266,14 +276,41 @@ class TestMain:
 ])
 def test_module_entry_point_exit_codes(argv, code, rows):
     # the program as a process: `python -m supercong.cli` from the source tree
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "supercong.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "supercong.cli", *argv], env=source_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == code
     assert len(done.stdout.splitlines()) == rows
     assert all(json.loads(line)["pass"] for line in done.stdout.splitlines())
+
+
+def source_env() -> dict[str, str]:
+    """The environment with this source tree's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_launch_loads_no_pool_library(tmp_path):
+    # A pooled launch forks its workers itself, so no launch pays for
+    # importing concurrent.futures or multiprocessing, and a serial one
+    # loads not even pickle.
+    script = ("import json, sys\nfrom supercong.cli import main\n"
+              "print(json.dumps([main(sys.argv[1:]), sorted(sys.modules)]))")
+    loaded = {}
+    for jobs in ("1", "2"):
+        argv = ["--primes", "5:7", "--ids", "two-power-half", "--r-max", "1", "--no-timing",
+                "--jobs", jobs, "--out", str(tmp_path / f"jobs-{jobs}.jsonl")]
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=source_env(),
+                              capture_output=True, text=True, timeout=120)
+        code, modules = json.loads(done.stdout)
+        assert code == 0
+        loaded[jobs] = set(modules)
+    for modules in loaded.values():
+        assert not {"concurrent.futures", "multiprocessing"} & modules
+    assert "pickle" not in loaded["1"]
+    if usable_cpus() > 1:  # the launch at --jobs 2 did fork, and so loaded pickle
+        assert "pickle" in loaded["2"]
 
 
 @pytest.mark.parametrize("golden, fmt, jobs", GOLDEN_CASES)

@@ -1,6 +1,9 @@
 import ast
+import dataclasses
 import os
 import re
+import signal
+import time
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +11,7 @@ import pytest
 
 from supercong import InapplicableError, Residue, UnknownIdError, check_congruence, run_suite
 from supercong import congruences as cong
+from supercong.cli import main as cli_main
 from supercong.combinat import harmonic
 from supercong.congruences import REGISTRY, CongruenceSpec, EvaluatorError, _alt_quarter_sum, _sign, eval_series
 from supercong.exactnum import NotPIntegralError, inverse_column, padic_valuation, reduce_mod
@@ -467,26 +471,15 @@ class TestRunSuite:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        # a pool forks all its workers at start; this fake records the size
-        # asked for and maps in this process
-        import concurrent.futures
-
+        # records the worker count the pool is asked for, and runs the
+        # batches in this process
         sizes = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def forked(batches, workers):
+            sizes.append(workers)
+            return [cong._run_batch(batch) for batch in batches]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cong, "_forked", forked)
         return sizes
 
     def test_pool_never_larger_than_task_list(self, pool_sizes, monkeypatch):
@@ -511,6 +504,91 @@ class TestRunSuite:
         assert len(primes) == 10
         suite(["morley"], primes, jobs=500)
         assert pool_sizes == [2]
+
+    def test_no_fork_runs_in_process(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(cong, "usable_cpus", lambda: 2)
+        serial = suite(["morley"], [5, 7])
+        monkeypatch.delattr(cong.os, "fork")
+        pooled = suite(["morley"], [5, 7], jobs=2)
+        assert pool_sizes == []
+        assert [v.record(no_timing=True) for v in pooled] == [v.record(no_timing=True) for v in serial]
+
+    def test_forked_pool_runs_every_batch_once(self, monkeypatch):
+        # more workers than cores, and more batch indices than a pipe holds
+        monkeypatch.setattr(cong, "_run_batch", lambda batch: [batch[0][0]])
+        batches = [[(i, [])] for i in range(20_000)]
+        assert 4 * len(batches) > 65536
+        assert cong._forked(batches, cong.usable_cpus() + 1) == [[i] for i in range(20_000)]
+        self.assert_no_child_left()
+
+    @pytest.fixture
+    def morley_does(self, monkeypatch):
+        # morley's evaluator first calls act(p) in the worker that checks p;
+        # the forked workers inherit the patch.  act never runs in this
+        # process, so a worker may kill itself.
+        row = REGISTRY["morley"]
+        parent = os.getpid()
+        monkeypatch.setattr(cong, "usable_cpus", lambda: 2)
+
+        def patch(act):
+            def pairs(p, r, e):
+                if os.getpid() != parent:
+                    act(p)
+                return row.pairs(p, r, e)
+
+            monkeypatch.setitem(REGISTRY, "morley", dataclasses.replace(row, pairs=pairs))
+
+        return patch
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_is_raised_at_once(self, morley_does):
+        # p = 17 goes first, to the worker that then sleeps; the other fails at 13
+        def act(p):
+            if p == 13:
+                raise ValueError("boom")
+            if p == 17:
+                time.sleep(30)
+
+        morley_does(act)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^boom$"):
+            suite(["morley"], primes_in(5, 17), jobs=2)
+        assert time.perf_counter() - start < 10
+        self.assert_no_child_left()
+
+    def test_killed_worker_is_an_error_naming_its_signal(self, morley_does, capsys):
+        morley_does(lambda p: p == 13 and os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="signal 9 "):
+            suite(["morley"], primes_in(5, 17), jobs=2)
+        self.assert_no_child_left()
+        assert cli_main(["--primes", "5:17", "--ids", "morley", "--jobs", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "signal 9 " in captured.err
+        assert len(captured.err.splitlines()) == 1
+        self.assert_no_child_left()
+
+    def test_interrupt_kills_the_workers(self, morley_does):
+        # an interrupt while the workers sleep ends the sweep at once
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        morley_does(lambda p: time.sleep(30))
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            start = time.perf_counter()
+            with pytest.raises(KeyboardInterrupt):
+                suite(["morley"], primes_in(5, 17), jobs=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 10
+        self.assert_no_child_left()
 
     def test_repeated_ids_checked_once(self):
         once = suite(["morley", "thm-main", "I3"], [5, 7])
