@@ -7,7 +7,8 @@ report emission.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage error or a
 selection with no check to run, 3 I/O or internal arithmetic error, 130
-interrupted (Ctrl-C).
+interrupted (Ctrl-C), 143 terminated (SIGTERM, as `timeout` sends).  An
+interrupted or terminated run leaves no worker process behind.
 
 Every row is a congruences.Verdict.  Congruence rows report both residues at
 their modulus, at each odd prime the row is stated for (p = 2 is dropped
@@ -24,6 +25,7 @@ import io
 import json
 import math
 import re
+import signal
 import sys
 
 from . import congruences
@@ -164,7 +166,16 @@ def emit_report(rows: list, fmt: str, out_path: str | None = None,
     return 0 if all(rec["pass"] for rec in records) else 1
 
 
+class _Terminated(BaseException):
+    """SIGTERM arrived; raised like KeyboardInterrupt, past every `except Exception`."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         config = parse_args(argv)
         try:
@@ -184,6 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

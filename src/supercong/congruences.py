@@ -12,25 +12,39 @@ Row contract: each row is one _row declaration on its evaluator
 pairs(p, r, e), giving the row's id, its statement and its modulus
 exponent e, an int or a function of (p, r); rows enter REGISTRY, and so
 all_ids(), in the order they are declared.  A row that is another row's
-r = 1 case shares that row's evaluator (vanhamme with guo-half-64, morley
-with morley-power).  check_congruence computes e once and calls
-pairs(p, r, e).  Each side of each pair is an int, taken mod p^e, or a
-Residue already at p^e; check_congruence compares each pair as two ints
-in [0, p^e), and that is the only comparison.  A side of any other type,
-or a Residue at another modulus, makes a failed row with a diagnostic.
-Sides known only mod p (the Euler and Bernoulli values of lemma-2.6b and
-lemma-2.6-altsum) are Residues mod p, so those rows fix e = 1.
+r = 1 case shares that row's evaluator (vanhamme with guo-half-64).
+check_congruence computes e once and calls pairs(p, r, e).  Each side of
+each pair is an int, taken mod p^e, or a Residue already at p^e;
+check_congruence compares each pair as two ints in [0, p^e), and that is
+the only comparison.  A side of any other type, or a Residue at another
+modulus, makes a failed row with a diagnostic.  Sides known only mod p (the
+Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are Residues
+mod p, so those rows fix e = 1.
+
+Windowed rows: wolstenholme-h1, wolstenholme-h2, central-2p1p and morley
+are declared on window(primes, e), which gives the pairs of every prime of
+a window from one accumulating remainder tree (_remainder_tree).  Their
+pairs(p, r, e), and so check_congruence, is the window of p alone, where
+the tree is one run of steps mod p^e; run_suite checks each of them over
+all its primes in one task.  H_{p-1} and H_{p-1}^(2) are S / D for the
+steps [S, D] -> [S u_k + D, D u_k], u_k = k or k^2, up to p - 1; central-2p1p
+is (2p-1)! / (p (p-1)!^2), (2p-1)! taken mod p^(e+1); morley is
+(p-1)! / ((p-1)/2)!^2.  The tree replaced the column of 1/k mod p^2 (h1,
+h2), the block products (central-2p1p) and math.comb (morley) at every
+window size, one prime included, by measurement (2 vCPUs, Python 3.11.7,
+each row alone in a fresh process; the replaced route in brackets):
+h1 29 ms (61 ms), h2 51 ms (73 ms), central-2p1p 17 ms (27 ms), morley 7 ms
+(210 ms) at p = 100003; h1 0.66 s (2.04 s), h2 1.11 s (2.09 s),
+central-2p1p 0.44 s (0.57 s), morley 0.18 s (49 s) at p = 2124679.
 
 Every sum or product over an index runs in Z/p^e, and no row inverts inside
 its own loop: a product whose steps divide is one _stepped run, which keeps
 the power of p apart from a unit mod p^e, inverts once per run and raises
 EvaluatorError if p is left in a denominator; every reciprocal 1/k in a sum
-comes from the column exactnum.inverse_column.  central-2p1p needs no
-stepping: C(2p-1, p-1) = (p+1)...(2p-1) / (p-1)! is a quotient of two
-products of units, each reduced once per block of factors, with one
-inversion.  The exception is the single binomial value of morley and
-morley-power, which share an evaluator: one exact math.comb value of about
-p^r bits, reduced once.  The exact Fraction form of every row is the test
+comes from the column exactnum.inverse_column, and a windowed row inverts
+its unit D once per prime (_quotient).  The exception is the single
+binomial value of morley-power: one exact math.comb value of about p^r
+bits, reduced once.  The exact Fraction form of every row is the test
 oracle (PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
@@ -61,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import prod
+from math import perm
 from typing import Callable, Union
 
 from . import identities, wz
@@ -145,6 +159,9 @@ class CongruenceSpec:
     pairs: Callable[[int, int, int], list[tuple[Side, Side]]]
     min_prime: int = 5
     r_indexed: bool = False
+    # window(primes, e): the pairs of each prime of a window, for a row
+    # stated at r = 1 and a fixed e whose pairs come from one remainder tree
+    window: Callable[[tuple[int, ...], int], list[list[tuple[Side, Side]]]] | None = None
 
     def applicable(self, p: int, r: int) -> bool:
         if not is_prime(p) or p < self.min_prime:
@@ -192,6 +209,91 @@ def _stepped(p: int, e: int, factors) -> list[int]:
             out[i] = nums[i] * inv * p ** vs[i] % m
         inv = inv * dens[i] % m
     return out
+
+
+# -- one row over a window of primes -----------------------------------------
+
+# Steps per exact product in a remainder tree: one reduction per run of steps
+# rather than per step
+_RUN = 32
+
+
+def _advance_product(state, lo: int, hi: int, m: int) -> tuple[int]:
+    """(D,) times k for lo < k <= hi, mod m: each run of _RUN factors is one
+    math.perm, and the last run is shorter."""
+    (d,) = state
+    top = hi - (hi - lo) % _RUN  # the last step of the last full run
+    for k in range(lo + _RUN, top + 1, _RUN):
+        d = d * perm(k, _RUN) % m
+    return (d * perm(hi, hi - top) % m,)
+
+
+def _advance_sum(power: int):
+    """The advance of the state (S, D) by the steps u_k = k^power:
+    [S, D] [[u, 0], [1, u]] = [S u + D, D u], so D = prod u_k and
+    S / D = sum 1 / u_k.  A run of _RUN steps is one exact matrix
+    [[A, 0], [B, A]]."""
+    def advance(state, lo: int, hi: int, m: int) -> tuple[int, int]:
+        s, d = state
+        for start in range(lo + 1, hi + 1, _RUN):
+            run = range(start, min(start + _RUN, hi + 1))
+            a, b = 1, 0
+            for u in run if power == 1 else [k**power for k in run]:
+                a, b = a * u, b * u + a
+            s, d = (s * a + d * b) % m, d * a % m
+        return s % m, d % m
+
+    return advance
+
+
+def _remainder_tree(queries, advance, start) -> dict[tuple[int, int], tuple[int, ...]]:
+    """{(n, m): the state after the steps k <= n, mod m} for each query.
+
+    An accumulating remainder tree (Costa, Gerbicz and Harvey, "A search for
+    Wilson primes", Math. Comp. 83, 2014).  advance(state, lo, hi, m) is the
+    state after the further steps lo < k <= hi, mod m, and start is the state
+    before step 1.  The queries, sorted by n, are split in half; the incoming
+    state, at the first n of its half and mod the product of that half's
+    moduli, is reduced mod each half's product, advanced over the left
+    half's steps for the right half, and handed down.  Each step is taken
+    once per level, at a modulus that halves with the level, instead of once
+    per query; a single query is one advance mod its own m.
+    """
+    queries = sorted(set(queries))
+
+    def moduli(lo: int, hi: int) -> tuple:  # the product tree of queries[lo:hi]'s m
+        if hi - lo == 1:
+            return (queries[lo][1],)
+        mid = (lo + hi) // 2
+        left, right = moduli(lo, mid), moduli(mid, hi)
+        return (left[0] * right[0], left, right)
+
+    states = {}
+
+    def descend(state, node: tuple, lo: int, hi: int) -> None:
+        if hi - lo == 1:
+            states[queries[lo]] = state
+            return
+        mid = (lo + hi) // 2
+        _, left, right = node
+        descend(tuple(x % left[0] for x in state), left, lo, mid)
+        descend(advance(state, queries[lo][0], queries[mid][0], right[0]), right, mid, hi)
+
+    root = moduli(0, len(queries))
+    descend(advance(start, 0, queries[0][0], root[0]), root, 0, len(queries))
+    return states
+
+
+def _quotient(s: int, d: int, m: int) -> int:
+    """s / d mod m for a unit d: a window's one inversion per prime."""
+    return s * pow(d, -1, m) % m
+
+
+def _harmonic(primes, e: int, power: int) -> list[int]:
+    """H_{p-1}^(power) = sum_{k<p} 1/k^power mod p^e for each p: S / D of
+    one tree, D = (p-1)!^power a unit."""
+    tree = _remainder_tree([(p - 1, p**e) for p in primes], _advance_sum(power), (0, 1))
+    return [_quotient(*tree[p - 1, p**e], p**e) for p in primes]
 
 
 # -- series ------------------------------------------------------------------
@@ -270,14 +372,9 @@ def _euler_number(p: int) -> int:
 
 @lru_cache(maxsize=1)
 def _full_inverses(p: int) -> list[int]:
-    # 1/k mod p^2 for k < p, shared by wolstenholme-h1 and -h2 and the third
-    # side of central-2pr; the callers only read it
+    # 1/k mod p^2 for k < p, the third side of central-2pr at every r; the
+    # callers only read it
     return inverse_column(p - 1, p, 2)
-
-
-# Factors per exact product in central-2p1p: one reduction mod p^e per block
-# of factors rather than per factor
-_BLOCK = 32
 
 
 def _rhs_central_quarter(p: int, e: int) -> int:
@@ -333,14 +430,23 @@ REGISTRY: dict[str, CongruenceSpec] = {}
 
 
 def _row(cid: str, statement: str, e: int | Callable[[int, int], int], *,
-         min_prime: int = 5, r_indexed: bool = False):
+         min_prime: int = 5, r_indexed: bool = False, windowed: bool = False):
     """Decorator: enter the evaluator below it into REGISTRY as the row cid,
     stated at modulus p^e; e is an int, or a function of (p, r) for a row
-    whose modulus grows with r."""
+    whose modulus grows with r.  A windowed row's evaluator is window(primes,
+    e), and the name it is bound to becomes pairs(p, r, e), its one-prime
+    window."""
     exponent = e if callable(e) else lambda p, r: e
 
-    def register(pairs):
-        REGISTRY[cid] = CongruenceSpec(cid, statement, exponent, pairs, min_prime, r_indexed)
+    def register(evaluator):
+        pairs, window = evaluator, None
+        if windowed:
+            window = evaluator
+
+            def pairs(p, r, e):
+                return window((p,), e)[0]
+
+        REGISTRY[cid] = CongruenceSpec(cid, statement, exponent, pairs, min_prime, r_indexed, window)
         return pairs
 
     return register
@@ -366,28 +472,24 @@ def _pairs_guo_half_64(p, r, e):
     return [(eval_series("S64-half", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
 
-@_row("wolstenholme-h1", "H_{p-1} == 0 (mod p^2)", 2)
-def _pairs_wolstenholme_h1(p, r, e):
-    return [(sum(_full_inverses(p)), 0)]
+@_row("wolstenholme-h1", "H_{p-1} == 0 (mod p^2)", 2, windowed=True)
+def _pairs_wolstenholme_h1(primes, e):
+    return [[(h, 0)] for h in _harmonic(primes, e, 1)]
 
 
-@_row("wolstenholme-h2", "H_{p-1}^(2) == 0 (mod p)", 1)
-def _pairs_wolstenholme_h2(p, r, e):
-    # 1/k mod p^2 is 1/k mod p too; check_congruence reduces the sum mod p
-    return [(sum(inv * inv for inv in _full_inverses(p)), 0)]
+@_row("wolstenholme-h2", "H_{p-1}^(2) == 0 (mod p)", 1, windowed=True)
+def _pairs_wolstenholme_h2(primes, e):
+    return [[(h, 0)] for h in _harmonic(primes, e, 2)]
 
 
-@_row("central-2p1p", "C(2p-1, p-1) == 1 (mod p^3)", 3)
-def _pairs_central_2p1p(p, r, e):
-    # C(2p-1, p-1) = (p+1)...(2p-1) / (p-1)!, every factor a unit mod p^e;
-    # one exact product per block of _BLOCK factors, reduced once per block
-    m = p**e
-    num = den = 1
-    for lo in range(1, p, _BLOCK):
-        hi = min(lo + _BLOCK, p)
-        num = num * prod(range(p + lo, p + hi)) % m
-        den = den * prod(range(lo, hi)) % m
-    return [(num * pow(den, -1, m) % m, 1)]
+@_row("central-2p1p", "C(2p-1, p-1) == 1 (mod p^3)", 3, windowed=True)
+def _pairs_central_2p1p(primes, e):
+    # C(2p-1, p-1) = (2p-1)! / (p (p-1)!^2), and (2p-1)! mod p^(e+1) holds
+    # its one factor p
+    tree = _remainder_tree([q for p in primes for q in ((p - 1, p**e), (2 * p - 1, p ** (e + 1)))],
+                           _advance_product, (1,))
+    return [[(_quotient(tree[2 * p - 1, p ** (e + 1)][0] // p, tree[p - 1, p**e][0] ** 2, p**e), 1)]
+            for p in primes]
 
 
 def _rhs_sign_euler(p: int) -> int:
@@ -446,8 +548,16 @@ def _pairs_guo_conj_full_64(p, r, e):
     return [(eval_series("S64-full", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
 
+@_row("morley", "C(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) (mod p^3)", 3, windowed=True)
+def _pairs_morley(primes, e):
+    # C(p-1, (p-1)/2) = (p-1)! / ((p-1)/2)!^2, both factorials units
+    tree = _remainder_tree([(n, p**e) for p in primes for n in ((p - 1) // 2, p - 1)],
+                           _advance_product, (1,))
+    return [[(_quotient(tree[p - 1, p**e][0], tree[(p - 1) // 2, p**e][0] ** 2, p**e),
+              _sign((p - 1) // 2) * pow(4, p - 1, p**e))] for p in primes]
+
+
 @_row("morley-power", "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1) (mod p^3)", 3, r_indexed=True)
-@_row("morley", "C(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) (mod p^3)", 3)
 def _pairs_morley_power(p, r, e):
     n = p**r
     h = (n - 1) // 2
@@ -633,35 +743,56 @@ def _reduce_side(value: Side, p: int, e: int) -> int:
                          f"neither an int nor a Residue mod {p}^{e}")
 
 
+def _compared(pairs, p: int, e: int) -> tuple[Residue, Residue]:
+    """A row's two residues: its first unequal pair, or the sums of its
+    pairs when every pair is equal."""
+    reduced = [(_reduce_side(lhs, p, e), _reduce_side(rhs, p, e)) for lhs, rhs in pairs]
+    lhs, rhs = next(((lv, rv) for lv, rv in reduced if lv != rv),
+                    (sum(lv for lv, _ in reduced), sum(rv for _, rv in reduced)))
+    return Residue(lhs, p, e), Residue(rhs, p, e)
+
+
+def _judged(cid: str, primes, r: int, e: int, evaluate) -> list[Verdict]:
+    """One Verdict per prime, from evaluate(), the pairs of each prime in
+    turn; each micros is the time of the whole call divided evenly over the
+    primes.  An evaluation error (a p-divisible denominator where none
+    should occur, a side of the wrong type or modulus) fails every row with
+    its diagnostic instead of raising."""
+    start = time.perf_counter_ns()
+    try:
+        sides = [_compared(pairs, p, e) for p, pairs in zip(primes, evaluate(), strict=True)]
+        diagnostic = None
+    except (NotPIntegralError, EvaluatorError) as exc:
+        sides, diagnostic = [(None, None)] * len(primes), str(exc)
+    micros = (time.perf_counter_ns() - start) // 1000 // len(primes)
+    return [Verdict(cid, p, r, lhs, rhs, e, micros, diagnostic) for p, (lhs, rhs) in zip(primes, sides)]
+
+
 def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
     """Evaluate both sides at the row's modulus p^e and compare each pair
     as two ints in [0, p^e).
 
-    e comes from the registry alone and is passed to the row's evaluator.
-    Evaluation errors (a p-divisible denominator where none should occur, a
-    side of the wrong type or modulus) yield a failed Verdict carrying a
-    diagnostic instead of raising.
+    e comes from the registry alone and is passed to the row's evaluator
+    (for a windowed row, the window of p alone).  Evaluation errors yield a
+    failed Verdict carrying a diagnostic instead of raising (_judged).
     """
     row = _require(cid)
     if not row.applicable(p, r):
         raise InapplicableError(f"{cid} is not stated for p = {p}, r = {r}")
     e = row.modulus_exponent(p, r)
-    start = time.perf_counter_ns()
-    try:
-        reduced = [(_reduce_side(lhs, p, e), _reduce_side(rhs, p, e))
-                   for lhs, rhs in row.pairs(p, r, e)]
-        lhs, rhs = next(((lv, rv) for lv, rv in reduced if lv != rv),
-                        (sum(lv for lv, _ in reduced), sum(rv for _, rv in reduced)))
-        micros = (time.perf_counter_ns() - start) // 1000
-        return Verdict(cid, p, r, Residue(lhs, p, e), Residue(rhs, p, e), e, micros)
-    except (NotPIntegralError, EvaluatorError) as exc:
-        micros = (time.perf_counter_ns() - start) // 1000
-        return Verdict(cid, p, r, None, None, e, micros, str(exc))
+    return _judged(cid, (p,), r, e, lambda: [row.pairs(p, r, e)])[0]
 
 
-# A task is (p, [(id, r), ...]) for the congruence rows at one prime, or
-# (0, [(id, depth)]) for one exact check.
-_Task = tuple[int, list[tuple[str, int]]]
+def _check_window(cid: str, primes: tuple[int, ...]) -> list[Verdict]:
+    row = REGISTRY[cid]
+    e = row.modulus_exponent(primes[0], 1)
+    return _judged(cid, primes, 1, e, lambda: row.window(primes, e))
+
+
+# A task is (p, [(id, r), ...]) for the per-prime congruence rows at one
+# prime, (0, [(id, depth)]) for one exact check, or (0, [(id, primes)]) for
+# one windowed row over every prime of the window it is stated for.
+_Task = tuple[int, list[tuple[str, int | tuple[int, ...]]]]
 
 
 def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list[_Task]:
@@ -676,8 +807,13 @@ def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list
             tasks.append((0, [(cid, max(identities_n_max, identities.REGISTRY[cid].n_min))]))
         elif cid in wz.REGISTRY:
             tasks.append((0, [(cid, wz_grid)]))
+        elif REGISTRY[cid].window is not None:
+            window = tuple(p for p in sorted(primes) if REGISTRY[cid].applicable(p, 1))
+            if window:
+                tasks.append((0, [(cid, window)]))
+    per_prime = [cid for cid in ids if cid in REGISTRY and REGISTRY[cid].window is None]
     for p in sorted(primes, reverse=True):
-        id_rs = [(cid, r) for cid in ids if cid in REGISTRY
+        id_rs = [(cid, r) for cid in per_prime
                  for r in range(1, r_max + 1) if REGISTRY[cid].applicable(p, r)]
         if id_rs:
             tasks.append((p, id_rs))
@@ -696,9 +832,10 @@ def _check_exact(cid: str, depth: int) -> Verdict:
 
 def _run_task(task: _Task) -> list[Verdict]:
     p, checks = task
-    if p == 0:
-        return [_check_exact(cid, depth) for cid, depth in checks]
-    return [check_congruence(cid, p, r) for cid, r in checks]
+    if p:
+        return [check_congruence(cid, p, r) for cid, r in checks]
+    (cid, arg), = checks
+    return _check_window(cid, arg) if cid in REGISTRY else [_check_exact(cid, arg)]
 
 
 def _run_batch(batch: list[_Task]) -> list[Verdict]:
@@ -709,13 +846,13 @@ def _batches(tasks: list[_Task], workers: int) -> list[list[_Task]]:
     """The tasks, in order, cut into the batches a pool of workers is sent.
 
     Guided self-scheduling (Polychronopoulos and Kuck, IEEE Trans. Computers
-    C-36(12), 1987): each exact check is a batch of its own, its cost being
-    unknown; a prime task costs the term count of its rows, sum p^r over its
-    (id, r) pairs, and a batch of consecutive prime tasks closes once its
-    cost reaches 1/(4 workers) of the cost not yet batched.  So the large
-    primes, which come first, go one at a time, and a long tail of cheap
-    primes goes in a few dozen messages instead of one per prime.  The
-    factor 4 keeps the first batches small enough to balance: at
+    C-36(12), 1987): each exact check and each window is a batch of its own,
+    its cost being unknown; a prime task costs the term count of its rows,
+    sum p^r over its (id, r) pairs, and a batch of consecutive prime tasks
+    closes once its cost reaches 1/(4 workers) of the cost not yet batched.
+    So the large primes, which come first, go one at a time, and a long
+    tail of cheap primes goes in a few dozen messages instead of one per
+    prime.  The factor 4 keeps the first batches small enough to balance: at
     1/(2 workers) the first batch of --primes 5:43 --r-max 2 on the 11
     r-indexed rows would hold p = 43 and 41, 42 % of the terms, on one
     worker, while at 1/(4 workers) every batch there is one prime.
@@ -854,15 +991,18 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
 
     Identities are checked for n up to identities_n_max and WZ certificates
     to depth wz_grid; congruence rows for every r <= r_max they are stated
-    for.  The work is one task per exact check plus one per prime; the
-    exact checks come first, then the primes from the largest down, so the
-    longest tasks start early.  The tasks run in
-    min(jobs, tasks, usable_cpus()) forked worker processes (_forked) when
-    that is more than one, otherwise in this process, as they do wherever
-    os.fork is missing.  The workers take batches of consecutive tasks
-    (_batches): each exact check alone, and the primes in batches that
-    close once their term count, sum p^r over their rows, reaches
-    1/(4 workers) of the count not yet batched.  The first error in a
+    for.  The work is one task per exact check, one per windowed row (that
+    row at every prime it is stated for, from one remainder tree; each of
+    its Verdicts gets the window's time divided evenly over its primes) and
+    one per prime for the other rows; the exact checks and the windows come
+    first, then the primes from the largest down, so the longest tasks start
+    early.  The tasks run in min(jobs, tasks, usable_cpus()) forked worker
+    processes (_forked) when that is more than one, otherwise in this
+    process, as they do wherever os.fork is missing.  The workers take
+    batches of consecutive tasks (_batches): each exact check and each
+    window alone, and the primes in batches that close once their term
+    count, sum p^r over their rows, reaches 1/(4 workers) of the count not
+    yet batched.  The first error in a
     worker is raised here, and the other workers are killed at once.
     Neither the order of ids nor the scheduling changes the result.  Raises
     UnknownIdError for an id from no family.

@@ -1,7 +1,10 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -311,6 +314,38 @@ def test_launch_loads_no_pool_library(tmp_path):
     assert "pickle" not in loaded["1"]
     if usable_cpus() > 1:  # the launch at --jobs 2 did fork, and so loaded pickle
         assert "pickle" in loaded["2"]
+
+
+def test_sigterm_exits_143_and_leaves_no_process():
+    # SIGTERM, as `timeout` sends it, to a launch whose workers are busy: exit
+    # 143 with one error line, and its process group empty within 1 s
+    script = ("import dataclasses, sys, time\n"
+              "from supercong import congruences\n"
+              "from supercong.cli import main\n"
+              "row = congruences.REGISTRY['two-power-half']\n"
+              "def busy(p, r, e):\n"
+              "    print('busy', file=sys.stderr, flush=True)\n"
+              "    time.sleep(30)\n"
+              "congruences.REGISTRY[row.id] = dataclasses.replace(row, pairs=busy)\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["--primes", "5:60", "--ids", "two-power-half", "--jobs", "2"]
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=source_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        assert proc.stderr.readline() == "busy\n"
+        proc.send_signal(signal.SIGTERM)
+        signalled = time.perf_counter()
+        out, err = proc.communicate(timeout=30)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        assert time.perf_counter() - signalled < 1.0
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 143
+    assert out == ""
+    assert err.replace("busy\n", "") == "error: terminated\n"
 
 
 @pytest.mark.parametrize("golden, fmt, jobs", GOLDEN_CASES)

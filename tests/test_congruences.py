@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import os
 import re
 import signal
@@ -8,6 +9,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercong import InapplicableError, Residue, UnknownIdError, check_congruence, run_suite
 from supercong import congruences as cong
@@ -22,7 +25,9 @@ from oracles import PAIRS_EXACT, SERIES_EXACT
 
 
 R_INDEXED = sorted(cid for cid, row in REGISTRY.items() if row.r_indexed)
-WOLSTENHOLME_IDS = ["central-2p1p", "wolstenholme-h1", "wolstenholme-h2", "morley", "two-power-half"]
+WINDOWED = ["central-2p1p", "morley", "wolstenholme-h1", "wolstenholme-h2"]
+WOLSTENHOLME_IDS = WINDOWED + ["two-power-half"]
+REFS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "refs")
 EXACT_IDS = [f"I{i}" for i in range(1, 13)] + ["wz-pair", "wz-half-sum", "wz-full-sum", "wz-closed-form"]
 # (ids, primes, r_max) of each benchmark workload and of its set-up launch
 SCHEDULES = {
@@ -164,7 +169,8 @@ def test_central_2p1p_matches_comb_beyond_the_oracle():
 
 
 def test_wolstenholme_h2_from_the_shared_column():
-    # the squares of 1/k mod p^2 are 1/k^2 mod p, term by term and summed
+    # the squares of central-2pr's column of 1/k mod p^2 are 1/k^2 mod p, term
+    # by term, and the tree's H_{p-1}^(2) is their sum mod p
     for p in primes_in(5, 499):
         column = cong._full_inverses(p)
         assert [inv * inv % p for inv in column[1:]] == [pow(k, -2, p) for k in range(1, p)], p
@@ -172,9 +178,42 @@ def test_wolstenholme_h2_from_the_shared_column():
         assert lhs % p == sum(pow(k, -2, p) for k in range(1, p)) % p
 
 
+def test_morley_by_factorials_equals_morley_power_by_binomial():
+    # two routes to C(p-1, (p-1)/2) mod p^3: one tree over the window, and
+    # morley-power's exact math.comb at r = 1
+    window = tuple(primes_in(5, 2999))
+    for p, pairs in zip(window, REGISTRY["morley"].window(window, 3), strict=True):
+        reduced = [(lhs % p**3, rhs % p**3) for lhs, rhs in pairs]
+        assert reduced == [(lhs % p**3, rhs % p**3)
+                           for lhs, rhs in cong._pairs_morley_power(p, 1, 3)], p
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(cid=st.sampled_from(WINDOWED), lo=st.integers(5, 3000), width=st.integers(0, 400),
+       e=st.integers(1, 5))
+def test_window_equals_its_one_prime_windows(cid, lo, width, e):
+    # every prime of a window gets the pairs of the window of itself alone,
+    # and for p <= 61 the exact oracle's
+    window = tuple(primes_in(lo, min(lo + width, 3000)))
+    if not window:
+        return
+    row = REGISTRY[cid]
+    got = row.window(window, e)
+    assert len(got) == len(window)
+    for p, pairs in zip(window, got):
+        reduced = [(cong._reduce_side(lhs, p, e), cong._reduce_side(rhs, p, e)) for lhs, rhs in pairs]
+        alone = [(cong._reduce_side(lhs, p, e), cong._reduce_side(rhs, p, e))
+                 for lhs, rhs in row.pairs(p, 1, e)]
+        assert reduced == alone, (cid, p, e)
+        if p <= 61:
+            assert reduced == [(reduce_mod(lhs, p, e).value, reduce_mod(rhs, p, e).value)
+                               for lhs, rhs in PAIRS_EXACT[cid](p, 1)], (cid, p, e)
+
+
 def test_no_row_inverts_inside_its_own_loop():
     # pow(x, -a, m) inside a loop or comprehension appears in no module of the
-    # package: every reciprocal comes from inverse_column or one _stepped run
+    # package: every reciprocal comes from inverse_column, one _stepped run or
+    # a window's one _quotient per prime
     package = os.path.dirname(cong.__file__)
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     offenders = set()
@@ -201,7 +240,8 @@ class TestKnownAnswers:
         assert sum(inverse_column(16828, 16829, 3)) % 16829**3 != 0
 
     def test_central_2p1p_at_the_wolstenholme_prime(self):
-        # v_p(C(2p-1, p-1) - 1) = 4 at p = 16843, and 3 at 16829
+        # v_p(C(2p-1, p-1) - 1) = 4 at p = 16843, and 3 at 16829; through the
+        # tree of a one-prime window at e = 4 and 5
         def side(p, e):
             (lhs, _), = cong._pairs_central_2p1p(p, 1, e)
             return lhs % p**e
@@ -209,6 +249,23 @@ class TestKnownAnswers:
         assert side(16843, 4) == 1
         assert side(16843, 5) != 1
         assert side(16829, 4) != 1
+
+    def test_morley_at_the_wolstenholme_prime(self):
+        # the Morley difference has valuation 4 at p = 16843, and 3 at 16829
+        def holds(p, e):
+            (lhs, rhs), = cong._pairs_morley(p, 1, e)
+            return (lhs - rhs) % p**e == 0
+
+        assert holds(16843, 4)
+        assert not holds(16843, 5)
+        assert not holds(16829, 4)
+
+    def test_wolstenholme_prime_from_one_window(self):
+        # H_{p-1} == 0 (mod p^3) at 16843 and not at 16829, both in one tree
+        window = tuple(primes_in(16800, 16900))
+        sides = dict(zip(window, REGISTRY["wolstenholme-h1"].window(window, 3)))
+        assert sides[16843] == [(0, 0)]
+        assert sides[16829][0][0] % 16829**3 != 0
 
     def test_thm_main_where_the_euler_value_vanishes(self):
         # E_{p-3}(1/4) == 0 (mod 1019), so the right side is p(-1|p) = -1019
@@ -240,7 +297,8 @@ class TestKnownAnswers:
         assert calls == {"number": 1, "poly": 1}
 
     def test_reciprocals_computed_once_per_prime(self, monkeypatch):
-        # wolstenholme-h1, -h2 and central-2pr read one column of 1/k mod p^2
+        # central-2pr reads one column of 1/k mod p^2 at r = 1 and 2, and the
+        # windowed wolstenholme-h1 and -h2 read none
         calls = []
 
         def counted(top, p, e):
@@ -461,13 +519,41 @@ class TestRunSuite:
     def test_cheap_primes_go_in_few_batches(self, window):
         primes = primes_in(5, 2819)
         primes = primes[:400] if window == "lowest" else primes[-400:]
-        batches = cong._batches(cong._tasks(WOLSTENHOLME_IDS, primes, 1, 1, 1), 2)
+        batches = cong._batches(cong._tasks(["two-power-half"], primes, 1, 1, 1), 2)
         assert len(batches) <= 64
         assert len(batches[0]) > 1 and len(batches[-1]) == 1
 
     def test_unknown_id_rejected(self):
         with pytest.raises(UnknownIdError):
             suite(["no-such-row"], [5])
+
+    @pytest.mark.parametrize("cid", WINDOWED)
+    def test_windowed_row_is_one_task(self, cid):
+        primes = primes_in(3, 200)
+        assert cong._tasks([cid], primes, 2, 1, 1) == [(0, [(cid, tuple(primes[1:]))])]
+        assert cong._tasks([cid], [3], 2, 1, 1) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_wolstenholme_band_matches_the_benchmark_references(self, jobs):
+        with open(os.path.join(REFS, "wolstenholme-sweep.jsonl"), encoding="utf-8") as handle:
+            refs = [tuple(json.loads(line)) for line in handle if line.strip()]
+        keys = ("id", "p", "r", "modulus", "lhs", "rhs", "pass")
+        got = [tuple(v.record()[k] for k in keys)
+               for v in suite(WOLSTENHOLME_IDS, primes_in(5, 2819), jobs=jobs)]
+        assert got == refs
+
+    @pytest.mark.parametrize("error", [EvaluatorError("window broke"), NotPIntegralError("window broke")],
+                             ids=["evaluator-error", "not-p-integral"])
+    def test_window_error_fails_every_row_of_the_window(self, error, monkeypatch):
+        def window(primes, e):
+            raise error
+
+        monkeypatch.setitem(REGISTRY, "morley", dataclasses.replace(REGISTRY["morley"], window=window))
+        verdicts = suite(["morley", "two-power-half"], primes_in(5, 23))
+        failed = [v for v in verdicts if v.id == "morley"]
+        assert [v.p for v in failed] == primes_in(5, 23)
+        assert all(not v.passed and v.lhs is None and v.diagnostic == "window broke" for v in failed)
+        assert all(v.passed for v in verdicts if v.id == "two-power-half")
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -485,10 +571,10 @@ class TestRunSuite:
     def test_pool_never_larger_than_task_list(self, pool_sizes, monkeypatch):
         # --jobs 500 on two tasks must ask for two
         monkeypatch.setattr(cong.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        pooled = suite(["morley"], [5, 7], jobs=500)
+        pooled = suite(["two-power-half"], [5, 7], jobs=500)
         assert pool_sizes == [2]
         assert [v.record(no_timing=True) for v in pooled] == [
-            v.record(no_timing=True) for v in suite(["morley"], [5, 7])]
+            v.record(no_timing=True) for v in suite(["two-power-half"], [5, 7])]
 
     @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
     def test_pool_never_larger_than_usable_cpus(self, pool_sizes, monkeypatch, affinity):
@@ -502,14 +588,14 @@ class TestRunSuite:
             monkeypatch.setattr(cong.os, "cpu_count", lambda: 2)
         primes = primes_in(5, 37)
         assert len(primes) == 10
-        suite(["morley"], primes, jobs=500)
+        suite(["two-power-half"], primes, jobs=500)
         assert pool_sizes == [2]
 
     def test_no_fork_runs_in_process(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(cong, "usable_cpus", lambda: 2)
-        serial = suite(["morley"], [5, 7])
+        serial = suite(["two-power-half"], [5, 7])
         monkeypatch.delattr(cong.os, "fork")
-        pooled = suite(["morley"], [5, 7], jobs=2)
+        pooled = suite(["two-power-half"], [5, 7], jobs=2)
         assert pool_sizes == []
         assert [v.record(no_timing=True) for v in pooled] == [v.record(no_timing=True) for v in serial]
 
@@ -522,11 +608,11 @@ class TestRunSuite:
         self.assert_no_child_left()
 
     @pytest.fixture
-    def morley_does(self, monkeypatch):
-        # morley's evaluator first calls act(p) in the worker that checks p;
-        # the forked workers inherit the patch.  act never runs in this
-        # process, so a worker may kill itself.
-        row = REGISTRY["morley"]
+    def row_does(self, monkeypatch):
+        # two-power-half, a row checked prime by prime, first calls act(p) in
+        # the worker that checks p; the forked workers inherit the patch.  act
+        # never runs in this process, so a worker may kill itself.
+        row = REGISTRY["two-power-half"]
         parent = os.getpid()
         monkeypatch.setattr(cong, "usable_cpus", lambda: 2)
 
@@ -536,7 +622,7 @@ class TestRunSuite:
                     act(p)
                 return row.pairs(p, r, e)
 
-            monkeypatch.setitem(REGISTRY, "morley", dataclasses.replace(row, pairs=pairs))
+            monkeypatch.setitem(REGISTRY, "two-power-half", dataclasses.replace(row, pairs=pairs))
 
         return patch
 
@@ -545,7 +631,7 @@ class TestRunSuite:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_worker_error_is_raised_at_once(self, morley_does):
+    def test_worker_error_is_raised_at_once(self, row_does):
         # p = 17 goes first, to the worker that then sleeps; the other fails at 13
         def act(p):
             if p == 13:
@@ -553,37 +639,37 @@ class TestRunSuite:
             if p == 17:
                 time.sleep(30)
 
-        morley_does(act)
+        row_does(act)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="^boom$"):
-            suite(["morley"], primes_in(5, 17), jobs=2)
+            suite(["two-power-half"], primes_in(5, 17), jobs=2)
         assert time.perf_counter() - start < 10
         self.assert_no_child_left()
 
-    def test_killed_worker_is_an_error_naming_its_signal(self, morley_does, capsys):
-        morley_does(lambda p: p == 13 and os.kill(os.getpid(), signal.SIGKILL))
+    def test_killed_worker_is_an_error_naming_its_signal(self, row_does, capsys):
+        row_does(lambda p: p == 13 and os.kill(os.getpid(), signal.SIGKILL))
         with pytest.raises(RuntimeError, match="signal 9 "):
-            suite(["morley"], primes_in(5, 17), jobs=2)
+            suite(["two-power-half"], primes_in(5, 17), jobs=2)
         self.assert_no_child_left()
-        assert cli_main(["--primes", "5:17", "--ids", "morley", "--jobs", "2"]) == 3
+        assert cli_main(["--primes", "5:17", "--ids", "two-power-half", "--jobs", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "signal 9 " in captured.err
         assert len(captured.err.splitlines()) == 1
         self.assert_no_child_left()
 
-    def test_interrupt_kills_the_workers(self, morley_does):
+    def test_interrupt_kills_the_workers(self, row_does):
         # an interrupt while the workers sleep ends the sweep at once
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        morley_does(lambda p: time.sleep(30))
+        row_does(lambda p: time.sleep(30))
         previous = signal.signal(signal.SIGALRM, interrupt)
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             start = time.perf_counter()
             with pytest.raises(KeyboardInterrupt):
-                suite(["morley"], primes_in(5, 17), jobs=2)
+                suite(["two-power-half"], primes_in(5, 17), jobs=2)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
