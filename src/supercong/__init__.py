@@ -6,14 +6,13 @@ The package exports the entry points that run checks and the types of their
 results; kernels and oracles are imported from their defining modules."""
 
 from .congruences import InapplicableError, Verdict, all_ids, check_congruence, run_suite
-from .exactnum import Residue, UnknownIdError
+from .exactnum import UnknownIdError
 from .identities import check_identity, check_identity_range
 
 __version__ = "0.1.0"
 
 __all__ = [
     "InapplicableError",
-    "Residue",
     "UnknownIdError",
     "Verdict",
     "all_ids",

@@ -139,31 +139,48 @@ def _cells(records: list[dict], yes: str, no: str, missing: str) -> list[list[st
                                for rec in records]
 
 
-def _render(records: list[dict], fmt: str) -> str:
+# One jsonl line: json.dumps(v.record(no_timing)) + "\n", byte for byte, with
+# the string fields (id, diagnostic) quoted by json.dumps
+_JSONL = '{"id": %s, "p": %d, "r": %d, "modulus": %s, "lhs": %s, "rhs": %s, "pass": %s, "micros": %d%s}\n'
+
+
+def _jsonl(rows: list[congruences.Verdict], no_timing: bool) -> str:
+    quoted = {cid: json.dumps(cid) for cid in {v.id for v in rows}}
+    lines = []
+    for v in rows:
+        cid, p, r, lhs, rhs, e, micros, diagnostic = v
+        lines.append(_JSONL % (quoted[cid], p, r, '"exact"' if e is None else f'"{p}^{e}"',
+                               "null" if lhs is None else f'"{lhs}"', "null" if rhs is None else f'"{rhs}"',
+                               "true" if v.passed else "false", 0 if no_timing else micros,
+                               "" if diagnostic is None else ', "diagnostic": ' + json.dumps(diagnostic)))
+    return "".join(lines)
+
+
+def _render(rows: list[congruences.Verdict], fmt: str, no_timing: bool) -> str:
     if fmt == "jsonl":
-        return "".join(json.dumps(rec) + "\n" for rec in records)
+        return _jsonl(rows, no_timing)
+    records = [row.record(no_timing) for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(_cells(records, "true", "false", ""))
         return buf.getvalue()
-    rows = _cells(records, "ok", "FAIL", "-")
-    widths = [max(map(len, column)) for column in zip(*rows)]
+    cells = _cells(records, "ok", "FAIL", "-")
+    widths = [max(map(len, column)) for column in zip(*cells)]
     return "".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
-                   for row in rows)
+                   for row in cells)
 
 
-def emit_report(rows: list, fmt: str, out_path: str | None = None,
+def emit_report(rows: list[congruences.Verdict], fmt: str, out_path: str | None = None,
                 no_timing: bool = False) -> int:
-    """Write one record per check; 0 when everything passed, 1 otherwise.
+    """Write one line per check; 0 when everything passed, 1 otherwise.
     I/O failures propagate as OSError (mapped to exit code 3 by main)."""
-    records = [row.record(no_timing) for row in rows]
-    text = _render(records, fmt)
+    text = _render(rows, fmt, no_timing)
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    return 0 if all(rec["pass"] for rec in records) else 1
+    return 0 if all(row.passed for row in rows) else 1
 
 
 class _Terminated(BaseException):

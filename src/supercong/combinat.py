@@ -56,20 +56,31 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     return Fraction(math.prod(num + j * den for j in range(n)), den**n)
 
 
+# The numerators of H_0, H_1, ... of each order over the denominators k!^order,
+# as far as the largest n asked for so far
+_HARMONIC: dict[int, list[int]] = {1: [0], 2: [0]}
+
+
 def harmonic(n: int, order: int = 1) -> Fraction:
     """H_n (order 1) or H_n^(2) (order 2), exactly; H_0 = 0.
 
     The sum runs as one integer numerator over the unreduced denominator
-    k!^order, so the only gcd is the one of the single Fraction returned."""
+    n!^order, so the only gcd is the one of the single Fraction returned.
+    The numerators are kept for the process in a table extended one term at
+    a time, so the identities that read H_t and H_2t at every n of a range
+    (I3-I6) sum each 1/k^order once, not once per n."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    num, den = 0, 1
-    for k in range(1, n + 1):
-        step = k**order
-        num, den = num * step + den, den * step
-    return Fraction(num, den)
+    table = _HARMONIC[order]
+    if len(table) <= n:
+        den = math.factorial(len(table) - 1) ** order
+        for k in range(len(table), n + 1):
+            step = k**order
+            table.append(table[-1] * step + den)
+            den *= step
+    return Fraction(table[n], math.factorial(n) ** order)
 
 
 def frac_part(q: Fraction | int) -> Fraction:

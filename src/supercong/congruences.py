@@ -14,11 +14,10 @@ exponent e, an int or a function of (p, r); rows enter REGISTRY, and so
 all_ids(), in the order they are declared.  A row that is another row's
 r = 1 case shares that row's evaluator (vanhamme with guo-half-64).
 check_congruence computes e once and calls pairs(p, r, e).  Each side of
-each pair is an int, taken mod p^e, or a Residue already at p^e;
-check_congruence compares each pair as two ints in [0, p^e), and that is
-the only comparison.  A side of any other type, or a Residue at another
-modulus, makes a failed row with a diagnostic.  Sides known only mod p (the
-Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are Residues
+each pair is an int, taken mod p^e; check_congruence compares each pair as
+two ints in [0, p^e), and that is the only comparison.  A side of any other
+type makes a failed row with a diagnostic.  Sides known only mod p (the
+Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are ints
 mod p, so those rows fix e = 1.
 
 Windowed rows: wolstenholme-h1, wolstenholme-h2, central-2p1p and morley
@@ -60,7 +59,8 @@ the tasks, take batch indices from one shared pipe, and each sends back one
 pickled payload, its verdicts or the exception it caught.  The first error
 is raised in the parent, which kills the other workers at once.
 
-A Verdict stores the residues, never a pass flag: a row passes exactly
+A Verdict is a named tuple of ints and strings, cheap to build and to
+pickle, and stores the residues, never a pass flag: a row passes exactly
 when lhs == rhs.  Per-index families (one congruence for every k or l in a
 stated range) are checked index by index; their Verdict reports the summed
 residues when all indices pass (equal then) and the first failing pair
@@ -76,11 +76,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import perm
-from typing import Callable, Union
+from typing import Callable, NamedTuple
 
 from . import identities, wz
 from .combinat import binomial, frac_part
-from .exactnum import NotPIntegralError, Residue, UnknownIdError, inverse_column, is_prime
+from .exactnum import NotPIntegralError, UnknownIdError, inverse_column, is_prime
 from .identities import W_H, W_H2, W_HH, W_ONE
 from .special import (
     bernoulli_diff_mod_p,
@@ -89,8 +89,6 @@ from .special import (
     fermat_quotient2,
     legendre_symbol,
 )
-
-Side = Union[int, Residue]
 
 
 class InapplicableError(ValueError):
@@ -102,22 +100,23 @@ class EvaluatorError(ArithmeticError):
     Verdict with a diagnostic rather than an exception."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One check outcome, and one row of a report.
 
     A congruence row carries both residues at its modulus p^e.  An exact
     (modulus-free) row, from an identity or a grid certificate, has
     p = r = 0, e None, lhs = the number of failing points and rhs = 0.
     lhs/rhs are None only if evaluation itself failed, in which case
-    diagnostic says why.  A row passes exactly when lhs == rhs.
+    diagnostic says why.  A row passes exactly when lhs == rhs.  record()
+    is the row as a dict: the cells of the csv and table reports, and the
+    oracle of the jsonl line cli formats from the fields directly.
     """
 
     id: str
     p: int
     r: int
-    lhs: Residue | int | None
-    rhs: Residue | int | None
+    lhs: int | None
+    rhs: int | None
     e: int | None
     micros: int
     diagnostic: str | None = None
@@ -136,8 +135,8 @@ class Verdict:
             "p": self.p,
             "r": self.r,
             "modulus": "exact" if self.e is None else f"{self.p}^{self.e}",
-            "lhs": None if self.lhs is None else str(int(self.lhs)),
-            "rhs": None if self.rhs is None else str(int(self.rhs)),
+            "lhs": None if self.lhs is None else str(self.lhs),
+            "rhs": None if self.rhs is None else str(self.rhs),
             "pass": self.passed,
             "micros": 0 if no_timing else self.micros,
         }
@@ -156,12 +155,12 @@ class CongruenceSpec:
     id: str
     description: str
     modulus_exponent: Callable[[int, int], int]
-    pairs: Callable[[int, int, int], list[tuple[Side, Side]]]
+    pairs: Callable[[int, int, int], list[tuple[int, int]]]
     min_prime: int = 5
     r_indexed: bool = False
     # window(primes, e): the pairs of each prime of a window, for a row
     # stated at r = 1 and a fixed e whose pairs come from one remainder tree
-    window: Callable[[tuple[int, ...], int], list[list[tuple[Side, Side]]]] | None = None
+    window: Callable[[tuple[int, ...], int], list[list[tuple[int, int]]]] | None = None
 
     def applicable(self, p: int, r: int) -> bool:
         if not is_prime(p) or p < self.min_prime:
@@ -328,8 +327,9 @@ _SERIES: dict[str, _Series] = {
 }
 
 
-def eval_series(series_id: str, p: int, r: int, e: int) -> Residue:
-    """Partial sum of the named series at its upper bound for p^r, mod p^e.
+def eval_series(series_id: str, p: int, r: int, e: int) -> int:
+    """Partial sum of the named series at its upper bound for p^r, mod p^e,
+    as an int in [0, p^e).
 
     The term t_n^3 / (-base)^n is stepped in Z/p^e by its ratio, p split
     out of every factor.  Equal to the exact rational sum reduced mod p^e.
@@ -348,7 +348,7 @@ def eval_series(series_id: str, p: int, r: int, e: int) -> Residue:
     c, d, g = series.ratio
     terms = _stepped(p, e, (((c * n + d) ** 3, -series.base * (g * n) ** 3)
                             for n in range(1, series.bound(p**r) + 1)))
-    return Residue(sum((a * n + b) * t for n, t in enumerate(terms)), p, e)
+    return sum((a * n + b) * t for n, t in enumerate(terms)) % p**e
 
 
 # -- shared pieces -------------------------------------------------------------
@@ -362,12 +362,12 @@ def _sign(exponent: int) -> int:
 def _euler_quarter(p: int) -> int:
     # E_{p-3}(1/4) mod p, lifted to [0, p); any lift works inside the p^3-scaled
     # terms below because shifting by p only moves the product by p^4/4.
-    return euler_poly_mod_p(p - 3, Fraction(1, 4), p).value
+    return euler_poly_mod_p(p - 3, Fraction(1, 4), p)
 
 
 @lru_cache(maxsize=1)
 def _euler_number(p: int) -> int:
-    return euler_number_mod_p(p - 3, p).value
+    return euler_number_mod_p(p - 3, p)
 
 
 @lru_cache(maxsize=1)
@@ -531,8 +531,7 @@ def _pairs_cxh_8_full(p, r, e):
 
 @_row("remark-sun-c51", "half 8-sum == 4(2|p) * full 512-sum - 3p(-1|p) (mod p^4)", 4)
 def _pairs_remark_sun_c51(p, r, e):
-    full = eval_series("S512-full", p, r, e).value
-    rhs = Residue(4 * legendre_symbol(2, p) * full - 3 * p * legendre_symbol(-1, p), p, e)
+    rhs = 4 * legendre_symbol(2, p) * eval_series("S512-full", p, r, e) - 3 * p * legendre_symbol(-1, p)
     return [(eval_series("S8-half", p, r, e), rhs)]
 
 
@@ -601,7 +600,7 @@ def _pairs_lemma_2_6a(p, r, e):
 
 @_row("lemma-2.6b", "sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k == -E_{p-3}(1/4) (mod p)", 1)
 def _pairs_lemma_2_6b(p, r, e):
-    return [(_sum64_h2(p), Residue(-_euler_quarter(p) % p, p, 1))]
+    return [(_sum64_h2(p), -_euler_quarter(p))]
 
 
 @_row("lemma-2.6-altsum",
@@ -611,8 +610,7 @@ def _pairs_lemma_2_6_altsum(p, r, e):
     f = (p - 1) // 4
     lhs = -2 * _sign(f) * _alt_quarter_sum(p)
     diff = bernoulli_diff_mod_p(p - 2, frac_part(Fraction(4 - p, 8)), frac_part(Fraction(-p, 8)), p)
-    rhs = Residue(-_sign(f) * pow(4, -1, p) * diff.value, p, 1)
-    return [(lhs, rhs)]
+    return [(lhs, -_sign(f) * pow(4, -1, p) * diff)]
 
 
 @_row("lemma-2.7",
@@ -731,33 +729,31 @@ def _require(cid: str) -> CongruenceSpec:
     return row
 
 
-def _reduce_side(value: Side, p: int, e: int) -> int:
-    """A side as an int in [0, p^e)."""
-    if isinstance(value, Residue):
-        if (value.p, value.e) != (p, e):
-            raise EvaluatorError(f"evaluator returned residue mod {value.p}^{value.e}, expected {p}^{e}")
-        return value.value
+def _reduce_side(value: int, p: int, e: int) -> int:
+    """A side as an int in [0, p^e); a side of any other type is an
+    EvaluatorError."""
     if isinstance(value, int):
         return value % p**e
-    raise EvaluatorError(f"evaluator returned a side of type {type(value).__name__}, "
-                         f"neither an int nor a Residue mod {p}^{e}")
+    raise EvaluatorError(f"evaluator returned a side of type {type(value).__name__}, not an int mod {p}^{e}")
 
 
-def _compared(pairs, p: int, e: int) -> tuple[Residue, Residue]:
+def _compared(pairs, p: int, e: int) -> tuple[int, int]:
     """A row's two residues: its first unequal pair, or the sums of its
-    pairs when every pair is equal."""
+    pairs, mod p^e, when every pair is equal."""
     reduced = [(_reduce_side(lhs, p, e), _reduce_side(rhs, p, e)) for lhs, rhs in pairs]
-    lhs, rhs = next(((lv, rv) for lv, rv in reduced if lv != rv),
-                    (sum(lv for lv, _ in reduced), sum(rv for _, rv in reduced)))
-    return Residue(lhs, p, e), Residue(rhs, p, e)
+    for lhs, rhs in reduced:
+        if lhs != rhs:
+            return lhs, rhs
+    total = sum(lhs for lhs, _ in reduced) % p**e
+    return total, total
 
 
 def _judged(cid: str, primes, r: int, e: int, evaluate) -> list[Verdict]:
     """One Verdict per prime, from evaluate(), the pairs of each prime in
     turn; each micros is the time of the whole call divided evenly over the
     primes.  An evaluation error (a p-divisible denominator where none
-    should occur, a side of the wrong type or modulus) fails every row with
-    its diagnostic instead of raising."""
+    should occur, a side that is not an int) fails every row with its
+    diagnostic instead of raising."""
     start = time.perf_counter_ns()
     try:
         sides = [_compared(pairs, p, e) for p, pairs in zip(primes, evaluate(), strict=True)]

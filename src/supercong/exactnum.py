@@ -7,14 +7,12 @@ denominator surfaces as NotPIntegralError.  inverse_column is the one table
 of reciprocals 1/k mod p^e: the harmonic sums of the congruence rows and the
 mod-p Bernoulli recurrence of special.py read every 1/k from it.
 
-Residue is a checked value with no arithmetic: a value normalised into
-[0, p^e) together with its modulus.  Sides are compared as ints, so nothing
-adds or multiplies Residues.
+A value mod p^e is a plain int in [0, p^e); its modulus is known from
+context (a congruence row declares its e), so no type carries it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,31 +42,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/p^e carrying its modulus (p prime, e >= 1).
-
-    The stored value is normalized into [0, p^e); construction verifies
-    primality of p.  Instances are immutable and safe to share.
-    """
-
-    value: int
-    p: int
-    e: int
-
-    def __post_init__(self) -> None:
-        if self.e < 1:
-            raise ValueError(f"exponent must be positive, got {self.e}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus base {self.p} is not prime")
-        m = self.p**self.e
-        if not 0 <= self.value < m:
-            object.__setattr__(self, "value", self.value % m)
-
-    def __int__(self) -> int:
-        return self.value
-
-
 def padic_valuation(q: Fraction | int, p: int) -> int:
     """Exponent of p in q: q = p^v * (unit with p-free numerator and denominator).
 
@@ -90,8 +63,9 @@ def padic_valuation(q: Fraction | int, p: int) -> int:
     return count(abs(q.numerator)) - count(q.denominator)
 
 
-def reduce_mod(q: Fraction | int, p: int, e: int) -> Residue:
-    """Reduce a p-integral rational into Z/p^e as num * den^(-1).
+def reduce_mod(q: Fraction | int, p: int, e: int) -> int:
+    """Reduce a p-integral rational into Z/p^e as num * den^(-1), an int in
+    [0, p^e).
 
     Raises NotPIntegralError when p divides the denominator, which signals
     that the congruence being evaluated is ill-posed at this prime.
@@ -106,7 +80,7 @@ def reduce_mod(q: Fraction | int, p: int, e: int) -> Residue:
             f"denominator {q.denominator} is divisible by {p}; not reducible mod {p}^{e}"
         )
     m = p**e
-    return Residue(q.numerator * pow(q.denominator, -1, m) % m, p, e)
+    return q.numerator * pow(q.denominator, -1, m) % m
 
 
 def inverse_column(top: int, p: int, e: int) -> list[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exactnum import Residue, inverse_column, is_prime, reduce_mod
+from .exactnum import inverse_column, is_prime, reduce_mod
 
 _BERNOULLI_EXACT: list[Fraction] = [Fraction(1)]
 
@@ -83,14 +83,14 @@ def bernoulli_table_mod_p(p: int, max_index: int) -> tuple[int, ...]:
     return tuple(tab[: max_index + 1])
 
 
-def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
-    """B_n(x) mod p for 0 <= n <= p-2 and p-integral x, from the mod-p
-    table; the oracle for bernoulli_diff_mod_p."""
+def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> int:
+    """B_n(x) mod p, in [0, p), for 0 <= n <= p-2 and p-integral x, from the
+    mod-p table; the oracle for bernoulli_diff_mod_p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 0 <= n <= p - 2:
         raise ValueError(f"degree {n} out of range [0, {p - 2}] for p = {p}")
-    xr = reduce_mod(x, p, 1).value
+    xr = reduce_mod(x, p, 1)
     tab = bernoulli_table_mod_p(p, n)
     inv = inverse_column(n, p, 1)
     c = 1  # C(n, k), updated in k
@@ -99,11 +99,11 @@ def bernoulli_poly_mod_p(n: int, x: Fraction | int, p: int) -> Residue:
         acc = (acc * xr + c * tab[k]) % p
         if k < n:
             c = c * (n - k) % p * inv[k + 1] % p
-    return Residue(acc, p, 1)
+    return acc
 
 
-def bernoulli_diff_mod_p(n: int, x: Fraction | int, y: Fraction | int, p: int) -> Residue:
-    """B_n(x) - B_n(y) mod p for 0 <= n <= p-2 and p-integral x, y, in O(p).
+def bernoulli_diff_mod_p(n: int, x: Fraction | int, y: Fraction | int, p: int) -> int:
+    """B_n(x) - B_n(y) mod p, in [0, p), for 0 <= n <= p-2 and p-integral x, y, in O(p).
 
     For n <= p-2 the coefficients of B_n are p-integral, so B_n(x) mod p
     depends only on the residue X of x.  With Y the residue of y and
@@ -114,16 +114,16 @@ def bernoulli_diff_mod_p(n: int, x: Fraction | int, y: Fraction | int, p: int) -
         raise ValueError(f"{p} is not prime")
     if not 0 <= n <= p - 2:
         raise ValueError(f"degree {n} out of range [0, {p - 2}] for p = {p}")
-    xr = reduce_mod(x, p, 1).value
-    yr = reduce_mod(y, p, 1).value
+    xr = reduce_mod(x, p, 1)
+    yr = reduce_mod(y, p, 1)
     if n == 0:
-        return Residue(0, p, 1)
+        return 0
     acc = sum(pow(yr + j, n - 1, p) for j in range((xr - yr) % p))
-    return Residue(n * acc, p, 1)
+    return n * acc % p
 
 
-def euler_poly_mod_p(m: int, x: Fraction | int, p: int) -> Residue:
-    """E_m(x) mod p through the Bernoulli bridge
+def euler_poly_mod_p(m: int, x: Fraction | int, p: int) -> int:
+    """E_m(x) mod p, in [0, p), through the Bernoulli bridge
     E_{n-1}(x) = (2^n / n)(B_n((x+1)/2) - B_n(x/2)) with n = m+1.
 
     The bridge is one bernoulli_diff_mod_p call, which makes
@@ -138,20 +138,19 @@ def euler_poly_mod_p(m: int, x: Fraction | int, p: int) -> Residue:
         raise ValueError(f"index {m} out of range [0, {p - 3}] for p = {p}")
     x = Fraction(x)
     n = m + 1
-    diff = bernoulli_diff_mod_p(n, (x + 1) / 2, x / 2, p).value
-    return Residue(pow(2, n, p) * pow(n, -1, p) * diff, p, 1)
+    diff = bernoulli_diff_mod_p(n, (x + 1) / 2, x / 2, p)
+    return pow(2, n, p) * pow(n, -1, p) * diff % p
 
 
-def euler_number_mod_p(m: int, p: int) -> Residue:
-    """Euler number E_m mod p.
+def euler_number_mod_p(m: int, p: int) -> int:
+    """Euler number E_m mod p, in [0, p).
 
     Computed as 2^m * E_m(1/2): substituting x = 1/2, t -> 2t in the
     generating function of E_m(x) recovers the generating function of E_m,
     so the bridge is forced even though neither side alone gives a finite
     algorithm.
     """
-    half = euler_poly_mod_p(m, Fraction(1, 2), p)
-    return Residue(pow(2, m, p) * half.value % p, p, 1)
+    return pow(2, m, p) * euler_poly_mod_p(m, Fraction(1, 2), p) % p
 
 
 def fermat_quotient2(p: int) -> int:

@@ -41,7 +41,7 @@ def test_criterion_1_main_theorem_sweep():
         verdict = check_congruence("thm-main", p, 1)
         ok &= verdict.passed
         if p == 5:
-            ok &= verdict.lhs.value == 255 and verdict.rhs.value == 255
+            ok &= verdict.lhs == 255 and verdict.rhs == 255
     report(1, "half-sum mod p^4 for 5 <= p <= 199", ok, time.time() - start, limit=10)
 
 
@@ -53,7 +53,7 @@ def test_criterion_2_prime_power_sweep():
             ok &= check_congruence("thm-prime-power", p, r).passed
     ok &= check_congruence("thm-prime-power", 5, 3).passed
     anchor = check_congruence("thm-prime-power", 5, 1)
-    ok &= anchor.lhs.value == 5 and anchor.rhs.value == 5 and anchor.modulus == 125
+    ok &= anchor.lhs == 5 and anchor.rhs == 5 and anchor.modulus == 125
     report(2, "full sum mod p^(r+2), p <= 47, r <= 2, plus (5,3)", ok, time.time() - start, limit=30)
 
 
@@ -71,7 +71,7 @@ def test_criterion_3_cited_congruence_suite():
             for r in (1, 2):
                 ok &= check_congruence(cid, p, r).passed
     anchor = check_congruence("vanhamme", 5, 1)
-    ok &= anchor.lhs.value == 5  # 435/512 == 5 (mod 125)
+    ok &= anchor.lhs == 5  # 435/512 == 5 (mod 125)
     report(3, "cited congruences, p <= 199 (power rows p <= 31)", ok, time.time() - start)
 
 
@@ -91,7 +91,7 @@ def test_criterion_4_lemma_suite():
             for r in (1, 2):
                 ok &= check_congruence(cid, p, r).passed
     anchor = check_congruence("lemma-2.2", 5, 1)
-    ok &= anchor.lhs.value == 91 and anchor.rhs.value == 91  # 393216 == 3466 == 91 (mod 125)
+    ok &= anchor.lhs == 91 and anchor.rhs == 91  # 393216 == 3466 == 91 (mod 125)
     report(4, "lemma suite, p <= 199 (power rows p <= 31, r <= 2)", ok, time.time() - start)
 
 
@@ -124,11 +124,11 @@ def test_criterion_7_dual_route_euler_agreement():
     start = time.time()
     ok = True
     for p in primes_in(5, 499):
-        euler = euler_poly_mod_p(p - 3, Fraction(1, 4), p).value
+        euler = euler_poly_mod_p(p - 3, Fraction(1, 4), p)
         f = (p - 1) // 4
-        alt_route = reduce_mod(2 * _sign(f) * _alt_quarter_sum(p), p, 1).value
-        b1 = bernoulli_poly_mod_p(p - 2, Fraction(4 - p, 8) % 1, p).value
-        b2 = bernoulli_poly_mod_p(p - 2, Fraction(-p, 8) % 1, p).value
+        alt_route = reduce_mod(2 * _sign(f) * _alt_quarter_sum(p), p, 1)
+        b1 = bernoulli_poly_mod_p(p - 2, Fraction(4 - p, 8) % 1, p)
+        b2 = bernoulli_poly_mod_p(p - 2, Fraction(-p, 8) % 1, p)
         bern_route = _sign(f) * pow(4, -1, p) * (b1 - b2) % p
         ok &= euler == alt_route == bern_route
     report(7, "E_{p-3}(1/4) via polynomial vs alternating/Bernoulli sums, p <= 499",
@@ -156,8 +156,8 @@ def test_criterion_8_property_suites():
         if q1.denominator % p == 0 or q2.denominator % p == 0:
             continue
         for op in (operator.add, operator.sub, operator.mul):
-            reduced = op(reduce_mod(q1, p, e).value, reduce_mod(q2, p, e).value)
-            ok &= reduce_mod(op(q1, q2), p, e).value == reduced % p**e
+            reduced = op(reduce_mod(q1, p, e), reduce_mod(q2, p, e))
+            ok &= reduce_mod(op(q1, q2), p, e) == reduced % p**e
 
     # Pascal on the full integer window
     for n in range(-50, 51):
@@ -179,15 +179,15 @@ def test_criterion_8_property_suites():
         for n in range(p - 1):
             x = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 4, 8]))
             y = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 4, 8]))
-            lhs = bernoulli_poly_mod_p(n, 1 - x, p).value
-            rhs = bernoulli_poly_mod_p(n, x, p).value
+            lhs = bernoulli_poly_mod_p(n, 1 - x, p)
+            rhs = bernoulli_poly_mod_p(n, x, p)
             ok &= lhs == (rhs if n % 2 == 0 else -rhs % p)
-            xr = reduce_mod(x, p, 1).value
+            xr = reduce_mod(x, p, 1)
             acc = sum(
-                comb(n, k) * bernoulli_poly_mod_p(n - k, y, p).value * pow(xr, k, p)
+                comb(n, k) * bernoulli_poly_mod_p(n - k, y, p) * pow(xr, k, p)
                 for k in range(n + 1)
             )
-            ok &= acc % p == bernoulli_poly_mod_p(n, x + y, p).value
+            ok &= acc % p == bernoulli_poly_mod_p(n, x + y, p)
 
     report(8, "field/homomorphism/Pascal/raising-factorial/Bernoulli properties",
            ok, time.time() - start)

@@ -10,7 +10,7 @@ import pytest
 
 from supercong.cli import (_build_parser, _primes_between, collect_records, emit_report, main,
                            parse_args)
-from supercong.congruences import all_ids, usable_cpus
+from supercong.congruences import Verdict, all_ids, usable_cpus
 from supercong.exactnum import is_prime
 
 JSONL_KEYS = ["id", "p", "r", "modulus", "lhs", "rhs", "pass", "micros"]
@@ -156,16 +156,28 @@ class TestEmitReport:
 
     def test_failure_sets_exit_one(self, capsys):
         rows = self._records()
-
-        class Failing:
-            id, p, r = "synthetic", 5, 1
-
-            def record(self, no_timing=False):
-                return dict(zip(JSONL_KEYS, ["synthetic", 5, 1, "5^1", "1", "2", False, 0]))
-
-        assert emit_report(rows + [Failing()], "jsonl", None, True) == 1
+        failing = Verdict("synthetic", 5, 1, 1, 2, 1, 0)
+        assert emit_report(rows + [failing], "jsonl", None, True) == 1
         lines = capsys.readouterr().out.strip().splitlines()
         assert json.loads(lines[-1])["pass"] is False
+
+    @pytest.mark.parametrize("no_timing", [True, False])
+    def test_jsonl_line_is_the_record_dumped(self, no_timing, tmp_path):
+        # each line is formatted from the verdict's fields; json.dumps of its
+        # record is the oracle, byte for byte
+        shapes = [
+            Verdict("thm-main", 5, 1, 255, 255, 4, 1234),
+            Verdict("morley", 7, 1, 6, 5, 3, 17),
+            Verdict("thm-main", 5, 1, None, None, 4, 0,
+                    'a "quoted" p \\ in Z/p^e: \u00e9t\u00e9 \u2260 \U0001d4ab, tab\t'),
+            Verdict("I3", 0, 0, 2, 0, None, 987654),
+            Verdict("thm-prime-power", 5, 9, 5**11 - 1, 1953125, 11, 5),
+        ]
+        for rows in [[v] for v in shapes] + [shapes]:
+            target = tmp_path / "report.jsonl"
+            emit_report(rows, "jsonl", str(target), no_timing=no_timing)
+            want = "".join(json.dumps(v.record(no_timing)) + "\n" for v in rows)
+            assert target.read_bytes() == want.encode("utf-8"), rows
 
     def test_failed_row_states_its_diagnostic(self, capsys, monkeypatch):
         # t_n = 1/p^n: thm-main fails in evaluation, and the row says why
@@ -319,12 +331,13 @@ def test_launch_loads_no_pool_library(tmp_path):
 def test_sigterm_exits_143_and_leaves_no_process():
     # SIGTERM, as `timeout` sends it, to a launch whose workers are busy: exit
     # 143 with one error line, and its process group empty within 1 s
-    script = ("import dataclasses, sys, time\n"
+    # (each worker says busy in one write, which a pipe keeps whole)
+    script = ("import dataclasses, os, sys, time\n"
               "from supercong import congruences\n"
               "from supercong.cli import main\n"
               "row = congruences.REGISTRY['two-power-half']\n"
               "def busy(p, r, e):\n"
-              "    print('busy', file=sys.stderr, flush=True)\n"
+              "    os.write(2, b'busy\\n')\n"
               "    time.sleep(30)\n"
               "congruences.REGISTRY[row.id] = dataclasses.replace(row, pairs=busy)\n"
               "sys.exit(main(sys.argv[1:]))\n")

@@ -47,6 +47,14 @@ def test_all_identities_on_modest_range():
         assert failures == (), (iid, failures[:3])
 
 
+@pytest.mark.parametrize("iid", ["I3", "I4", "I5", "I6"])
+def test_harmonic_identities_alone_at_any_n(iid, monkeypatch):
+    # each n checked by itself, out of order, from an empty table of H_k
+    monkeypatch.setattr(combinat, "_HARMONIC", {1: [0], 2: [0]})
+    for n in (23, 0, 5, 24, 1):
+        assert check_identity(iid, n), (iid, n)
+
+
 def test_unknown_id():
     with pytest.raises(UnknownIdError):
         check_identity("I13", 1)

@@ -55,7 +55,7 @@ class TestBernoulliTableModP:
         for p in primes_in(5, 199):
             entries = bernoulli_table_mod_p(p, min(60, p - 2))
             for k, value in enumerate(entries):
-                assert value == reduce_mod(bernoulli_exact(k), p, 1).value
+                assert value == reduce_mod(bernoulli_exact(k), p, 1)
 
     def test_index_range_guard(self):
         with pytest.raises(ValueError):
@@ -68,12 +68,12 @@ class TestBernoulliPolyModP:
     def test_examples(self):
         # exact oracle: B_2(3) = 37/6 == 5 (mod 7)
         assert bernoulli_poly_exact(2, 3) == Fraction(37, 6)
-        assert bernoulli_poly_mod_p(2, 3, 7).value == 5
+        assert bernoulli_poly_mod_p(2, 3, 7) == 5
         # x = 0 collapses to B_n
         for n in range(6):
-            assert bernoulli_poly_mod_p(n, 0, 11).value == reduce_mod(bernoulli_exact(n), 11, 1).value
+            assert bernoulli_poly_mod_p(n, 0, 11) == reduce_mod(bernoulli_exact(n), 11, 1)
         # B_2(1/2) = -1/12 == 4 (mod 7)
-        assert bernoulli_poly_mod_p(2, Fraction(1, 2), 7).value == 4
+        assert bernoulli_poly_mod_p(2, Fraction(1, 2), 7) == 4
 
     def test_matches_exact_polynomial(self, rng):
         for p in (5, 13, 31):
@@ -88,8 +88,8 @@ class TestBernoulliPolyModP:
         for p in (5, 7, 13, 31):
             for n in range(p - 1):
                 x = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 4, 8]))
-                lhs = bernoulli_poly_mod_p(n, 1 - x, p).value
-                rhs = bernoulli_poly_mod_p(n, x, p).value
+                lhs = bernoulli_poly_mod_p(n, 1 - x, p)
+                rhs = bernoulli_poly_mod_p(n, x, p)
                 assert lhs == (rhs if n % 2 == 0 else -rhs % p)
 
     def test_addition_formula_mod_p(self, rng):
@@ -101,11 +101,11 @@ class TestBernoulliPolyModP:
                 n = rng.randint(0, p - 2)
                 x = Fraction(rng.randint(-10, 10), rng.choice([1, 2, 4]))
                 y = Fraction(rng.randint(-10, 10), rng.choice([1, 2, 4]))
-                xr = reduce_mod(x, p, 1).value
+                xr = reduce_mod(x, p, 1)
                 acc = 0
                 for k in range(n + 1):
-                    acc += comb(n, k) * bernoulli_poly_mod_p(n - k, y, p).value * pow(xr, k, p)
-                assert acc % p == bernoulli_poly_mod_p(n, x + y, p).value
+                    acc += comb(n, k) * bernoulli_poly_mod_p(n - k, y, p) * pow(xr, k, p)
+                assert acc % p == bernoulli_poly_mod_p(n, x + y, p)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -118,11 +118,11 @@ class TestEulerPolyModP:
     def test_examples(self):
         # exact oracle: E_2(x) = x^2 - x, so E_2(1/4) = -3/16 == 12 (mod 13)
         assert euler_poly_gf(2, Fraction(1, 4)) == Fraction(-3, 16)
-        assert euler_poly_mod_p(2, Fraction(1, 4), 13).value == 12
+        assert euler_poly_mod_p(2, Fraction(1, 4), 13) == 12
         for x in (0, 1, Fraction(1, 4), Fraction(3, 2)):
-            assert euler_poly_mod_p(0, x, 11).value == 1
+            assert euler_poly_mod_p(0, x, 11) == 1
         # E_2(1/2) = -1/4 == 5 (mod 7)
-        assert euler_poly_mod_p(2, Fraction(1, 2), 7).value == 5
+        assert euler_poly_mod_p(2, Fraction(1, 2), 7) == 5
 
     def test_matches_generating_function_oracle(self):
         points = (0, 1, Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(-5, 8))
@@ -139,11 +139,11 @@ class TestEulerPolyModP:
 
 class TestEulerNumberModP:
     def test_examples(self):
-        assert euler_number_mod_p(0, 11).value == 1
-        assert euler_number_mod_p(2, 7).value == 6  # E_2 = -1
+        assert euler_number_mod_p(0, 11) == 1
+        assert euler_number_mod_p(2, 7) == 6  # E_2 = -1
         for p in (7, 13):
             for m in (1, 3):
-                assert euler_number_mod_p(m, p).value == 0
+                assert euler_number_mod_p(m, p) == 0
 
     def test_matches_generating_function_oracle(self):
         classic = {0: 1, 2: -1, 4: 5, 6: -61, 8: 1385, 10: -50521}
@@ -151,11 +151,11 @@ class TestEulerNumberModP:
             assert euler_number_gf(m) == value
         for p in (13, 31, 61):
             for m in range(11):
-                assert euler_number_mod_p(m, p).value == euler_number_gf(m) % p
+                assert euler_number_mod_p(m, p) == euler_number_gf(m) % p
 
 
 def _table_bernoulli_diff(n, x, y, p):
-    return (bernoulli_poly_mod_p(n, x, p).value - bernoulli_poly_mod_p(n, y, p).value) % p
+    return (bernoulli_poly_mod_p(n, x, p) - bernoulli_poly_mod_p(n, y, p)) % p
 
 
 def _table_euler_poly(m, x, p):
@@ -176,16 +176,16 @@ class TestPowerSumRoute:
             points = [x for x in self.POINTS if Fraction(x).denominator % p]
             for m in sorted({0, 1, 2, 3, p - 4, p - 3} & set(range(p - 2))):
                 for x in points:
-                    assert euler_poly_mod_p(m, x, p).value == _table_euler_poly(m, x, p), (m, x, p)
+                    assert euler_poly_mod_p(m, x, p) == _table_euler_poly(m, x, p), (m, x, p)
                 half = _table_euler_poly(m, Fraction(1, 2), p)
-                assert euler_number_mod_p(m, p).value == pow(2, m, p) * half % p, (m, p)
+                assert euler_number_mod_p(m, p) == pow(2, m, p) * half % p, (m, p)
             for n in sorted({0, 1, 2, p - 3, p - 2}):
                 for x, y in zip(points, points[1:] + points[:1]):
-                    assert bernoulli_diff_mod_p(n, x, y, p).value == _table_bernoulli_diff(
+                    assert bernoulli_diff_mod_p(n, x, y, p) == _table_bernoulli_diff(
                         n, x, y, p), (n, x, y, p)
             # the two B_{p-2} arguments of lemma-2.6-altsum
             a, b = frac_part(Fraction(4 - p, 8)), frac_part(Fraction(-p, 8))
-            assert bernoulli_diff_mod_p(p - 2, a, b, p).value == _table_bernoulli_diff(p - 2, a, b, p)
+            assert bernoulli_diff_mod_p(p - 2, a, b, p) == _table_bernoulli_diff(p - 2, a, b, p)
 
     def test_guards(self):
         with pytest.raises(ValueError):
