@@ -10,7 +10,7 @@ the ids of all three, and run_suite() runs any selection of them.
 
 Row contract: each row is one _row declaration on its evaluator
 pairs(p, r, e), giving the row's id, its statement and its modulus
-exponent e, an int or a function of (p, r); rows enter REGISTRY, and so
+exponent e, an int or a function of r; rows enter REGISTRY, and so
 all_ids(), in the order they are declared.  A row that is another row's
 r = 1 case shares that row's evaluator (vanhamme with guo-half-64).
 check_congruence computes e once and calls pairs(p, r, e).  Each side of
@@ -40,8 +40,9 @@ Every sum or product over an index runs in Z/p^e, and no row inverts inside
 its own loop: a product whose steps divide is one _stepped run, which keeps
 the power of p apart from a unit mod p^e, inverts once per run and raises
 EvaluatorError if p is left in a denominator; every reciprocal 1/k in a sum
-comes from the column exactnum.inverse_column, and a windowed row inverts
-its unit D once per prime (_quotient).  The exception is the single
+comes from the column exactnum.inverse_column, and a remainder tree's S / D
+inverts its unit D once per prime (_quotient; the windowed rows, and
+central-2pr's H_{p-1} mod p).  The exception is the single
 binomial value of morley-power: one exact math.comb value of about p^r
 bits, reduced once.  The exact Fraction form of every row is the test
 oracle (PAIRS_EXACT in tests/oracles.py).
@@ -55,7 +56,7 @@ is used to compute them.
 
 The runner (run_suite) runs the checks in this process, or, with more
 than one worker and where os.fork exists, in forked children: they inherit
-the tasks, take batch indices from one shared pipe, and each sends back one
+the tasks, take task indices from one shared pipe, and each sends back one
 pickled payload, its verdicts or the exception it caught.  The first error
 is raised in the parent, which kills the other workers at once.
 
@@ -148,13 +149,13 @@ class Verdict(NamedTuple):
 @dataclass(frozen=True)
 class CongruenceSpec:
     """Registry row: the statement, its modulus exponent e as a function of
-    (p, r), applicability, and an evaluator pairs(p, r, e) producing one or
-    more (lhs, rhs) pairs to compare mod p^e.  The rows of REGISTRY are
-    built by the _row decorator on their evaluators."""
+    r, applicability, and an evaluator pairs(p, r, e) producing one or more
+    (lhs, rhs) pairs to compare mod p^e.  The rows of REGISTRY are built by
+    the _row decorator on their evaluators."""
 
     id: str
     description: str
-    modulus_exponent: Callable[[int, int], int]
+    modulus_exponent: Callable[[int], int]
     pairs: Callable[[int, int, int], list[tuple[int, int]]]
     min_prime: int = 5
     r_indexed: bool = False
@@ -163,9 +164,9 @@ class CongruenceSpec:
     window: Callable[[tuple[int, ...], int], list[list[tuple[int, int]]]] | None = None
 
     def applicable(self, p: int, r: int) -> bool:
-        if not is_prime(p) or p < self.min_prime:
-            return False
-        if r < 1:
+        """Whether the row is stated for (p, r), p being prime: the callers
+        test primality, _tasks once per prime of a sweep."""
+        if p < self.min_prime or r < 1:
             return False
         return self.r_indexed or r == 1
 
@@ -370,13 +371,6 @@ def _euler_number(p: int) -> int:
     return euler_number_mod_p(p - 3, p)
 
 
-@lru_cache(maxsize=1)
-def _full_inverses(p: int) -> list[int]:
-    # 1/k mod p^2 for k < p, the third side of central-2pr at every r; the
-    # callers only read it
-    return inverse_column(p - 1, p, 2)
-
-
 def _rhs_central_quarter(p: int, e: int) -> int:
     # p (-1|p) + (p^3/4) (2|p) E_{p-3}(1/4)
     return p * legendre_symbol(-1, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_quarter(p)
@@ -429,14 +423,14 @@ def _central_column(n: int, p: int, e: int) -> list[int]:
 REGISTRY: dict[str, CongruenceSpec] = {}
 
 
-def _row(cid: str, statement: str, e: int | Callable[[int, int], int], *,
+def _row(cid: str, statement: str, e: int | Callable[[int], int], *,
          min_prime: int = 5, r_indexed: bool = False, windowed: bool = False):
     """Decorator: enter the evaluator below it into REGISTRY as the row cid,
-    stated at modulus p^e; e is an int, or a function of (p, r) for a row
-    whose modulus grows with r.  A windowed row's evaluator is window(primes,
-    e), and the name it is bound to becomes pairs(p, r, e), its one-prime
+    stated at modulus p^e; e is an int, or a function of r for a row whose
+    modulus grows with r.  A windowed row's evaluator is window(primes, e),
+    and the name it is bound to becomes pairs(p, r, e), its one-prime
     window."""
-    exponent = e if callable(e) else lambda p, r: e
+    exponent = e if callable(e) else lambda r: e
 
     def register(evaluator):
         pairs, window = evaluator, None
@@ -460,7 +454,7 @@ def _pairs_thm_main(p, r, e):
 
 @_row("thm-prime-power",
       "sum_{n<p^r} (3n+1)(-8)^-n C(2n,n)^3 == (-1)^((p^r-1)/2) p^r (mod p^(r+2))",
-      lambda p, r: r + 2, r_indexed=True)
+      lambda r: r + 2, r_indexed=True)
 def _pairs_thm_prime_power(p, r, e):
     return [(eval_series("S8-full", p, r, e), _sign((p**r - 1) // 2) * p**r)]
 
@@ -537,12 +531,12 @@ def _pairs_remark_sun_c51(p, r, e):
 
 _row("guo-half-64",
      "sum_{k<=(p^r-1)/2} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
-     lambda p, r: r + 2, r_indexed=True)(_pairs_guo_half_64)
+     lambda r: r + 2, r_indexed=True)(_pairs_guo_half_64)
 
 
 @_row("guo-conj-full-64",
       "sum_{k<p^r} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
-      lambda p, r: r + 2, r_indexed=True)
+      lambda r: r + 2, r_indexed=True)
 def _pairs_guo_conj_full_64(p, r, e):
     return [(eval_series("S64-full", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
@@ -654,12 +648,12 @@ def _pairs_two_power_half(p, r, e):
     return [(pow(2, (p - 1) // 2, m), rhs)]
 
 
-@_row("lemma-3.2", "G(p^r, (p^r+1)/2) == (-1)^((p^r-1)/2) p^r (mod p^(r+2))", lambda p, r: r + 2, r_indexed=True)
+@_row("lemma-3.2", "G(p^r, (p^r+1)/2) == (-1)^((p^r-1)/2) p^r (mod p^(r+2))", lambda r: r + 2, r_indexed=True)
 def _pairs_lemma_3_2(p, r, e):
     return [(_g_column(p**r, p, e)[-1], _sign((p**r - 1) // 2) * p**r)]
 
 
-@_row("lemma-3.3", "sum_{k<=(p^r-1)/2} G(p^r,k) == 0 (mod p^(r+2))", lambda p, r: r + 2, r_indexed=True)
+@_row("lemma-3.3", "sum_{k<=(p^r-1)/2} G(p^r,k) == 0 (mod p^(r+2))", lambda r: r + 2, r_indexed=True)
 def _pairs_lemma_3_3(p, r, e):
     # k <= (p^r-1)/2: every k of the column but its last, (p^r+1)/2
     return [(sum(_g_column(p**r, p, e)[:-1]), 0)]
@@ -672,12 +666,12 @@ def _pairs_central_2pr(p, r, e):
     a = _central_column(n, p, e)[-1]
     # n/j for j = 1 .. n-1, stepped by j/(j+1)
     b = 2 - 4 * sum(_stepped(p, e, [(n, 1)] + [(j, j + 1) for j in range(1, n - 1)])[1:])
-    c = 2 - 4 * p * sum(_full_inverses(p))  # p/k needs 1/k mod p^(e-1), e = 2
+    c = 2 - 4 * p * _harmonic((p,), 1, 1)[0]  # p H_{p-1} needs H_{p-1} mod p^(e-1), e = 2
     return [(a, b), (b, c), (c, 2)]
 
 
 @_row("ps-1", "l C(2l,l) C(2k,k) == -2p^r (mod p^(r+1)) for all k+l = p^r, 0 < l < p^r/2",
-      lambda p, r: r + 1, r_indexed=True)
+      lambda r: r + 1, r_indexed=True)
 def _pairs_ps_1(p, r, e):
     n = p**r
     c = _central_column(n - 1, p, e)
@@ -773,15 +767,15 @@ def check_congruence(cid: str, p: int, r: int = 1) -> Verdict:
     failed Verdict carrying a diagnostic instead of raising (_judged).
     """
     row = _require(cid)
-    if not row.applicable(p, r):
+    if not (is_prime(p) and row.applicable(p, r)):
         raise InapplicableError(f"{cid} is not stated for p = {p}, r = {r}")
-    e = row.modulus_exponent(p, r)
+    e = row.modulus_exponent(r)
     return _judged(cid, (p,), r, e, lambda: [row.pairs(p, r, e)])[0]
 
 
 def _check_window(cid: str, primes: tuple[int, ...]) -> list[Verdict]:
     row = REGISTRY[cid]
-    e = row.modulus_exponent(primes[0], 1)
+    e = row.modulus_exponent(1)
     return _judged(cid, primes, 1, e, lambda: row.window(primes, e))
 
 
@@ -797,6 +791,7 @@ def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list
         if cid not in known:
             raise UnknownIdError(f"unknown check id: {cid}")
     ids = sorted(set(ids))
+    primes = [p for p in sorted(set(primes)) if is_prime(p)]
     tasks: list[_Task] = []
     for cid in ids:
         if cid in identities.REGISTRY:
@@ -804,11 +799,11 @@ def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list
         elif cid in wz.REGISTRY:
             tasks.append((0, [(cid, wz_grid)]))
         elif REGISTRY[cid].window is not None:
-            window = tuple(p for p in sorted(primes) if REGISTRY[cid].applicable(p, 1))
+            window = tuple(p for p in primes if REGISTRY[cid].applicable(p, 1))
             if window:
                 tasks.append((0, [(cid, window)]))
     per_prime = [cid for cid in ids if cid in REGISTRY and REGISTRY[cid].window is None]
-    for p in sorted(primes, reverse=True):
+    for p in reversed(primes):
         id_rs = [(cid, r) for cid in per_prime
                  for r in range(1, r_max + 1) if REGISTRY[cid].applicable(p, r)]
         if id_rs:
@@ -834,40 +829,6 @@ def _run_task(task: _Task) -> list[Verdict]:
     return _check_window(cid, arg) if cid in REGISTRY else [_check_exact(cid, arg)]
 
 
-def _run_batch(batch: list[_Task]) -> list[Verdict]:
-    return [v for task in batch for v in _run_task(task)]
-
-
-def _batches(tasks: list[_Task], workers: int) -> list[list[_Task]]:
-    """The tasks, in order, cut into the batches a pool of workers is sent.
-
-    Guided self-scheduling (Polychronopoulos and Kuck, IEEE Trans. Computers
-    C-36(12), 1987): each exact check and each window is a batch of its own,
-    its cost being unknown; a prime task costs the term count of its rows,
-    sum p^r over its (id, r) pairs, and a batch of consecutive prime tasks
-    closes once its cost reaches 1/(4 workers) of the cost not yet batched.
-    So the large primes, which come first, go one at a time, and a long
-    tail of cheap primes goes in a few dozen messages instead of one per
-    prime.  The factor 4 keeps the first batches small enough to balance: at
-    1/(2 workers) the first batch of --primes 5:43 --r-max 2 on the 11
-    r-indexed rows would hold p = 43 and 41, 42 % of the terms, on one
-    worker, while at 1/(4 workers) every batch there is one prime.
-    """
-    batches = [[task] for task in tasks if task[0] == 0]
-    costs = [(task, sum(task[0] ** r for _, r in task[1])) for task in tasks if task[0] != 0]
-    left = sum(cost for _, cost in costs)
-    batch: list[_Task] = []
-    batch_cost = 0
-    for task, cost in costs:
-        batch.append(task)
-        batch_cost += cost
-        if 4 * workers * batch_cost >= left:
-            batches.append(batch)
-            left -= batch_cost
-            batch, batch_cost = [], 0
-    return batches
-
-
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -876,9 +837,9 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _work(batches: list[list[_Task]], todo_r: int, todo_w: int, result_w: int) -> None:
-    """The body of a forked worker; it never returns.  It runs _run_batch on
-    each batch index it reads from the pipe todo_r, 4 bytes at a time, until
+def _work(tasks: list[_Task], todo_r: int, todo_w: int, result_w: int) -> None:
+    """The body of a forked worker; it never returns.  It runs _run_task on
+    each task index it reads from the pipe todo_r, 4 bytes at a time, until
     EOF, then writes one pickled payload to the pipe result_w:
     [(index, verdicts), ...], or the exception it caught.  SIGINT is left to
     the parent, which kills its workers, and os._exit skips the atexit
@@ -894,7 +855,7 @@ def _work(batches: list[list[_Task]], todo_r: int, todo_w: int, result_w: int) -
             payload = []
             while chunk := os.read(todo_r, 4):
                 index = int.from_bytes(chunk, "little")
-                payload.append((index, _run_batch(batches[index])))
+                payload.append((index, _run_task(tasks[index])))
         except Exception as exc:
             payload = exc
         with open(result_w, "wb") as out:
@@ -904,12 +865,12 @@ def _work(batches: list[list[_Task]], todo_r: int, todo_w: int, result_w: int) -
         os._exit(status)  # never unwind into the caller's frames
 
 
-def _forked(batches: list[list[_Task]], workers: int) -> list[list[Verdict]]:
-    """_run_batch of each batch, in order, computed by `workers` forked
-    child processes.
+def _forked(tasks: list[_Task], workers: int) -> list[list[Verdict]]:
+    """_run_task of each task, in order, computed by `workers` forked child
+    processes.
 
-    The children inherit the batches by fork, so no task is pickled.  After
-    forking, the parent writes the batch indices into one pipe that all
+    The children inherit the tasks by fork, so no task is pickled.  After
+    forking, the parent writes the task indices into one pipe that all
     children read, 4 bytes each; reads and writes of 4 bytes are atomic, so
     each child takes the next index in order, and the indices are written
     as the pipe drains, so no list is too long for it.  Each child sends
@@ -924,7 +885,7 @@ def _forked(batches: list[list[_Task]], workers: int) -> list[list[Verdict]]:
     import select
     import signal
 
-    todo = b"".join(i.to_bytes(4, "little") for i in range(len(batches)))
+    todo = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
     done: dict[int, list[Verdict]] = {}
     fds: set[int] = set()  # pipe ends open in this process
     children: dict[int, tuple[int, bytearray]] = {}  # result pipe -> (pid, bytes read)
@@ -936,7 +897,7 @@ def _forked(batches: list[list[_Task]], workers: int) -> list[list[Verdict]]:
             fds.update((result_r, result_w))
             pid = os.fork()
             if pid == 0:
-                _work(batches, todo_r, todo_w, result_w)
+                _work(tasks, todo_r, todo_w, result_w)
             os.close(result_w)
             fds.discard(result_w)
             children[result_r] = (pid, bytearray())
@@ -976,7 +937,7 @@ def _forked(batches: list[list[_Task]], workers: int) -> list[list[Verdict]]:
         for pid, _ in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [done[i] for i in range(len(batches))]
+    return [done[i] for i in range(len(tasks))]
 
 
 def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
@@ -993,22 +954,19 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
     one per prime for the other rows; the exact checks and the windows come
     first, then the primes from the largest down, so the longest tasks start
     early.  The tasks run in min(jobs, tasks, usable_cpus()) forked worker
-    processes (_forked) when that is more than one, otherwise in this
-    process, as they do wherever os.fork is missing.  The workers take
-    batches of consecutive tasks (_batches): each exact check and each
-    window alone, and the primes in batches that close once their term
-    count, sum p^r over their rows, reaches 1/(4 workers) of the count not
-    yet batched.  The first error in a
-    worker is raised here, and the other workers are killed at once.
-    Neither the order of ids nor the scheduling changes the result.  Raises
-    UnknownIdError for an id from no family.
+    processes (_forked) when that is more than one, each worker taking the
+    next task as it finishes one, otherwise in this process, as they do
+    wherever os.fork is missing.  The first error in a worker is raised
+    here, and the other workers are killed at once.  Neither the order of
+    ids nor the scheduling changes the result.  Raises UnknownIdError for an
+    id from no family.
     """
     tasks = _tasks(ids, primes, r_max, identities_n_max, wz_grid)
     workers = min(jobs, len(tasks), usable_cpus()) if hasattr(os, "fork") else 1
     if workers > 1:
-        chunks = _forked(_batches(tasks, workers), workers)
+        chunks = _forked(tasks, workers)
     else:
-        chunks = [_run_batch(tasks)]
+        chunks = [_run_task(task) for task in tasks]
     verdicts = [v for chunk in chunks for v in chunk]
     verdicts.sort(key=lambda v: (v.id, v.p, v.r))
     return verdicts

@@ -25,7 +25,7 @@ class NotPIntegralError(ValueError):
     """p divides the denominator, so reduction mod p^e is ill-posed."""
 
 
-@lru_cache(maxsize=1 << 14)  # bounded: a task repeats the primes of its window
+@lru_cache(maxsize=1 << 14)  # bounded: the rows of one prime each test it
 def is_prime(n: int) -> bool:
     """Deterministic trial division; ample at desk scale (n below ~10^8)."""
     if n < 2:

@@ -5,6 +5,7 @@ import os
 import re
 import signal
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -125,7 +126,7 @@ def test_every_statement_names_the_modulus_it_is_checked_at():
         (k, rk), = found
         for r in (1, 2) if row.r_indexed else (1,):
             want = int(k) if k else r + int(rk) if rk else 1
-            assert row.modulus_exponent(5, r) == want, (cid, r, row.description)
+            assert row.modulus_exponent(r) == want, (cid, r, row.description)
 
 
 def test_every_evaluator_belongs_to_a_row():
@@ -141,7 +142,7 @@ def test_row_matches_exact_oracle(cid):
     cases = [(p, 1) for p in primes_in(3, 61)] + [(p, 2) for p in primes_in(3, 31)]
     cases = [(p, r) for p, r in cases + [(5, 3), (7, 3), (5, 4)] if row.applicable(p, r)]
     for p, r in cases:
-        e = row.modulus_exponent(p, r)
+        e = row.modulus_exponent(r)
         got = [(cong._reduce_side(lhs, p, e), cong._reduce_side(rhs, p, e))
                for lhs, rhs in row.pairs(p, r, e)]
         want = [(reduce_mod(lhs, p, e), reduce_mod(rhs, p, e))
@@ -169,11 +170,13 @@ def test_central_2p1p_matches_comb_beyond_the_oracle():
 
 
 def test_wolstenholme_h2_from_the_shared_column():
-    # the squares of central-2pr's column of 1/k mod p^2 are 1/k^2 mod p, term
-    # by term, and the tree's H_{p-1}^(2) is their sum mod p
+    # H_{p-1} mod p, the tree's value that central-2pr's third side reads,
+    # and the tree's H_{p-1}^(2) are the sums of 1/k and 1/k^2 mod p; p H_{p-1}
+    # is the sum of p/k mod p^2
     for p in primes_in(5, 499):
-        column = cong._full_inverses(p)
-        assert [inv * inv % p for inv in column[1:]] == [pow(k, -2, p) for k in range(1, p)], p
+        h, = cong._harmonic((p,), 1, 1)
+        assert h == sum(pow(k, -1, p) for k in range(1, p)) % p, p
+        assert p * h % p**2 == p * sum(pow(k, -1, p**2) for k in range(1, p)) % p**2, p
         (lhs, _), = cong._pairs_wolstenholme_h2(p, 1, 1)
         assert lhs % p == sum(pow(k, -2, p) for k in range(1, p)) % p
 
@@ -310,19 +313,26 @@ class TestKnownAnswers:
         assert calls == {"number": 1, "poly": 1}
 
     def test_reciprocals_computed_once_per_prime(self, monkeypatch):
-        # central-2pr reads one column of 1/k mod p^2 at r = 1 and 2, and the
-        # windowed wolstenholme-h1 and -h2 read none
-        calls = []
+        # no row here reads a column of 1/k: the windowed wolstenholme-h1 and
+        # -h2, and central-2pr's H_{p-1} at r = 1 and 2, are each S / D of a
+        # remainder tree, one inversion per prime of a window
+        columns, quotients = [], []
 
-        def counted(top, p, e):
-            calls.append((top, p, e))
+        def column(top, p, e):
+            columns.append((top, p, e))
             return inverse_column(top, p, e)
 
-        cong._full_inverses.cache_clear()
-        monkeypatch.setattr(cong, "inverse_column", counted)
+        def quotient(s, d, m):
+            quotients.append(m)
+            return real_quotient(s, d, m)
+
+        real_quotient = cong._quotient
+        monkeypatch.setattr(cong, "inverse_column", column)
+        monkeypatch.setattr(cong, "_quotient", quotient)
         verdicts = suite(["wolstenholme-h1", "wolstenholme-h2", "central-2pr"], [11, 13], r_max=2)
         assert len(verdicts) == 4 * 2 and all(v.passed for v in verdicts)
-        assert calls == [(12, 13, 2), (10, 11, 2)]
+        assert columns == []
+        assert sorted(quotients) == [11, 11, 11, 13, 13, 13, 11**2, 13**2]
 
 
 class TestEvalRhs:
@@ -404,7 +414,7 @@ class TestCheckCongruence:
         row = CongruenceSpec(
             "tmp-ill-posed",
             "denominator divisible by p on purpose",
-            lambda p, r: 2,
+            lambda r: 2,
             lambda p, r, e: [(reduce_mod(Fraction(1, p), p, e), 0)],
         )
         REGISTRY[row.id] = row
@@ -424,7 +434,7 @@ class TestCheckCongruence:
     def test_side_breaking_the_contract_is_a_failed_row(self, side, named, monkeypatch):
         # run at e = 2: neither side is reduced or coerced, and the suite goes on
         row = CongruenceSpec("tmp-bad-side", "a side outside the contract",
-                             lambda p, r: 2, lambda p, r, e: [(side, 1)])
+                             lambda r: 2, lambda p, r, e: [(side, 1)])
         monkeypatch.setitem(REGISTRY, row.id, row)
         verdicts = suite([row.id, "morley"], [5])
         assert [v.id for v in verdicts] == ["morley", row.id]
@@ -502,7 +512,6 @@ class TestRunSuite:
     def test_parallel_matches_serial_over_batches_of_primes(self):
         ids = ["wolstenholme-h1", "wolstenholme-h2", "central-2p1p", "two-power-half"]
         primes = primes_in(5, 1000)
-        assert max(len(b) for b in cong._batches(cong._tasks(ids, primes, 1, 1, 1), 2)) > 1
         serial = suite(ids, primes)
         parallel = suite(ids, primes, jobs=2)
         assert [v.record(no_timing=True) for v in parallel] == [v.record(no_timing=True) for v in serial]
@@ -510,25 +519,34 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("ids, primes, r_max", SCHEDULES.values(), ids=list(SCHEDULES))
-    def test_batches_keep_the_task_order(self, ids, primes, r_max, workers):
+    def test_batches_keep_the_task_order(self, ids, primes, r_max, workers, monkeypatch):
+        # the exact checks and windows first, then the primes from the largest
+        # down; the pool hands back each task's verdicts in that order
         tasks = cong._tasks(ids, primes, r_max, 80, 40)
-        batches = cong._batches(tasks, workers)
-        assert [task for batch in batches for task in batch] == tasks
-        assert all(len(batch) == 1 for batch in batches if any(p == 0 for p, _ in batch))
+        firsts = [p for p, _ in tasks]
+        n_exact = firsts.count(0)
+        assert firsts[:n_exact] == [0] * n_exact
+        assert firsts[n_exact:] == sorted(set(firsts[n_exact:]), reverse=True)
+        monkeypatch.setattr(cong, "_run_task", lambda task: [task])
+        assert cong._forked(tasks, workers) == [[task] for task in tasks]
+        self.assert_no_child_left()
 
-    def test_r_indexed_rows_go_one_prime_at_a_time(self):
-        # p = 43 alone is 22 % of the terms, under the 1/8 a first batch takes
-        tasks = cong._tasks(R_INDEXED, primes_in(5, 43), 2, 1, 1)
-        assert len(R_INDEXED) == 11
-        assert cong._batches(tasks, 2) == [[task] for task in tasks]
+    def test_primality_decided_once_per_prime(self, monkeypatch):
+        # windowed and per-prime rows, r up to 2, each number named twice:
+        # _tasks tests each distinct number once
+        calls = Counter()
 
-    @pytest.mark.parametrize("window", ["lowest", "highest"])
-    def test_cheap_primes_go_in_few_batches(self, window):
-        primes = primes_in(5, 2819)
-        primes = primes[:400] if window == "lowest" else primes[-400:]
-        batches = cong._batches(cong._tasks(["two-power-half"], primes, 1, 1, 1), 2)
-        assert len(batches) <= 64
-        assert len(batches[0]) > 1 and len(batches[-1]) == 1
+        def counted(n):
+            calls[n] += 1
+            return real_is_prime(n)
+
+        real_is_prime = cong.is_prime
+        monkeypatch.setattr(cong, "is_prime", counted)
+        numbers = primes_in(3, 400) + [1, 9, 91, 399] + primes_in(3, 400)
+        tasks = cong._tasks(WINDOWED + ["two-power-half", "central-2pr"], numbers, 2, 1, 1)
+        assert calls == Counter(set(numbers))
+        assert [p for p, _ in tasks[len(WINDOWED):]] == primes_in(5, 400)[::-1]
+        assert all(window == tuple(primes_in(5, 400)) for _, [(_, window)] in tasks[:len(WINDOWED)])
 
     def test_unknown_id_rejected(self):
         with pytest.raises(UnknownIdError):
@@ -565,12 +583,12 @@ class TestRunSuite:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         # records the worker count the pool is asked for, and runs the
-        # batches in this process
+        # tasks in this process
         sizes = []
 
-        def forked(batches, workers):
+        def forked(tasks, workers):
             sizes.append(workers)
-            return [cong._run_batch(batch) for batch in batches]
+            return [cong._run_task(task) for task in tasks]
 
         monkeypatch.setattr(cong, "_forked", forked)
         return sizes
@@ -606,12 +624,13 @@ class TestRunSuite:
         assert pool_sizes == []
         assert [v.record(no_timing=True) for v in pooled] == [v.record(no_timing=True) for v in serial]
 
-    def test_forked_pool_runs_every_batch_once(self, monkeypatch):
-        # more workers than cores, and more batch indices than a pipe holds
-        monkeypatch.setattr(cong, "_run_batch", lambda batch: [batch[0][0]])
-        batches = [[(i, [])] for i in range(20_000)]
-        assert 4 * len(batches) > 65536
-        assert cong._forked(batches, cong.usable_cpus() + 1) == [[i] for i in range(20_000)]
+    def test_forked_pool_runs_every_task_once(self, monkeypatch):
+        # more workers than cores, and more task indices than a pipe holds, as
+        # a sweep of the 17,982 primes from 5 to 2 10^5 has
+        monkeypatch.setattr(cong, "_run_task", lambda task: [task[0]])
+        tasks = [(i, []) for i in range(20_000)]
+        assert 4 * len(tasks) > 65536
+        assert cong._forked(tasks, cong.usable_cpus() + 1) == [[i] for i in range(20_000)]
         self.assert_no_child_left()
 
     @pytest.fixture
