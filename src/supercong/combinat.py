@@ -67,8 +67,7 @@ def harmonic(n: int, order: int = 1) -> Fraction:
     The sum runs as one integer numerator over the unreduced denominator
     n!^order, so the only gcd is the one of the single Fraction returned.
     The numerators are kept for the process in a table extended one term at
-    a time, so the identities that read H_t and H_2t at every n of a range
-    (I3-I6) sum each 1/k^order once, not once per n."""
+    a time, so calls at many n sum each 1/k^order once, not once per call."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if n < 0:

@@ -9,6 +9,10 @@ Both terms have the denominator 2^(3n-2k), so _f8 = 8^n F and _g8 = 8^n G
 are integers.  Every check works in them over a power of 8 fixed before its
 loop; eval_f, eval_g, each telescoped side and closed_form_g build one
 Fraction at the end.
+
+A grid check evaluates each F and G it reads once, on its closed form (the
+grids are the evidence for the G ratio that congruences._g_column steps by);
+_telescoped sums the F column once for all M, telescope_full_sum(M) is M..M.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ from .combinat import binomial, factorial
 
 def _f8(n: int, k: int) -> int:
     """8^n F(n,k) = (-1)^n (3n-2k+1) C(2n,n) C(2n-2k,n-k) C(2n-2k,n) 4^k."""
-    c = binomial(2 * n, n) * binomial(2 * n - 2 * k, n - k) * binomial(2 * n - 2 * k, n)
-    return (-1) ** n * (3 * n - 2 * k + 1) * c << 2 * k
+    c = binomial(2 * n - 2 * k, n - k) * binomial(2 * n - 2 * k, n)  # 0 on most of a grid
+    return c and (-1) ** n * (3 * n - 2 * k + 1) * binomial(2 * n, n) * c << 2 * k
 
 
 def _g8(n: int, k: int) -> int:
     """8^n G(n,k) = (-1)^(n+1) n C(2n,n) C(2n-2k,n-k) C(2n-2k,n-1) 4^k."""
-    c = binomial(2 * n, n) * binomial(2 * n - 2 * k, n - k) * binomial(2 * n - 2 * k, n - 1)
-    return (-1) ** (n + 1) * n * c << 2 * k
+    c = binomial(2 * n - 2 * k, n - k) * binomial(2 * n - 2 * k, n - 1)
+    return c and (-1) ** (n + 1) * n * binomial(2 * n, n) * c << 2 * k
 
 
 def eval_f(n: int, k: int) -> Fraction:
@@ -55,11 +59,17 @@ def eval_g(n: int, k: int) -> Fraction:
 def check_pair_identity(n_max: int, k_max: int) -> tuple[tuple[int, int], ...]:
     """The points (n, k) of 0 <= n <= n_max, 1 <= k <= k_max at which
     F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) fails exactly; () means it holds
-    on the whole grid.  Both sides are compared times 8^(n+1), as integers."""
+    on the whole grid.  Both sides are compared times 8^(n+1), as integers,
+    from each F(n,k) and G(n,k) with k <= k_max, each evaluated once."""
     if n_max < 1 or k_max < 1:
         raise ValueError("grid bounds must be at least 1")
-    return tuple((n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)
-                 if 8 * (_f8(n, k - 1) - _f8(n, k)) != _g8(n + 1, k) - 8 * _g8(n, k))
+    ks, failing = range(k_max + 1), []
+    g = [_g8(0, k) for k in ks]
+    for n in range(n_max + 1):
+        f, g_next = [_f8(n, k) for k in ks], [_g8(n + 1, k) for k in ks]
+        failing += [(n, k) for k in ks[1:] if 8 * (f[k - 1] - f[k]) != g_next[k] - 8 * g[k]]
+        g = g_next
+    return tuple(failing)
 
 
 def telescope_half_sum(m: int) -> tuple[Fraction, Fraction]:
@@ -79,9 +89,18 @@ def telescope_full_sum(big_m: int) -> tuple[Fraction, Fraction]:
     """
     if big_m < 2:
         raise ValueError(f"M must be at least 2, got {big_m}")
-    f_side = sum(_f8(n, 0) << 3 * (big_m - n) for n in range(big_m))
-    g_side = sum(_g8(big_m, k) for k in range(1, big_m))
+    (_, f_side, g_side), = _telescoped(big_m, big_m)
     return Fraction(f_side, 8**big_m), Fraction(g_side, 8**big_m)
+
+
+def _telescoped(lo: int, hi: int):
+    """(M, 8^M sum_{n<M} F(n,0), 8^M sum_{k=1}^{M-1} G(M,k)) for M = lo .. hi,
+    as integers: the F column is summed once, for every M of the range."""
+    f_side = 0
+    for big_m in range(1, hi + 1):
+        f_side = 8 * (f_side + _f8(big_m - 1, 0))
+        if big_m >= lo:
+            yield big_m, f_side, sum(_g8(big_m, k) for k in range(1, big_m))
 
 
 def upper_tail_vanishes(big_m: int) -> bool:
@@ -119,8 +138,8 @@ def closed_form_g(p_odd: int, k: int) -> Fraction:
 
 
 # -- grid certificates: id -> (grid depth -> number of failing points) -------
-# The functions look up the public names above at call time, so a tracer
-# that rebinds those names sees these calls too.
+# The functions look up the names above at call time, so a tracer that
+# rebinds the public ones sees these calls too.
 
 
 def _pair_failures(grid: int) -> int:
@@ -128,26 +147,19 @@ def _pair_failures(grid: int) -> int:
 
 
 def _half_sum_failures(grid: int) -> int:
-    return sum(1 for m in range(1, grid + 1) if len(set(telescope_half_sum(m))) != 1)
+    # telescope_half_sum(m) for m = 1 .. grid is telescope_full_sum(m + 1)
+    return sum(1 for _, f_side, g_side in _telescoped(2, grid + 1) if f_side != g_side)
 
 
 def _full_sum_failures(grid: int) -> int:
-    failures = 0
-    for big_m in range(2, max(2, 2 * grid) + 1):
-        f_side, g_side = telescope_full_sum(big_m)
-        if f_side != g_side or (big_m % 2 and not upper_tail_vanishes(big_m)):
-            failures += 1
-    return failures
+    return sum(1 for big_m, f_side, g_side in _telescoped(2, max(2, 2 * grid))
+               if f_side != g_side or (big_m % 2 and not upper_tail_vanishes(big_m)))
 
 
 def _closed_form_failures(grid: int) -> int:
     # p_odd = 5 is checked at every grid, the smallest included
-    failures = 0
-    for p_odd in range(5, max(2 * grid, 6), 2):
-        for k in range(1, (p_odd + 1) // 2 + 1):
-            if closed_form_g(p_odd, k) != eval_g((p_odd + 1) // 2, k):
-                failures += 1
-    return failures
+    return sum(1 for p_odd in range(5, max(2 * grid, 6), 2) for k in range(1, (p_odd + 1) // 2 + 1)
+               if closed_form_g(p_odd, k) != eval_g((p_odd + 1) // 2, k))
 
 
 REGISTRY: dict[str, Callable[[int], int]] = {

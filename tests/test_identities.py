@@ -1,16 +1,16 @@
 import ast
 import dataclasses
 import inspect
-import operator
 from fractions import Fraction
-from math import comb, factorial
+from functools import partial
+from math import comb, factorial, lcm
 
 import pytest
 
 import oracles
 from supercong import UnknownIdError, check_identity, check_identity_range, combinat, identities, special, wz
 from supercong.special import bernoulli_poly_exact
-from supercong.identities import REGISTRY, W_H, W_H2, W_HH, W_ONE, _i10_class
+from supercong.identities import REGISTRY, W_H, W_H2, W_HH, W_ONE
 
 
 def test_registry_shape():
@@ -19,22 +19,46 @@ def test_registry_shape():
         assert spec.description
 
 
+def _spied_i10(monkeypatch, run):
+    """{(a, m, r): pairs} of every I10 instance that run() evaluates, and
+    the number of evaluations; run() must find no failure."""
+    seen, calls, evaluate = {}, [], identities._i10_class
+
+    def spy(a, m, r, *rest):
+        calls.append((a, m, r))
+        seen[a, m, r] = evaluate(a, m, r, *rest)
+        return seen[a, m, r]
+
+    monkeypatch.setattr(identities, "_i10_class", spy)
+    assert run()
+    return seen, len(calls)
+
+
 class TestAnchors:
     def test_i1_at_1(self):
-        assert identities._fold_pair(2, W_ONE, identities._F_ONE) == (Fraction(3, 2),) * 2
+        # C(4,2)/2^2 = 3/2 on both sides
+        assert identities.fold(2, 1, W_ONE) == Fraction(comb(4, 2), 4) == Fraction(3, 2)
+        assert check_identity("I1", 1)
 
     def test_i3_at_1(self):
-        assert identities._fold_pair(2, W_H, identities._F_H) == (Fraction(1, 2),) * 2
+        # 3H_2 - 2H_4 = 1/3, so the right side is 3/2 * 1/3; u = lcm(1..4) = 12
+        assert identities.fold(2, 1, W_H) == Fraction(1, 2)
+        assert identities._F_H(12, 12 * Fraction(3, 2), 0, 12 * Fraction(25, 12), 0) == Fraction(144, 3)
+        assert check_identity("I3", 1)
 
     def test_i9_at_2(self):
-        assert identities._i9_lhs(2) == identities._i9_rhs(2) == Fraction(-1, 4)
+        # both sides -1/4, times n! L^2 = 2 * 2^2
+        assert list(identities._i9_pairs(2, 2)) == [(-2, -2)]
 
     def test_i11_at_2(self):
-        assert identities._i11_lhs(2) == identities._i11_rhs(2) == Fraction(105, 1024)
+        # both sides 105/1024, times 64^2 2!^2
+        assert list(identities._i11_pairs(2, 2)) == [(1680, 1680)]
 
-    def test_i10_point_example(self):
-        # x in {0,2,4}: 0+2+4 = 6 = (2/2)(B_2(3) - B_2(0)), times D n m = 210 * 2 * 2
-        assert _i10_class(5, 2, 0, *identities._i10_bernoulli())[1] == (6 * 840, 6 * 840)
+    def test_i10_point_example(self, monkeypatch):
+        # x in {0,2,4}: 0+2+4 = 6 = (2/2)(B_2(3) - B_2(0)), times D n m = 210 * 2 * 2;
+        # P = 5 meets the class of 0 mod 2 through a = 6
+        seen, _ = _spied_i10(monkeypatch, lambda: check_identity("I10", 5))
+        assert seen[6, 2, 0][1] == (6 * 840, 6 * 840)
 
     def test_empty_sums_at_zero(self):
         for iid in ("I7", "I8", "I9"):
@@ -72,7 +96,7 @@ def test_range_verdict_reports_bounds(monkeypatch):
     # a check that fails at odd n reports exactly those n, from n_min up
     spec = REGISTRY["I12"]
     monkeypatch.setitem(REGISTRY, "I12", identities.IdentitySpec(
-        spec.id, spec.description, spec.n_min, lambda n: n % 2 == 0))
+        spec.id, spec.description, spec.n_min, lambda lo, hi: [n for n in range(lo, hi + 1) if n % 2]))
     assert check_identity_range("I12", 7) == (1, 3, 5, 7)
 
 
@@ -92,11 +116,15 @@ def test_fold_matches_fraction_oracle():
 
 
 def test_quarter_pair_is_the_oracle_times_common_denominator():
+    # every n of the range 0..N over the one denominator 4^N N! lcm(1..N)^2
+    top = 39
+    scale = 4**top * factorial(top) * lcm(*range(1, top + 1)) ** 2
     for a_num, b_num in ((-1, -3), (-3, -1)):
-        for n in range(40):
-            scale = 4**n * factorial(n) ** 3
+        pairs = list(identities._quarter_pairs(0, top, a_num, b_num))
+        for n, pair in enumerate(pairs):
             lhs, rhs = oracles.quarter_pair(n, a_num, b_num)
-            assert identities._quarter_pair(n, a_num, b_num) == (lhs * scale, rhs * scale), n
+            assert pair == (lhs * scale, rhs * scale), n
+        assert list(identities._quarter_pairs(17, top, a_num, b_num)) == pairs[17:]
 
 
 def _replaced_check(monkeypatch, iid, check):
@@ -107,35 +135,38 @@ def test_perturbed_i3_factor_is_reported(monkeypatch):
     # the registry binds each factor when it is built, so the perturbed
     # factor enters through an I3 check built by the same _fold_check
     factor = identities._F_H
-    monkeypatch.setattr(identities, "_F_H", lambda t: factor(t) + Fraction(1, 10**6))
+    monkeypatch.setattr(identities, "_F_H", lambda u, *hs: factor(u, *hs) + Fraction(u * u, 10**6))
     _replaced_check(monkeypatch, "I3", identities._fold_check(0, W_H, identities._F_H))
     assert check_identity_range("I3", 10) == tuple(range(11))
 
 
 def test_wrong_quarter_parameter_is_reported(monkeypatch):
     # C(-5/4, k) in place of C(-3/4, k): the empty sums still agree at n = 0
-    _replaced_check(monkeypatch, "I7", lambda n: operator.eq(*identities._quarter_pair(n, -1, -5)))
+    wrong = partial(identities._quarter_pairs, a_num=-1, b_num=-5)
+    _replaced_check(monkeypatch, "I7", identities._failing(wrong))
     assert check_identity_range("I7", 10) == tuple(range(1, 11))
 
 
 def test_perturbed_i9_side_is_reported(monkeypatch):
-    # the right side off by one in its numerator over n!^2
-    off = lambda n: identities._i9_rhs(n) + Fraction(1, factorial(n) ** 2)
-    _replaced_check(monkeypatch, "I9", identities._pointwise(identities._i9_lhs, off))
+    # the right side off by one in its numerator over n! lcm(1..N)^2
+    off = lambda lo, hi: ((lhs, rhs + 1) for lhs, rhs in identities._i9_pairs(lo, hi))
+    _replaced_check(monkeypatch, "I9", identities._failing(off))
     assert check_identity_range("I9", 10) == tuple(range(11))
 
 
-def test_i10_class_is_the_oracle_times_common_denominator():
-    # both sides times D (k+1) m, with D = 210 the lcm of the denominators of B_0 .. B_7
+def test_i10_class_is_the_oracle_times_common_denominator(monkeypatch):
+    # both sides times D (k+1) m, with D = 210 the lcm of the denominators of
+    # B_0 .. B_7; each P reads the instance a = P + ((r-P) mod m) of its class
     k_max = identities._I10_K_MAX
     bern = identities._i10_bernoulli()
     assert bern == (210, [210 * special.bernoulli_exact(i) for i in range(k_max + 2)])
+    seen, _ = _spied_i10(monkeypatch, lambda: check_identity_range("I10", 20) == ())
     for big_p in range(1, 21):
         for m in range(1, identities._I10_M_MAX + 1):
             for r in range(m):
                 upper = Fraction(big_p, m) + combinat.frac_part(Fraction(r - big_p, m))
                 lower = combinat.frac_part(Fraction(r, m))
-                for k, pair in enumerate(_i10_class(big_p, m, r, *bern)):
+                for k, pair in enumerate(seen[big_p + (r - big_p) % m, m, r]):
                     lhs = sum(x**k for x in range(r, big_p, m))
                     diff = bernoulli_poly_exact(k + 1, upper) - bernoulli_poly_exact(k + 1, lower)
                     scale = 210 * (k + 1) * m
@@ -151,37 +182,42 @@ def test_wrong_bernoulli_number_is_reported(monkeypatch):
     assert check_identity_range("I10", 10) == tuple(range(1, 11))
 
 
-def test_i10_reads_the_bernoulli_numbers_once_per_p(monkeypatch):
+def test_i10_reads_the_bernoulli_numbers_once_per_call(monkeypatch):
     calls = []
     exact = special.bernoulli_exact
     monkeypatch.setattr(identities, "bernoulli_exact", lambda n: calls.append(n) or exact(n))
     assert check_identity_range("I10", 5) == ()
-    assert calls == list(range(identities._I10_K_MAX + 2)) * 5
+    assert calls == list(range(identities._I10_K_MAX + 2))
+    assert check_identity("I10", 3)
+    assert calls == list(range(identities._I10_K_MAX + 2)) * 2
+
+
+def test_i10_evaluates_each_instance_once(monkeypatch):
+    # P = 1..N meet 36 + 8(N-1) instances (a, m, r), 668 at N = 80, where
+    # one evaluation per (P, m, r) would be 36 N = 2880
+    seen, calls = _spied_i10(monkeypatch, lambda: check_identity_range("I10", 80) == ())
+    assert calls == len(seen) == 36 + 8 * 79 == 668
 
 
 def test_perturbed_i12_side_is_reported(monkeypatch):
-    # the right side off by one at k = 1, where 2k <= n + 1 for every n >= 1
-    pair = identities._i12_pair
-
-    def off(n, k):
-        lhs, rhs = pair(n, k)
-        return lhs, rhs + (k == 1)
-
-    monkeypatch.setattr(identities, "_i12_pair", off)
+    # the right side off by one at k = 1 (its first entry), where 2k <= n + 1 for every n >= 1
+    off = lambda lo, hi: ((lhs, [rhs[0] + 1, *rhs[1:]]) for lhs, rhs in identities._i12_pairs(lo, hi))
+    _replaced_check(monkeypatch, "I12", identities._failing(off))
     assert check_identity_range("I12", 10) == tuple(range(1, 11))
 
 
 def test_i12_pair_is_the_rational_statement_times_its_denominator():
     # 1/(negative)! = 0 leaves only the left side where 2k > n + 1
-    for n in range(1, 40):
-        for k in range(1, n + 1):
+    for n, (lhs_row, rhs_row) in enumerate(identities._i12_pairs(1, 39), 1):
+        for k, pair in enumerate(zip(lhs_row, rhs_row), 1):
             lhs = comb(2 * n - 2 * k, n - 1)
             if 2 * k > n + 1:
-                assert identities._i12_pair(n, k) == (lhs, 0) and lhs == 0
+                assert pair == (lhs, 0) and lhs == 0
                 continue
             scale = factorial(n - 1) * factorial(n + 1 - 2 * k)
             rhs = comb(2 * n - 2 * k, n - k) * Fraction(factorial(n - k) ** 2, scale)
-            assert identities._i12_pair(n, k) == (lhs * scale, rhs * scale), (n, k)
+            assert pair == (lhs * scale, rhs * scale), (n, k)
+        assert k == n
 
 
 def test_no_fraction_is_built_inside_a_sum():
@@ -198,3 +234,75 @@ def test_no_fraction_is_built_inside_a_sum():
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "Fraction"
     }
     assert not offenders, f"Fraction built inside a loop: {sorted(offenders)}"
+
+
+def test_no_binomial_or_factorial_inside_the_fold_loop():
+    # I1-I6 step C(t,k) C(t-k,k) by its ratio: no comb, binomial or factorial
+    # call may sit inside a loop of the fold over k
+    names = {"comb", "binomial", "factorial"}
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
+    offenders = [
+        (fn.__name__, call.lineno)
+        for fn in (identities.fold, identities._fold_sum)
+        for loop in ast.walk(ast.parse(inspect.getsource(fn)))
+        if isinstance(loop, loops)
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) in names
+    ]
+    assert not offenders, offenders
+
+
+def _perturb_b2(monkeypatch):
+    exact = special.bernoulli_exact
+    monkeypatch.setattr(identities, "bernoulli_exact", lambda n: Fraction(1, 7) if n == 2 else exact(n))
+
+
+def _perturb_f_h(monkeypatch):
+    factor = identities._F_H
+    monkeypatch.setattr(identities, "_F_H", lambda u, *hs: factor(u, *hs) + Fraction(u * u, 10**6))
+    _replaced_check(monkeypatch, "I3", identities._fold_check(0, W_H, identities._F_H))
+
+
+def _perturb_one_i10_instance(monkeypatch):
+    # the instance (a, m, r) = (10, 3, 1) serves P = 8, 9, 10 and no other P
+    evaluate = identities._i10_class
+
+    def off(a, m, r, *rest):
+        pairs = evaluate(a, m, r, *rest)
+        return pairs[:-1] + [(0, 1)] if (a, m, r) == (10, 3, 1) else pairs
+
+    monkeypatch.setattr(identities, "_i10_class", off)
+
+
+PERTURBED = {
+    # id: (perturbation, the failing n <= 30 that the per-n checks report for
+    # the same perturbation); the last is new with the range route
+    "I10": (_perturb_b2, tuple(range(1, 31))),
+    "I3": (_perturb_f_h, tuple(range(31))),
+    "I7": (lambda mp: _replaced_check(mp, "I7", identities._failing(
+        partial(identities._quarter_pairs, a_num=-1, b_num=-5))), tuple(range(1, 31))),
+    "I9": (lambda mp: _replaced_check(mp, "I9", identities._failing(
+        lambda lo, hi: ((lhs, rhs + 1) for lhs, rhs in identities._i9_pairs(lo, hi)))), tuple(range(31))),
+    "I12": (lambda mp: _replaced_check(mp, "I12", identities._failing(
+        lambda lo, hi: ((lhs, [rhs[0] + 1, *rhs[1:]]) for lhs, rhs in identities._i12_pairs(lo, hi)))),
+        tuple(range(1, 31))),
+    "I10 at one instance": (_perturb_one_i10_instance, (8, 9, 10)),
+}
+
+
+@pytest.mark.parametrize("iid", sorted(REGISTRY))
+def test_point_and_range_routes_agree(iid):
+    spec = REGISTRY[iid]
+    failing = check_identity_range(iid, 30)
+    assert [check_identity(iid, n) for n in range(spec.n_min, 31)] == [
+        n not in failing for n in range(spec.n_min, 31)]
+
+
+@pytest.mark.parametrize("case", sorted(PERTURBED))
+def test_point_and_range_routes_agree_under_perturbation(case, monkeypatch):
+    perturb, expected = PERTURBED[case]
+    perturb(monkeypatch)
+    iid = case.split()[0]
+    spec = REGISTRY[iid]
+    assert check_identity_range(iid, 30) == expected
+    assert tuple(n for n in range(spec.n_min, 31) if not check_identity(iid, n)) == expected

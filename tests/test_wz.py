@@ -81,6 +81,23 @@ def test_perturbed_f_is_reported(monkeypatch):
     assert wz.REGISTRY["wz-full-sum"](5) == 7
 
 
+def test_each_grid_value_is_evaluated_once(monkeypatch):
+    # the pair grid reads F(n,k) for n <= n_max and G(n,k) for n <= n_max + 1,
+    # k <= k_max, each once; wz-full-sum at depth g sums F(n,0), n < 2g, once
+    from supercong import wz
+
+    calls = {"f": [], "g": []}
+    f8, g8 = wz._f8, wz._g8
+    monkeypatch.setattr(wz, "_f8", lambda n, k: calls["f"].append((n, k)) or f8(n, k))
+    monkeypatch.setattr(wz, "_g8", lambda n, k: calls["g"].append((n, k)) or g8(n, k))
+    assert wz.check_pair_identity(7, 5) == ()
+    assert len(calls["f"]) == len(set(calls["f"])) == 8 * 6
+    assert len(calls["g"]) == len(set(calls["g"])) == 9 * 6
+    calls["f"].clear()
+    assert wz.REGISTRY["wz-full-sum"](6) == 0
+    assert sorted(calls["f"]) == [(n, 0) for n in range(12)]
+
+
 class TestTelescoping:
     def test_half_examples(self):
         assert telescope_half_sum(1) == (Fraction(-3), Fraction(-3))
