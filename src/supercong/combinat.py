@@ -56,30 +56,17 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     return Fraction(math.prod(num + j * den for j in range(n)), den**n)
 
 
-# The numerators of H_0, H_1, ... of each order over the denominators k!^order,
-# as far as the largest n asked for so far
-_HARMONIC: dict[int, list[int]] = {1: [0], 2: [0]}
-
-
 def harmonic(n: int, order: int = 1) -> Fraction:
     """H_n (order 1) or H_n^(2) (order 2), exactly; H_0 = 0.
 
     The sum runs as one integer numerator over the unreduced denominator
-    n!^order, so the only gcd is the one of the single Fraction returned.
-    The numerators are kept for the process in a table extended one term at
-    a time, so calls at many n sum each 1/k^order once, not once per call."""
+    n!^order, so the only gcd is the one of the single Fraction returned."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    table = _HARMONIC[order]
-    if len(table) <= n:
-        den = math.factorial(len(table) - 1) ** order
-        for k in range(len(table), n + 1):
-            step = k**order
-            table.append(table[-1] * step + den)
-            den *= step
-    return Fraction(table[n], math.factorial(n) ** order)
+    den = math.factorial(n) ** order
+    return Fraction(sum(den // k**order for k in range(1, n + 1)), den)
 
 
 def frac_part(q: Fraction | int) -> Fraction:

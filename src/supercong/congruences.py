@@ -42,10 +42,8 @@ the power of p apart from a unit mod p^e, inverts once per run and raises
 EvaluatorError if p is left in a denominator; every reciprocal 1/k in a sum
 comes from the column exactnum.inverse_column, and a remainder tree's S / D
 inverts its unit D once per prime (_quotient; the windowed rows, and
-central-2pr's H_{p-1} mod p).  The exception is the single
-binomial value of morley-power: one exact math.comb value of about p^r
-bits, reduced once.  The exact Fraction form of every row is the test
-oracle (PAIRS_EXACT in tests/oracles.py).
+central-2pr's H_{p-1} mod p).  The exact Fraction form of every row is the
+test oracle (PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -377,7 +375,8 @@ def _rhs_central_quarter(p: int, e: int) -> int:
 
 
 def _half_fold(p: int, e: int, weight) -> int:
-    """identities.fold((p-1)/2, floor((p-1)/4), weight) mod p^e: every
+    """sum_{k<=(p-1)/4} C(h,k) C(h-k,k) w(H_k, H_k^(2)) / 4^k mod p^e, h = (p-1)/2,
+    from weight at u = 1 (oracle: half_fold in tests/oracles.py): every
     C(h,k) C(h-k,k) / 4^k and H_k with k < p is a unit or p-integral."""
     m, h, f = p**e, (p - 1) // 2, (p - 1) // 4
     cs = _stepped(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 4 * k * k) for k in range(1, f + 1)))
@@ -552,9 +551,10 @@ def _pairs_morley(primes, e):
 
 @_row("morley-power", "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1) (mod p^3)", 3, r_indexed=True)
 def _pairs_morley_power(p, r, e):
+    # C(n-1, h) stepped by (n-j)/j for j = 1 .. h
     n = p**r
     h = (n - 1) // 2
-    return [(binomial(n - 1, h), _sign(h) * pow(4, n - 1, p**e))]
+    return [(_stepped(p, e, ((n - j, j) for j in range(1, h + 1)))[-1], _sign(h) * pow(4, n - 1, p**e))]
 
 
 @_row("lemma-2.2",

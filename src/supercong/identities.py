@@ -9,10 +9,11 @@ a denominator fixed before its loop, so no gcd and no comb or factorial runs
 per term.  The two sides of an identity stay separate routes.
 
 I1-I6 are three identities in t, at t = 2n (I1, I3, I5) and t = 2n+1 (I2,
-I4, I6): fold(t, n, W) = C(2t, t)/2^t F(t), for three weights W and factors
-F, both homogeneous of degree 2 with H_k^(2) counted as degree 2:
-weight(u, u H_k, u^2 H_k^(2)) = u^2 w(H_k, H_k^(2)) for the weight w of the
-identity, and factor(u, u H_t, u^2 H_t^(2), u H_2t, u^2 H_2t^(2)) = u^2 F(t).
+I4, I6): sum_{k<=n} C(t,k) C(t-k,k) w(H_k, H_k^(2)) / 4^k = C(2t, t)/2^t F(t),
+whose left side has the oracle fold(t, n, w) in tests/oracles.py, for three
+weights w and factors F, both homogeneous of degree 2 with H_k^(2) counted
+as degree 2: weight(u, u H_k, u^2 H_k^(2)) = u^2 w(H_k, H_k^(2)) and
+factor(u, u H_t, u^2 H_t^(2), u H_2t, u^2 H_2t^(2)) = u^2 F(t).
 A range passes u = lcm(1..N); congruences._half_fold passes u = 1 in Z/p^e.
 
 Provenance of I1-I9 is numerical evidence, not proof: the registry records
@@ -22,7 +23,6 @@ them as assumptions-with-evidence and the range checks are the evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate, repeat, starmap
 from math import comb, lcm
@@ -69,18 +69,6 @@ def _fold_sum(top: int, n: int, ws: list[int]) -> int:
     return total
 
 
-def fold(top: int, n: int, weight) -> Fraction:
-    """sum_{k=0}^{n} C(top,k) C(top-k,k) w(H_k, H_k^(2)) / 4^k, summed as
-    one integer over 4^n u^2 through weight(u, u H_k, u^2 H_k^(2)).
-
-    I1-I6 take top = t = 2n or 2n+1.  Lemmas 2.2-2.6a of the congruence
-    registry step the same sum at top = (p-1)/2 in Z/p^e
-    (congruences._half_fold) and share only the weights below with it.
-    """
-    u = lcm(*range(1, n + 1))
-    return Fraction(_fold_sum(top, n, [weight(u, *h) for h in _harmonic_at(u, range(n + 1))]), u * u << 2 * n)
-
-
 # w = 1, H_k, H_k^2 + H_k^(2) and H_k^(2), each made homogeneous of degree 2
 W_ONE = lambda u, h1, h2: u * u
 W_H = lambda u, h1, h2: u * h1
@@ -94,7 +82,7 @@ _F_HH = lambda u, a1, a2, b1, b2: 5 * a2 - 4 * b2 + (3 * a1 - 2 * b1) ** 2
 
 
 def _fold_check(parity: int, weight, factor) -> Callable[[int, int], list[int]]:
-    """check(lo, hi) of fold(t, n, weight) = C(2t, t)/2^t factor at t = 2n + parity.
+    """check(lo, hi) of I1-I6's identity at t = 2n + parity, for the weight and factor.
 
     The weights take u = lcm(1..hi) and the factors U = lcm(1..4 hi + 2); times
     2^t U^2 4^n the sides are _fold_sum(t, n) (U/u)^2 2^t and C(2t, t) 4^n factor."""

@@ -6,9 +6,10 @@ F(n,0) reduces to (3n+1)(-8)^(-n) C(2n,n)^3, so the telescoped F-column is
 exactly the half/full central-binomial sum checked by the congruence registry.
 
 Both terms have the denominator 2^(3n-2k), so _f8 = 8^n F and _g8 = 8^n G
-are integers.  Every check works in them over a power of 8 fixed before its
-loop; eval_f, eval_g, each telescoped side and closed_form_g build one
-Fraction at the end.
+are integers.  Every grid check compares integers: each side times a power
+of 8 fixed before its loop, the closed form as one numerator over one
+denominator per k (_closed_form).  eval_f, eval_g, the telescoped sums and
+closed_form_g, which no check reads, are their Fraction views.
 
 A grid check evaluates each F and G it reads once, on its closed form (the
 grids are the evidence for the G ratio that congruences._g_column steps by);
@@ -18,10 +19,11 @@ _telescoped sums the F column once for all M, telescope_full_sum(M) is M..M.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from itertools import accumulate
+from operator import mul
 from typing import Callable
 
-from .combinat import binomial, factorial
+from .combinat import binomial
 
 
 def _f8(n: int, k: int) -> int:
@@ -110,6 +112,20 @@ def upper_tail_vanishes(big_m: int) -> bool:
     return not any(_g8(big_m, k) for k in range((big_m + 1) // 2 + 1, big_m))
 
 
+def _closed_form(p_odd: int) -> list[tuple[int, int]]:
+    """closed_form_g(p_odd, k) times 8^n, n = (p+1)/2, as (numerator, denominator)
+    for k = 1 .. n: 8 p (-1)^h C(p-1, h)^3 h! over (h + 2 - 2k)! P_k^2, h = (p-1)/2,
+    as (p/2 + 1 - k)_{k-1} = P_k / 2^(k-1) with P_k the product of the odd
+    numbers p + 2 - 2k, ..., p - 2, never zero; (0, 1) where h + 2 - 2k < 0."""
+    h = (p_odd - 1) // 2
+    fact = list(accumulate(range(1, h + 1), mul, initial=1))  # 0! .. h!
+    num = (-1) ** h * 8 * p_odd * binomial(p_odd - 1, h) ** 3 * fact[h]
+    top = h // 2 + 1  # the last k with h + 2 - 2k >= 0
+    odd = accumulate(range(p_odd - 2, p_odd - 2 * top, -2), mul, initial=1)  # P_1 .. P_top
+    pairs = [(num, fact[h + 2 - 2 * k] * o * o) for k, o in zip(range(1, top + 1), odd)]
+    return pairs + [(0, 1)] * (h + 1 - top)
+
+
 def closed_form_g(p_odd: int, k: int) -> Fraction:
     """Factored closed form for G((p+1)/2, k) on 1 <= k <= (p+1)/2:
 
@@ -118,23 +134,15 @@ def closed_form_g(p_odd: int, k: int) -> Fraction:
 
     with 1/(negative)! = 0, which makes the form total on its k-range.
     p_odd only needs to be odd: the identity is rational-function algebra,
-    not a primality fact, so composite odd values exercise it too.
-
-    (p/2 + 1 - k)_{k-1} = P / 2^(k-1), where P is the product of the odd
-    numbers p + 2 - 2k, ..., p - 2, so the form is the one Fraction
-    8 p (-1)^h C(p-1, h)^3 h! / (((p+3)/2 - 2k)! P^2 2^((3p+3)/2)), h = (p-1)/2.
+    not a primality fact, so composite odd values exercise it too.  This is
+    the Fraction view of _closed_form(p_odd)[k - 1], over 8^((p+1)/2).
     """
     if p_odd < 5 or p_odd % 2 == 0:
         raise ValueError(f"odd integer >= 5 required, got {p_odd}")
     if not 1 <= k <= (p_odd + 1) // 2:
         raise ValueError(f"k = {k} outside [1, {(p_odd + 1) // 2}]")
-    h = (p_odd - 1) // 2
-    low = (p_odd + 3) // 2 - 2 * k
-    if low < 0:
-        return Fraction(0)
-    odd = prod(range(p_odd + 2 - 2 * k, p_odd - 1, 2))  # never zero: its factors are odd
-    num = (-1) ** h * 8 * p_odd * binomial(p_odd - 1, h) ** 3 * factorial(h)
-    return Fraction(num, factorial(low) * odd * odd << (3 * p_odd + 3) // 2)
+    num, den = _closed_form(p_odd)[k - 1]
+    return Fraction(num, den << (3 * p_odd + 3) // 2)
 
 
 # -- grid certificates: id -> (grid depth -> number of failing points) -------
@@ -157,9 +165,10 @@ def _full_sum_failures(grid: int) -> int:
 
 
 def _closed_form_failures(grid: int) -> int:
-    # p_odd = 5 is checked at every grid, the smallest included
-    return sum(1 for p_odd in range(5, max(2 * grid, 6), 2) for k in range(1, (p_odd + 1) // 2 + 1)
-               if closed_form_g(p_odd, k) != eval_g((p_odd + 1) // 2, k))
+    # p_odd = 5 is checked at every grid, the smallest included; 8^n G = num / den
+    return sum(1 for p_odd in range(5, max(2 * grid, 6), 2)
+               for k, (num, den) in enumerate(_closed_form(p_odd), 1)
+               if _g8((p_odd + 1) // 2, k) * den != num)
 
 
 REGISTRY: dict[str, Callable[[int], int]] = {

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import combinat
 from supercong.combinat import (
     binomial,
     binomial_rational,
@@ -121,14 +120,6 @@ class TestHarmonic:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             harmonic(3, 3)
-
-    def test_table_filled_in_any_order(self, monkeypatch):
-        # from an empty table, a large n first and smaller ones after, or the reverse
-        for ns in ((40, 7, 0, 41, 13), (0, 1, 2, 90, 89)):
-            monkeypatch.setattr(combinat, "_HARMONIC", {1: [0], 2: [0]})
-            for n in ns:
-                for order in (1, 2):
-                    assert harmonic(n, order) == oracles.harmonic(n, order), (ns, n, order)
 
 
 class TestFracPart:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -181,14 +182,30 @@ def test_wolstenholme_h2_from_the_shared_column():
         assert lhs % p == sum(pow(k, -2, p) for k in range(1, p)) % p
 
 
-def test_morley_by_factorials_equals_morley_power_by_binomial():
+def test_morley_by_tree_equals_morley_power_by_stepping():
     # two routes to C(p-1, (p-1)/2) mod p^3: one tree over the window, and
-    # morley-power's exact math.comb at r = 1
+    # morley-power's stepped product at r = 1
     window = tuple(primes_in(5, 2999))
     for p, pairs in zip(window, REGISTRY["morley"].window(window, 3), strict=True):
         reduced = [(lhs % p**3, rhs % p**3) for lhs, rhs in pairs]
         assert reduced == [(lhs % p**3, rhs % p**3)
                            for lhs, rhs in cong._pairs_morley_power(p, 1, 3)], p
+
+
+@pytest.mark.parametrize("p, r", [(11, 3), (13, 3), (7, 4), (5, 5)])
+def test_morley_power_matches_math_comb_past_the_oracle_range(p, r):
+    # the oracle's exact math.comb at (p, r) that test_row_matches_exact_oracle does not reach
+    got = [(lhs % p**3, rhs % p**3) for lhs, rhs in cong._pairs_morley_power(p, r, 3)]
+    assert got == [(lhs % p**3, rhs % p**3) for lhs, rhs in PAIRS_EXACT["morley-power"](p, r)]
+
+
+def test_binomial_is_called_only_in_the_neg_binom_unit_base_case():
+    # every other product row steps its binomials in Z/p^e; neg-binom-unit
+    # checks its k = 1 base case against the generalized binomial
+    calls = [fn.name for fn in ast.parse(inspect.getsource(cong)).body if isinstance(fn, ast.FunctionDef)
+             for call in ast.walk(fn) if isinstance(call, ast.Call)
+             and getattr(call.func, "id", getattr(call.func, "attr", None)) == "binomial"]
+    assert calls == ["_pairs_neg_binom_unit"]
 
 
 @settings(max_examples=40, deadline=None, database=None)

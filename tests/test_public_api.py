@@ -12,12 +12,19 @@ ENTRY_POINTS = {"all_ids", "run_suite", "check_congruence", "check_identity", "c
 # Test oracles that stay in src/ only because the benchmark's span tracer pins
 # them by module attribute: each is named by its defining module alone.
 PINNED_ORACLES = {
+    "binomial_rational": "combinat",
+    "harmonic": "combinat",
     "pochhammer": "combinat",
     "recip_factorial": "combinat",
     "padic_valuation": "exactnum",
     "bernoulli_table_mod_p": "special",
     "bernoulli_poly_mod_p": "special",
     "bernoulli_poly_exact": "special",
+    "eval_f": "wz",
+    "eval_g": "wz",
+    "closed_form_g": "wz",
+    "telescope_half_sum": "wz",
+    "telescope_full_sum": "wz",
 }
 
 

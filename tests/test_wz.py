@@ -5,6 +5,7 @@ import pytest
 import oracles
 from supercong.combinat import binomial
 from supercong.wz import (
+    REGISTRY,
     check_pair_identity,
     closed_form_g,
     eval_f,
@@ -160,20 +161,36 @@ class TestClosedFormG:
         from supercong import wz
 
         seen = []
-
-        def spy(p_odd, k):
-            seen.append(p_odd)
-            return 0
-
-        monkeypatch.setattr(wz, "closed_form_g", spy)
-        monkeypatch.setattr(wz, "eval_g", lambda n, k: 0)
+        monkeypatch.setattr(wz, "_closed_form", lambda p_odd: seen.append(p_odd) or [])
         assert wz.REGISTRY["wz-closed-form"](52) == 0
-        assert sorted(set(seen)) == list(range(5, 2 * 52, 2))
+        assert sorted(seen) == list(range(5, 2 * 52, 2))
 
     def test_smallest_grids_still_check_p_odd_5(self, monkeypatch):
         # range(5, 2g, 2) is empty for g <= 2; p_odd = 5 is checked anyway
         from supercong import wz
 
-        monkeypatch.setattr(wz, "closed_form_g", lambda p_odd, k: Fraction(-1))
+        monkeypatch.setattr(wz, "_closed_form", lambda p_odd: [(-1, 1)] * ((p_odd + 1) // 2))
         for grid in (1, 2):
             assert wz.REGISTRY["wz-closed-form"](grid) > 0
+
+    def test_zero_points_are_compared(self, monkeypatch):
+        # at (n, k) = (3, 3) the closed form for p_odd = 5 is 0, as
+        # 1/((p+3)/2 - 2k)! = 1/(-2)! = 0; a G that is not 0 there fails
+        from supercong import wz
+
+        assert closed_form_g(5, 3) == 0
+        g8 = wz._g8
+        monkeypatch.setattr(wz, "_g8", lambda n, k: g8(n, k) + ((n, k) == (3, 3)))
+        assert wz.REGISTRY["wz-closed-form"](3) == 1
+
+
+@pytest.mark.parametrize("cid", sorted(REGISTRY))
+def test_grid_checks_build_no_fraction(cid, monkeypatch):
+    # every grid check compares integers; Fraction is for the public views only
+    from supercong import wz
+
+    def refuse(*args):
+        raise AssertionError("a grid check built a Fraction")
+
+    monkeypatch.setattr(wz, "Fraction", refuse)
+    assert REGISTRY[cid](12) == 0
