@@ -5,6 +5,9 @@ report emission.
            [--identities-n-max N] [--format jsonl|csv|table] [--jobs N|auto]
            [--out PATH] [--no-timing]
 
+--jobs N allows at most N worker processes; a sweep below the break-even
+(congruences._BREAK_EVEN, in estimated fold steps) runs in this process.
+
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage error or a
 selection with no check to run, 3 I/O or internal arithmetic error, 130
 interrupted (Ctrl-C), 143 terminated (SIGTERM, as `timeout` sends).  An
@@ -89,7 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="upper n for identity range checks (default 50)")
     parser.add_argument("--format", choices=("jsonl", "csv", "table"), default="jsonl",
                         dest="fmt")
-    parser.add_argument("--jobs", type=_jobs, default="1", help="worker processes, or 'auto'")
+    parser.add_argument("--jobs", type=_jobs, default="1",
+                        help="at most JOBS worker processes, or 'auto'; a sweep below the "
+                        "break-even runs in this process")
     parser.add_argument("--out", default=None, dest="out_path", metavar="PATH")
     parser.add_argument("--no-timing", action="store_true", dest="no_timing",
                         help="emit micros as 0 so identical runs are byte-identical")

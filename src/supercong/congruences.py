@@ -37,9 +37,20 @@ h1 29 ms (61 ms), h2 51 ms (73 ms), central-2p1p 17 ms (27 ms), morley 7 ms
 central-2p1p 0.44 s (0.57 s), morley 0.18 s (49 s) at p = 2124679.
 
 Every sum or product over an index runs in Z/p^e, and no row inverts inside
-its own loop: a product whose steps divide is one _stepped run, which keeps
-the power of p apart from a unit mod p^e, inverts once per run and raises
-EvaluatorError if p is left in a denominator; every reciprocal 1/k in a sum
+its own loop.  A sum or product whose steps divide is one fold (_fold) over
+the state (v, N, D, S): the product so far is p^v N / D, with v exact and
+N, D units mod p^e, and the weighted sum so far is S / D.  A step does
+S <- S den + w p^v N, the fold inverts D once per run, raises
+EvaluatorError if p is left in a denominator, and holds no list: it keeps
+S / D and p^v N / D only at the indices read (its stops).  Only a
+per-index row keeps every index, as a column (_column; ps-1/2/3, ps-2's
+left side, neg-binom-unit, binom-16k), and hands its pairs to the check one
+at a time (_Pairs).  Within one per-prime task each shared term sequence is
+folded once, at the largest e its rows read and to the furthest index, with
+a stop at each index read (_TaskFolds, built from each row's declared
+reads): the S8, S64 and S512 terms serve their half and full series at
+every r, the G column of p^r serves lemma-3.2 and lemma-3.3, and the column
+of C(2k, k) serves central-2pr and ps-1/2/3.  Every reciprocal 1/k in a sum
 comes from the column exactnum.inverse_column, and a remainder tree's S / D
 inverts its unit D once per prime (_quotient; the windowed rows, and
 central-2pr's H_{p-1} mod p).  The exact Fraction form of every row is the
@@ -52,11 +63,25 @@ lemma-2.6b and lemma-2.6-altsum assert E_{p-3}(1/4) and a Bernoulli
 difference equal to a 64-weighted and an alternating sum, and neither sum
 is used to compute them.
 
-The runner (run_suite) runs the checks in this process, or, with more
-than one worker and where os.fork exists, in forked children: they inherit
-the tasks, take task indices from one shared pipe, and each sends back one
-pickled payload, its verdicts or the exception it caught.  The first error
-is raised in the parent, which kills the other workers at once.
+The runner (run_suite) runs the checks in forked children only when the
+sweep pays for them: with more than one worker allowed, where os.fork
+exists, and when the sweep's estimated cost exceeds the break-even
+_BREAK_EVEN; otherwise, --jobs notwithstanding, in this process.  The cost
+(_cost) is in fold steps: p^r for each per-prime row at (p, r) (50 for
+two-power-half, a few modular powers), 9 per step of a window's remainder
+tree (one per integer up to its largest prime), and d^3 / 100 for an exact
+check at depth d (an identity's --identities-n-max, twice a grid's
+--wz-grid).  The break-even, 500,000, is where the medians of --jobs 1 and
+--jobs 2 cross for the 11 r-indexed rows (2 vCPUs, Python 3.11.7, two
+rounds of 16 alternating launches per sweep, the pool forced on and off):
+forking was 8-11 % slower at 5:79 r <= 2 (466,000 steps) and 10-30 % faster
+at 5:29 r <= 3 (603,000).  The four windowed rows cross near 5:15000, about
+60,000 tree steps, and an exact check grows about as the cube of its depth:
+2.7 ms for an identity at depth 80 or a grid at 40 (0.45 us a step), 85 ms
+for an identity at 300 and 265 ms for a grid at 150.  The forked children
+inherit the tasks, take task indices from one shared pipe, and each sends
+back one pickled payload, its verdicts or the exception it caught.  The
+first error is raised in the parent, which kills the other workers at once.
 
 A Verdict is a named tuple of ints and strings, cheap to build and to
 pickle, and stores the residues, never a pass flag: a row passes exactly
@@ -73,9 +98,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, count, islice, repeat
 from math import perm
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import identities, wz
 from .combinat import binomial, frac_part
@@ -144,6 +169,15 @@ class Verdict(NamedTuple):
         return rec
 
 
+def _reads_nothing(p: int, r: int, e: int) -> list[_Read]:
+    return []
+
+
+def _p_to_the_r(p: int, r: int) -> int:
+    # the cost of a row that folds or sums a run of about p^r terms
+    return p**r
+
+
 @dataclass(frozen=True)
 class CongruenceSpec:
     """Registry row: the statement, its modulus exponent e as a function of
@@ -154,12 +188,17 @@ class CongruenceSpec:
     id: str
     description: str
     modulus_exponent: Callable[[int], int]
-    pairs: Callable[[int, int, int], list[tuple[int, int]]]
+    pairs: Callable[[int, int, int], Iterable[tuple[int, int]]]
     min_prime: int = 5
     r_indexed: bool = False
     # window(primes, e): the pairs of each prime of a window, for a row
     # stated at r = 1 and a fixed e whose pairs come from one remainder tree
     window: Callable[[tuple[int, ...], int], list[list[tuple[int, int]]]] | None = None
+    # reads(p, r, e): the reads of shared term sequences that pairs(p, r, e)
+    # makes, so that one per-prime task folds each sequence once (_TaskFolds)
+    reads: Callable[[int, int, int], list[_Read]] = _reads_nothing
+    # cost(p, r): the work of pairs(p, r, e) in fold steps, for the runner
+    cost: Callable[[int, int], int] = _p_to_the_r
 
     def applicable(self, p: int, r: int) -> bool:
         """Whether the row is stated for (p, r), p being prime: the callers
@@ -169,44 +208,153 @@ class CongruenceSpec:
         return self.r_indexed or r == 1
 
 
-# -- stepping in Z/p^e ---------------------------------------------------------
+# -- folding in Z/p^e ----------------------------------------------------------
 
 
-def _stepped(p: int, e: int, factors) -> list[int]:
-    """Every partial product 1, f_1, f_1 f_2, ... of a run of nonzero
-    rationals f_i = num/den, mod p^e.
+def _split(p: int, e: int, num: int, den: int, v: int) -> tuple[int, int, int, int]:
+    """A factor num/den of a fold with p split out: (num, den, v, p^v mod
+    p^e), v the valuation of the product so far moved by the factor's.  A
+    zero factor is refused (p never splits out of 0), and so is a product
+    left with p in its denominator (v < 0)."""
+    if num == 0 or den == 0:
+        raise EvaluatorError(f"zero factor {num}/{den} in a product stepped mod {p}^{e}")
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    if v < 0:
+        raise EvaluatorError(f"a stepped product has {p} in its denominator (mod {p}^{e})")
+    return num, den, v, p**v if v < e else 0
 
-    The running product is held as p^v u, v its exact p-adic valuation and
-    u a unit mod p^e, p being split out of each factor.  A zero factor is
-    refused (p never splits out of 0), and so is a product left with p in
-    its denominator (v < 0).  The unit denominators are inverted once for
-    the whole run.
+
+def _fold(p: int, e: int, factors, weights, stops) -> tuple[list[int], list[int]]:
+    """The weighted sums S_i = w_0 t_0 + ... + w_i t_i and the products
+    t_i = f_1 ... f_i (t_0 = 1) of a run of nonzero rationals f_i = num/den,
+    mod p^e, at each index i of stops (ascending, none past the run's end):
+    (sums, products) in the order of stops.  weights yields w_0, w_1, ...
+
+    The state is (v, N, D, S): t_i = p^v N / D, v its exact p-adic valuation
+    and N, D units mod p^e, and S_i = S / D.  Each step splits p out of num
+    and den (_split), then does N <- N num, D <- D den and
+    S <- S den + w p^v N.  D is inverted once per run: each stop keeps the
+    part of D since the previous stop, and the end walks those parts back
+    from the inverse of the whole.  The run ends at the last stop.
     """
     m = p**e
-    v, num_u, den_u = 0, 1, 1
-    vs, nums, dens = [0], [1], [1]
-    for num, den in factors:
-        if num == 0 or den == 0:
-            raise EvaluatorError(f"zero factor {num}/{den} in a product stepped mod {p}^{e}")
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        if v < 0:
-            raise EvaluatorError(f"a stepped product has {p} in its denominator (mod {p}^{e})")
+    weights = iter(weights)
+    v, pv, num_u, den_u, s = 0, 1, 1, 1, next(weights)
+    steps = zip(factors, weights)
+    captured = []  # (S, p^v N, the part of D since the previous stop) at each stop
+    done = 0
+    for stop in stops:
+        for (num, den), w in islice(steps, stop - done):
+            if not (num % p and den % p):
+                num, den, v, pv = _split(p, e, num, den, v)
+            num_u, den_u = num_u * num % m, den_u * den % m
+            if w or s:  # a product (every w 0) never touches S
+                s = (s * den + w * pv * num_u) % m
+        captured.append((s, pv * num_u, den_u))
+        den_u, done = 1, stop
+    inv = 1
+    for _, _, d in captured:
+        inv = inv * d % m
+    inv = pow(inv, -1, m)  # 1 / D at the last stop
+    sums, products = [0] * len(captured), [0] * len(captured)
+    for j in range(len(captured) - 1, -1, -1):
+        s, t, d = captured[j]
+        sums[j], products[j] = s * inv % m, t * inv % m
+        inv = inv * d % m
+    return sums, products
+
+
+def _column(p: int, e: int, factors, n: int) -> list[int]:
+    """t_0, ..., t_n mod p^e: the products of the fold of factors at every
+    index, for a per-index row.  Each index keeps p^v N and the unit part of
+    its factor's den, and the end walks them back from the one inverse of D."""
+    m = p**e
+    v, pv, num_u, den_u = 0, 1, 1, 1
+    products, dens = [1], [1]
+    for num, den in islice(factors, n):
+        if not (num % p and den % p):
+            num, den, v, pv = _split(p, e, num, den, v)
         num_u, den_u = num_u * num % m, den_u * den % m
-        vs.append(v)
-        nums.append(num_u)
-        dens.append(den % m)
-    inv = pow(den_u, -1, m)  # 1 / (den_1 ... den_i), from the last i down
-    out = [0] * len(vs)
-    for i in range(len(vs) - 1, -1, -1):
-        if vs[i] < e:
-            out[i] = nums[i] * inv * p ** vs[i] % m
+        products.append(pv * num_u)
+        dens.append(den)
+    inv = pow(den_u, -1, m)  # 1 / D at index n
+    for i in range(n, -1, -1):
+        products[i] = products[i] * inv % m
         inv = inv * dens[i] % m
-    return out
+    return products
+
+
+# A read of a term sequence is (sequence, index, e, take).  A sequence is
+# (steps, *args): steps(*args, n) gives the factors f_1 .. f_n of its fold
+# and its weights.  take is what the read takes, mod p^e: the sum S_index,
+# the product t_index, or the column t_0 .. t_index.
+_Read = tuple[tuple, int, int, int]
+_SUM, _PRODUCT, _COLUMN = 0, 1, 2
+
+
+class _TaskFolds:
+    """The sequences that the rows of one per-prime task read, each folded
+    once.  A sequence is folded at the largest e its reads name, with a stop
+    at each index read, or, when some read takes a column, as one column to
+    the furthest index read."""
+
+    def __init__(self, p: int, reads) -> None:
+        self.p = p
+        self.plans: dict[tuple, list] = {}  # sequence -> [e, indices read, a column?]
+        self.folds: dict[tuple, tuple] = {}  # sequence -> (stops, sums, products)
+        for seq, index, e, take in reads:
+            plan = self.plans.setdefault(seq, [e, set(), False])
+            plan[0] = max(plan[0], e)
+            plan[1].add(index)
+            plan[2] = plan[2] or take == _COLUMN
+
+    def read(self, seq: tuple, index: int, e: int, take: int):
+        """The read from this task's fold of seq, or None when the task's
+        plan for seq does not hold it."""
+        plan = self.plans.get(seq)
+        if plan is None:
+            return None
+        top_e, indices, column = plan
+        if column:  # a column holds every product to its end, and no sum
+            held = take != _SUM and index <= max(indices)
+        else:
+            held = take != _COLUMN and index in indices
+        if e > top_e or not held:
+            return None
+        if seq not in self.folds:
+            steps, *args = seq
+            factors, weights = steps(*args, max(indices))
+            if column:
+                self.folds[seq] = (None, None, _column(self.p, top_e, factors, max(indices)))
+            else:
+                stops = sorted(indices)
+                self.folds[seq] = (stops, *_fold(self.p, top_e, factors, weights, stops))
+        stops, sums, products = self.folds[seq]
+        if take == _COLUMN:
+            return products
+        return (sums, products)[take][index if column else stops.index(index)]
+
+
+# The folds of the per-prime task that _run_task is running; None outside one.
+# A module variable, since pairs(p, r, e) and eval_series keep their
+# signatures: tests call them directly, and the benchmark's tracer wraps them.
+_task: _TaskFolds | None = None
+
+
+def _read(p: int, seq: tuple, index: int, e: int, take: int):
+    """The read (seq, index, e, take) at p, mod p^E for some E >= e: from
+    the running task's one fold of seq when the task's rows declared the
+    read, otherwise from a fold of seq for this read alone."""
+    if _task is not None and _task.p == p:
+        got = _task.read(seq, index, e, take)
+        if got is not None:
+            return got
+    return _TaskFolds(p, [(seq, index, e, take)]).read(seq, index, e, take)
 
 
 # -- one row over a window of primes -----------------------------------------
@@ -297,6 +445,15 @@ def _harmonic(primes, e: int, power: int) -> list[int]:
 # -- series ------------------------------------------------------------------
 
 
+def _series_steps(weight: tuple[int, int], base: int, ratio: tuple[int, int, int], n: int):
+    """The steps t_k^3 / (-base)^k over t_{k-1}^3 / (-base)^(k-1) for
+    k = 1 .. n, and the weights a k + b, (a, b) = weight."""
+    (a, b), (c, d, g) = weight, ratio
+    # x = c k + d and y = g k, both stepped along k
+    xs, ys = range(c + d, c * n + d + 1, c), range(g, g * n + 1, g)
+    return ((x * x * x, -base * y * y * y) for x, y in zip(xs, ys)), count(b, a)
+
+
 @dataclass(frozen=True)
 class _Series:
     """sum_{n=0}^{bound(p^r)} (a n + b) t_n^3 / (-base)^n, where t_0 = 1
@@ -306,6 +463,12 @@ class _Series:
     base: int
     ratio: tuple[int, int, int]
     bound: Callable[[int], int]
+
+    @property
+    def terms(self) -> tuple:
+        """The term sequence, one for every bound: a half and a full series
+        are two reads of one fold."""
+        return (_series_steps, self.weight, self.base, self.ratio)
 
 
 _CENTRAL = (4, -2, 1)  # t_n = C(2n, n)
@@ -326,13 +489,22 @@ _SERIES: dict[str, _Series] = {
 }
 
 
+def _series_reads(*series_ids: str):
+    """reads(p, r, e) of a row whose sides read these series at p^r."""
+    def reads(p: int, r: int, e: int) -> list[_Read]:
+        return [(_SERIES[s].terms, _SERIES[s].bound(p**r), e, _SUM) for s in series_ids]
+
+    return reads
+
+
 def eval_series(series_id: str, p: int, r: int, e: int) -> int:
     """Partial sum of the named series at its upper bound for p^r, mod p^e,
     as an int in [0, p^e).
 
-    The term t_n^3 / (-base)^n is stepped in Z/p^e by its ratio, p split
-    out of every factor.  Equal to the exact rational sum reduced mod p^e.
-    Raises EvaluatorError if some t_n has p in its denominator.
+    The term t_n^3 / (-base)^n is folded in Z/p^e by its ratio, p split out
+    of every factor; within a per-prime task the sum is read from the task's
+    one fold of the series' terms.  Equal to the exact rational sum reduced
+    mod p^e.  Raises EvaluatorError if some t_n has p in its denominator.
     """
     series = _SERIES.get(series_id)
     if series is None:
@@ -343,11 +515,7 @@ def eval_series(series_id: str, p: int, r: int, e: int) -> int:
         raise ValueError(f"r must be positive, got {r}")
     if e < 1:
         raise ValueError(f"exponent must be positive, got {e}")
-    a, b = series.weight
-    c, d, g = series.ratio
-    terms = _stepped(p, e, (((c * n + d) ** 3, -series.base * (g * n) ** 3)
-                            for n in range(1, series.bound(p**r) + 1)))
-    return sum((a * n + b) * t for n, t in enumerate(terms)) % p**e
+    return _read(p, series.terms, series.bound(p**r), e, _SUM) % p**e
 
 
 # -- shared pieces -------------------------------------------------------------
@@ -379,21 +547,22 @@ def _half_fold(p: int, e: int, weight) -> int:
     from weight at u = 1 (oracle: half_fold in tests/oracles.py): every
     C(h,k) C(h-k,k) / 4^k and H_k with k < p is a unit or p-integral."""
     m, h, f = p**e, (p - 1) // 2, (p - 1) // 4
-    cs = _stepped(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 4 * k * k) for k in range(1, f + 1)))
-    total, h1, h2 = 0, 0, 0
-    for c, inv in zip(cs, inverse_column(f, p, e)):
-        h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
-        # u = 1: a weight homogeneous of degree 2 is then w(H_k, H_k^(2)) itself
-        total += c * weight(1, h1, h2)
-    return total % m
+
+    def weights():  # u = 1: a weight homogeneous of degree 2 is then w(H_k, H_k^(2)) itself
+        h1 = h2 = 0
+        for inv in inverse_column(f, p, e):
+            h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
+            yield weight(1, h1, h2)
+
+    factors = (((h - 2 * k + 2) * (h - 2 * k + 1), 4 * k * k) for k in range(1, f + 1))
+    return _fold(p, e, factors, weights(), (f,))[0][0]
 
 
 def _sum64_h2(p: int) -> int:
     # sum_{k=1}^{floor((p-1)/4)} C(4k,2k) C(2k,k) H_k^(2) / 64^k mod p
     f = (p - 1) // 4
-    ds = _stepped(p, 1, (((4 * k - 1) * (4 * k - 3), 16 * k * k) for k in range(1, f + 1)))
-    h2s = accumulate(inv * inv for inv in inverse_column(f, p, 1))
-    return sum(d * h2 for d, h2 in zip(ds, h2s)) % p
+    factors = (((4 * k - 1) * (4 * k - 3), 16 * k * k) for k in range(1, f + 1))
+    return _fold(p, 1, factors, accumulate(inv * inv for inv in inverse_column(f, p, 1)), (f,))[0][0]
 
 
 def _alt_quarter_sum(p: int) -> int:
@@ -402,19 +571,31 @@ def _alt_quarter_sum(p: int) -> int:
     return (sum(inv * inv for inv in inverses[2::2]) - sum(inv * inv for inv in inverses[1::2])) % p
 
 
-def _g_column(n: int, p: int, e: int) -> list[int]:
-    """G(n, k) mod p^e for k = 1 .. floor((n+1)/2), the last k with
-    G(n, k) != 0: G(n, 1) = (-1)^(n+1) (2n-1) prod_{j<n} ((2j-1)/j)^3, and
-    G(n, k+1) / G(n, k) = (n-2k+1)(n-2k) / (2n-2k-1)^2."""
-    top = (n + 1) // 2
-    factors = [(_sign(n + 1) * (2 * n - 1), 1)] + [((2 * j - 1) ** 3, j**3) for j in range(1, n)]
-    factors += [((n - 2 * k + 1) * (n - 2 * k), (2 * n - 2 * k - 1) ** 2) for k in range(1, top)]
-    return _stepped(p, e, factors)[-top:]
+def _g_steps(n: int, stop: int):
+    """The steps of the G column of n, and its weights: t_n = G(n, 1) =
+    (-1)^(n+1) (2n-1) prod_{j<n} ((2j-1)/j)^3, then t_{n+k-1} = G(n, k),
+    G(n, k+1) / G(n, k) = (n-2k+1)(n-2k) / (2n-2k-1)^2, to k = (n+1)/2, the
+    last k with G(n, k) != 0.  The weights are 0 before t_n and 1 from it,
+    so S sums G(n, k) from k = 1."""
+    factors = chain([(_sign(n + 1) * (2 * n - 1), 1)], (((2 * j - 1) ** 3, j**3) for j in range(1, n)),
+                    (((n - 2 * k + 1) * (n - 2 * k), (2 * n - 2 * k - 1) ** 2) for k in range(1, (n + 1) // 2)))
+    return islice(factors, stop), chain(repeat(0, n), repeat(1))
 
 
-def _central_column(n: int, p: int, e: int) -> list[int]:
-    """C(2k, k) mod p^e for k = 0 .. n."""
-    return _stepped(p, e, ((2 * (2 * k - 1), k) for k in range(1, n + 1)))
+def _g_read(n: int, e: int, k: int, take: int) -> _Read:
+    """The read of sum_{j<=k} G(n, j) (_SUM) or of G(n, k) (_PRODUCT) from
+    the G column of n."""
+    return (_g_steps, n), n + k - 1, e, take
+
+
+def _central_steps(n: int):
+    """The steps of C(2k, k) for k = 1 .. n: C(2k, k) / C(2k-2, k-1) = (4k-2)/k."""
+    return zip(range(2, 4 * n, 4), range(1, n + 1)), repeat(0)
+
+
+def _central_read(n: int, e: int, take: int) -> _Read:
+    """The read of C(2n, n) (_PRODUCT), or of C(2k, k) for k = 0 .. n (_COLUMN)."""
+    return (_central_steps,), n, e, take
 
 
 # -- per-row pair evaluators ---------------------------------------------------
@@ -422,13 +603,29 @@ def _central_column(n: int, p: int, e: int) -> list[int]:
 REGISTRY: dict[str, CongruenceSpec] = {}
 
 
+class _Pairs:
+    """The pairs of a per-index row, made by gen() on each pass over them
+    instead of held in a list, so that a check stops at the first unequal
+    pair; a caller may pass over them more than once."""
+
+    def __init__(self, gen: Callable[[], Iterator[tuple[int, int]]]) -> None:
+        self.gen = gen
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return self.gen()
+
+
 def _row(cid: str, statement: str, e: int | Callable[[int], int], *,
-         min_prime: int = 5, r_indexed: bool = False, windowed: bool = False):
+         min_prime: int = 5, r_indexed: bool = False, windowed: bool = False,
+         reads: Callable[[int, int, int], list[_Read]] = _reads_nothing,
+         cost: Callable[[int, int], int] = _p_to_the_r):
     """Decorator: enter the evaluator below it into REGISTRY as the row cid,
     stated at modulus p^e; e is an int, or a function of r for a row whose
     modulus grows with r.  A windowed row's evaluator is window(primes, e),
     and the name it is bound to becomes pairs(p, r, e), its one-prime
-    window."""
+    window.  reads(p, r, e) lists the reads of shared sequences that the
+    evaluator makes through _read, and cost(p, r) is its work in fold
+    steps."""
     exponent = e if callable(e) else lambda r: e
 
     def register(evaluator):
@@ -439,28 +636,31 @@ def _row(cid: str, statement: str, e: int | Callable[[int], int], *,
             def pairs(p, r, e):
                 return window((p,), e)[0]
 
-        REGISTRY[cid] = CongruenceSpec(cid, statement, exponent, pairs, min_prime, r_indexed, window)
+        REGISTRY[cid] = CongruenceSpec(cid, statement, exponent, pairs, min_prime, r_indexed, window,
+                                       reads, cost)
         return pairs
 
     return register
 
 
 @_row("thm-main",
-      "sum_{n<=(p-1)/2} (3n+1)(-8)^-n C(2n,n)^3 == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)", 4)
+      "sum_{n<=(p-1)/2} (3n+1)(-8)^-n C(2n,n)^3 == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)", 4,
+      reads=_series_reads("S8-half"))
 def _pairs_thm_main(p, r, e):
     return [(eval_series("S8-half", p, r, e), _rhs_central_quarter(p, e))]
 
 
 @_row("thm-prime-power",
       "sum_{n<p^r} (3n+1)(-8)^-n C(2n,n)^3 == (-1)^((p^r-1)/2) p^r (mod p^(r+2))",
-      lambda r: r + 2, r_indexed=True)
+      lambda r: r + 2, r_indexed=True, reads=_series_reads("S8-full"))
 def _pairs_thm_prime_power(p, r, e):
     return [(eval_series("S8-full", p, r, e), _sign((p**r - 1) // 2) * p**r)]
 
 
 # vanhamme is the r = 1 case of guo-half-64, which is declared further down
 @_row("vanhamme",
-      "sum_{k<=(p-1)/2} (4k+1)(-1)^k ((1/2)_k/k!)^3 == (-1)^((p-1)/2) p (mod p^3)", 3, min_prime=3)
+      "sum_{k<=(p-1)/2} (4k+1)(-1)^k ((1/2)_k/k!)^3 == (-1)^((p-1)/2) p (mod p^3)", 3, min_prime=3,
+      reads=_series_reads("S64-half"))
 def _pairs_guo_half_64(p, r, e):
     return [(eval_series("S64-half", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
@@ -491,13 +691,15 @@ def _rhs_sign_euler(p: int) -> int:
 
 
 @_row("sun-64",
-      "sum_{k<p} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)/2) p + p^3 E_{p-3} (mod p^4)", 4)
+      "sum_{k<p} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)/2) p + p^3 E_{p-3} (mod p^4)", 4,
+      reads=_series_reads("S64-full"))
 def _pairs_sun_64(p, r, e):
     return [(eval_series("S64-full", p, r, e), _rhs_sign_euler(p))]
 
 
 @_row("guo-liu",
-      "sum_{k<=(p+1)/2} (-1)^k (4k-1)(-1/2)_k^3/k!^3 == p(-1)^((p+1)/2) + p^3(2 - E_{p-3}) (mod p^4)", 4)
+      "sum_{k<=(p+1)/2} (-1)^k (4k-1)(-1/2)_k^3/k!^3 == p(-1)^((p+1)/2) + p^3(2 - E_{p-3}) (mod p^4)", 4,
+      reads=_series_reads("Sgl"))
 def _pairs_guo_liu(p, r, e):
     rhs = p * _sign((p + 1) // 2) + p**3 * (2 - _euler_number(p))
     return [(eval_series("Sgl", p, r, e), rhs)]
@@ -505,24 +707,28 @@ def _pairs_guo_liu(p, r, e):
 
 # mao-512 sharpens this row to p^4, but its E_{p-3} mod p needs p >= 5, and
 # this row is stated at p = 3 too
-@_row("long-cxh-512", "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) (mod p^2)", 2, min_prime=3)
+@_row("long-cxh-512", "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) (mod p^2)", 2, min_prime=3,
+      reads=_series_reads("S512-half"))
 def _pairs_long_cxh_512(p, r, e):
     return [(eval_series("S512-half", p, r, e), p * legendre_symbol(-2, p))]
 
 
 @_row("mao-512",
-      "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) + (p^3/4)(2|p) E_{p-3} (mod p^4)", 4)
+      "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) + (p^3/4)(2|p) E_{p-3} (mod p^4)", 4,
+      reads=_series_reads("S512-half"))
 def _pairs_mao_512(p, r, e):
     rhs = p * legendre_symbol(-2, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_number(p)
     return [(eval_series("S512-half", p, r, e), rhs)]
 
 
-@_row("cxh-8-full", "sum_{k<p} (3k+1)(-8)^-k C(2k,k)^3 == p(-1)^((p-1)/2) + p^3 E_{p-3} (mod p^4)", 4)
+@_row("cxh-8-full", "sum_{k<p} (3k+1)(-8)^-k C(2k,k)^3 == p(-1)^((p-1)/2) + p^3 E_{p-3} (mod p^4)", 4,
+      reads=_series_reads("S8-full"))
 def _pairs_cxh_8_full(p, r, e):
     return [(eval_series("S8-full", p, r, e), _rhs_sign_euler(p))]
 
 
-@_row("remark-sun-c51", "half 8-sum == 4(2|p) * full 512-sum - 3p(-1|p) (mod p^4)", 4)
+@_row("remark-sun-c51", "half 8-sum == 4(2|p) * full 512-sum - 3p(-1|p) (mod p^4)", 4,
+      reads=_series_reads("S8-half", "S512-full"))
 def _pairs_remark_sun_c51(p, r, e):
     rhs = 4 * legendre_symbol(2, p) * eval_series("S512-full", p, r, e) - 3 * p * legendre_symbol(-1, p)
     return [(eval_series("S8-half", p, r, e), rhs)]
@@ -530,12 +736,12 @@ def _pairs_remark_sun_c51(p, r, e):
 
 _row("guo-half-64",
      "sum_{k<=(p^r-1)/2} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
-     lambda r: r + 2, r_indexed=True)(_pairs_guo_half_64)
+     lambda r: r + 2, r_indexed=True, reads=_series_reads("S64-half"))(_pairs_guo_half_64)
 
 
 @_row("guo-conj-full-64",
       "sum_{k<p^r} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
-      lambda r: r + 2, r_indexed=True)
+      lambda r: r + 2, r_indexed=True, reads=_series_reads("S64-full"))
 def _pairs_guo_conj_full_64(p, r, e):
     return [(eval_series("S64-full", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
 
@@ -551,10 +757,11 @@ def _pairs_morley(primes, e):
 
 @_row("morley-power", "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1) (mod p^3)", 3, r_indexed=True)
 def _pairs_morley_power(p, r, e):
-    # C(n-1, h) stepped by (n-j)/j for j = 1 .. h
+    # C(n-1, h) folded by (n-j)/j for j = 1 .. h
     n = p**r
     h = (n - 1) // 2
-    return [(_stepped(p, e, ((n - j, j) for j in range(1, h + 1)))[-1], _sign(h) * pow(4, n - 1, p**e))]
+    _, (binom,) = _fold(p, e, zip(range(n - 1, n - h - 1, -1), range(1, h + 1)), repeat(0), (h,))
+    return [(binom, _sign(h) * pow(4, n - 1, p**e))]
 
 
 @_row("lemma-2.2",
@@ -611,16 +818,17 @@ def _pairs_lemma_2_6_altsum(p, r, e):
       "sum_{k<=(p-1)/2} G((p+1)/2,k) == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)", 4)
 def _pairs_lemma_2_7(p, r, e):
     # G((p+1)/2, k) = 0 for every k past the column, up to (p-1)/2
-    return [(sum(_g_column((p + 1) // 2, p, e)), _rhs_central_quarter(p, e))]
+    n = (p + 1) // 2
+    return [(_read(p, *_g_read(n, e, (n + 1) // 2, _SUM)), _rhs_central_quarter(p, e))]
 
 
 @_row("binom-16k", "C((p-1)/2, 2k) == C(4k,2k)/16^k (mod p) for every 0 <= k <= floor((p-1)/4)", 1)
 def _pairs_binom_16k(p, r, e):
     # C((p-1)/2, 2k) and C(4k, 2k) / 16^k, stepped in k
-    h, ks = (p - 1) // 2, range(1, (p - 1) // 4 + 1)
-    a = _stepped(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 2 * k * (2 * k - 1)) for k in ks))
-    b = _stepped(p, e, (((4 * k - 1) * (4 * k - 3), 8 * k * (2 * k - 1)) for k in ks))
-    return list(zip(a, b))
+    h, f = (p - 1) // 2, (p - 1) // 4
+    a = _column(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 2 * k * (2 * k - 1)) for k in range(1, f + 1)), f)
+    b = _column(p, e, (((4 * k - 1) * (4 * k - 3), 8 * k * (2 * k - 1)) for k in range(1, f + 1)), f)
+    return _Pairs(lambda: zip(a, b))
 
 
 @_row("poch-expansion",
@@ -630,68 +838,95 @@ def _pairs_poch_expansion(p, r, e):
     # (p/2 + 1 - k)_{k-1}^2 vs (k-1)!^2 (1 - p H_{k-1} + (p^2/4)(2 H_{k-1}^2 - H_{k-1}^(2)))
     m = p**e
     half, quarter = pow(2, -1, m), pow(4, -1, m)
-    poch, fact, h1, h2, out = 1, 1, 0, 0, []
-    for j, inv in enumerate(inverse_column((p - 3) // 2, p, e)):  # j = k - 1
-        if j:
-            poch = poch * (p - 2 * j) * half % m
-            fact = fact * j % m
-        h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
-        rhs = fact * fact * (1 - p * h1 + p * p * quarter * (2 * h1 * h1 - h2))
-        out.append((poch * poch, rhs))
-    return out
+    inverses = inverse_column((p - 3) // 2, p, e)
+
+    def pairs():
+        poch, fact, h1, h2 = 1, 1, 0, 0
+        for j, inv in enumerate(inverses):  # j = k - 1
+            if j:
+                poch = poch * (p - 2 * j) * half % m
+                fact = fact * j % m
+            h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
+            yield poch * poch, fact * fact * (1 - p * h1 + p * p * quarter * (2 * h1 * h1 - h2))
+
+    return _Pairs(pairs)
 
 
-@_row("two-power-half", "2^((p-1)/2) == (2|p)(1 + (p/2)q - (p^2/8)q^2) (mod p^3), q = q_p(2)", 3)
+# a few powers of 2, and no run of terms: 21 us a row near p = 2800, about 50
+# fold steps
+@_row("two-power-half", "2^((p-1)/2) == (2|p)(1 + (p/2)q - (p^2/8)q^2) (mod p^3), q = q_p(2)", 3,
+      cost=lambda p, r: 50)
 def _pairs_two_power_half(p, r, e):
     q, m = fermat_quotient2(p), p**e
     rhs = legendre_symbol(2, p) * (1 + p * pow(2, -1, m) * q - p * p * pow(8, -1, m) * q * q)
     return [(pow(2, (p - 1) // 2, m), rhs)]
 
 
-@_row("lemma-3.2", "G(p^r, (p^r+1)/2) == (-1)^((p^r-1)/2) p^r (mod p^(r+2))", lambda r: r + 2, r_indexed=True)
+def _g_last(p: int, r: int, e: int) -> _Read:
+    # G(n, (n+1)/2), n = p^r, the last entry of the G column
+    n = p**r
+    return _g_read(n, e, (n + 1) // 2, _PRODUCT)
+
+
+@_row("lemma-3.2", "G(p^r, (p^r+1)/2) == (-1)^((p^r-1)/2) p^r (mod p^(r+2))", lambda r: r + 2, r_indexed=True,
+      reads=lambda p, r, e: [_g_last(p, r, e)])
 def _pairs_lemma_3_2(p, r, e):
-    return [(_g_column(p**r, p, e)[-1], _sign((p**r - 1) // 2) * p**r)]
+    return [(_read(p, *_g_last(p, r, e)), _sign((p**r - 1) // 2) * p**r)]
 
 
-@_row("lemma-3.3", "sum_{k<=(p^r-1)/2} G(p^r,k) == 0 (mod p^(r+2))", lambda r: r + 2, r_indexed=True)
+def _g_but_last(p: int, r: int, e: int) -> _Read:
+    # sum_{k<=(n-1)/2} G(n, k), n = p^r: every k of the G column but its last
+    n = p**r
+    return _g_read(n, e, (n - 1) // 2, _SUM)
+
+
+@_row("lemma-3.3", "sum_{k<=(p^r-1)/2} G(p^r,k) == 0 (mod p^(r+2))", lambda r: r + 2, r_indexed=True,
+      reads=lambda p, r, e: [_g_but_last(p, r, e)])
 def _pairs_lemma_3_3(p, r, e):
-    # k <= (p^r-1)/2: every k of the column but its last, (p^r+1)/2
-    return [(sum(_g_column(p**r, p, e)[:-1]), 0)]
+    return [(_read(p, *_g_but_last(p, r, e)), 0)]
 
 
 @_row("central-2pr", "C(2p^r,p^r) == 2 - 4p^r H_{p^r-1} == 2 - 4p H_{p-1} == 2 (mod p^2), chained", 2,
-      r_indexed=True)
+      r_indexed=True, reads=lambda p, r, e: [_central_read(p**r, e, _PRODUCT)])
 def _pairs_central_2pr(p, r, e):
     n = p**r
-    a = _central_column(n, p, e)[-1]
-    # n/j for j = 1 .. n-1, stepped by j/(j+1)
-    b = 2 - 4 * sum(_stepped(p, e, [(n, 1)] + [(j, j + 1) for j in range(1, n - 1)])[1:])
+    a = _read(p, *_central_read(n, e, _PRODUCT))
+    # the sum of n/j for j = 1 .. n-1, folded by j/(j+1) from n/1
+    (s,), _ = _fold(p, e, chain([(n, 1)], zip(range(1, n - 1), range(2, n))), chain([0], repeat(1)), (n - 1,))
+    b = 2 - 4 * s
     c = 2 - 4 * p * _harmonic((p,), 1, 1)[0]  # p H_{p-1} needs H_{p-1} mod p^(e-1), e = 2
     return [(a, b), (b, c), (c, 2)]
 
 
+def _central_below(p: int, r: int, e: int) -> _Read:
+    # the column C(2k, k), k < p^r, of the ps rows
+    return _central_read(p**r - 1, e, _COLUMN)
+
+
 @_row("ps-1", "l C(2l,l) C(2k,k) == -2p^r (mod p^(r+1)) for all k+l = p^r, 0 < l < p^r/2",
-      lambda r: r + 1, r_indexed=True)
+      lambda r: r + 1, r_indexed=True, reads=lambda p, r, e: [_central_below(p, r, e)])
 def _pairs_ps_1(p, r, e):
     n = p**r
-    c = _central_column(n - 1, p, e)
-    return [(l * c[l] * c[n - l], -2 * n) for l in range(1, (n + 1) // 2)]
+    c = _read(p, *_central_below(p, r, e))
+    return _Pairs(lambda: ((l * c[l] * c[n - l], -2 * n) for l in range(1, (n + 1) // 2)))
 
 
-@_row("ps-2", "-2p^r/(l C(2l,l)) == C(2k,k) (mod p^2) for all k+l = p^r, 0 < l < p^r/2", 2, r_indexed=True)
+@_row("ps-2", "-2p^r/(l C(2l,l)) == C(2k,k) (mod p^2) for all k+l = p^r, 0 < l < p^r/2", 2, r_indexed=True,
+      reads=lambda p, r, e: [_central_below(p, r, e)])
 def _pairs_ps_2(p, r, e):
     # -2p^r / (l C(2l, l)) is -p^r at l = 1, times (l-1) / (2(2l-1)) per step
     n = p**r
-    c = _central_column(n - 1, p, e)
-    lhs = _stepped(p, e, [(-n, 1)] + [(l - 1, 2 * (2 * l - 1)) for l in range(2, (n + 1) // 2)])
-    return [(lhs[l], c[n - l]) for l in range(1, (n + 1) // 2)]
+    c = _read(p, *_central_below(p, r, e))
+    lhs = _column(p, e, chain([(-n, 1)], zip(range(1, (n - 1) // 2), range(6, 2 * n, 4))), (n - 1) // 2)
+    return _Pairs(lambda: ((lhs[l], c[n - l]) for l in range(1, (n + 1) // 2)))
 
 
-@_row("ps-3", "C(2p^r-2l, p^r-l) == 0 (mod p) for all 0 < l < p^r/2", 1, r_indexed=True)
+@_row("ps-3", "C(2p^r-2l, p^r-l) == 0 (mod p) for all 0 < l < p^r/2", 1, r_indexed=True,
+      reads=lambda p, r, e: [_central_below(p, r, e)])
 def _pairs_ps_3(p, r, e):
     n = p**r
-    c = _central_column(n - 1, p, e)
-    return [(c[n - l], 0) for l in range(1, (n + 1) // 2)]
+    c = _read(p, *_central_below(p, r, e))
+    return _Pairs(lambda: ((c[n - l], 0) for l in range(1, (n + 1) // 2)))
 
 
 @_row("neg-binom-unit",
@@ -707,8 +942,11 @@ def _pairs_neg_binom_unit(p, r, e):
     if -binomial(-n - 1, 1) != n + 1:
         raise EvaluatorError(
             f"product form of C({-n - 1}, 1) failed at p={p}, r={r}, k={(n - 1) // 2}")
-    prods = _stepped(p, e, ((n + j, j) for j in range(1, n - 1)))
-    return [(prods[n - 2 * k], 1) for k in range(1, (n - 1) // 2 + 1)]
+    # The product at the odd s = 2i-1 is entry i of a column that steps
+    # from s to s+2 at once.
+    steps = (((n + s + 1) * (n + s + 2), (s + 1) * (s + 2)) for s in range(1, n - 3, 2))
+    prods = _column(p, e, chain([(n + 1, 1)], steps), (n - 1) // 2)
+    return _Pairs(lambda: ((prods[(n + 1) // 2 - k], 1) for k in range(1, (n - 1) // 2 + 1)))
 
 
 def all_ids() -> tuple[str, ...]:
@@ -733,13 +971,18 @@ def _reduce_side(value: int, p: int, e: int) -> int:
 
 def _compared(pairs, p: int, e: int) -> tuple[int, int]:
     """A row's two residues: its first unequal pair, or the sums of its
-    pairs, mod p^e, when every pair is equal."""
-    reduced = [(_reduce_side(lhs, p, e), _reduce_side(rhs, p, e)) for lhs, rhs in pairs]
-    for lhs, rhs in reduced:
+    pairs, mod p^e, when every pair is equal.  The pairs are taken one at a
+    time, and none past the first unequal one."""
+    m, total = p**e, 0
+    for lhs, rhs in pairs:
+        if isinstance(lhs, int) and isinstance(rhs, int):
+            lhs, rhs = lhs % m, rhs % m
+        else:  # a side that is not an int: _reduce_side raises
+            lhs, rhs = _reduce_side(lhs, p, e), _reduce_side(rhs, p, e)
         if lhs != rhs:
             return lhs, rhs
-    total = sum(lhs for lhs, _ in reduced) % p**e
-    return total, total
+        total += lhs
+    return total % m, total % m
 
 
 def _judged(cid: str, primes, r: int, e: int, evaluate) -> list[Verdict]:
@@ -822,9 +1065,17 @@ def _check_exact(cid: str, depth: int) -> Verdict:
 
 
 def _run_task(task: _Task) -> list[Verdict]:
+    """The Verdicts of one task.  The rows of a per-prime task share its
+    folds (_TaskFolds), which are dropped when the task ends."""
+    global _task
     p, checks = task
     if p:
-        return [check_congruence(cid, p, r) for cid, r in checks]
+        _task = _TaskFolds(p, [read for cid, r in checks
+                               for read in REGISTRY[cid].reads(p, r, REGISTRY[cid].modulus_exponent(r))])
+        try:
+            return [check_congruence(cid, p, r) for cid, r in checks]
+        finally:
+            _task = None
     (cid, arg), = checks
     return _check_window(cid, arg) if cid in REGISTRY else [_check_exact(cid, arg)]
 
@@ -940,6 +1191,31 @@ def _forked(tasks: list[_Task], workers: int) -> list[list[Verdict]]:
     return [done[i] for i in range(len(tasks))]
 
 
+# The runner's cost model, in fold steps, and the break-even past which
+# forking pays; the module docstring says how each was measured
+_TREE_STEP = 9
+_EXACT_SCALE = 100
+_BREAK_EVEN = 500_000
+
+
+def _cost(tasks: list[_Task]) -> int:
+    """The estimated cost of running tasks, in fold steps: the cost(p, r)
+    of each per-prime row, p^r for most rows; _TREE_STEP per step of each
+    window's remainder tree, one per integer up to its largest prime; and
+    d^3 / _EXACT_SCALE per exact check, d its depth, doubled for a grid."""
+    total = 0
+    for p, checks in tasks:
+        if p:
+            total += sum(REGISTRY[cid].cost(p, r) for cid, r in checks)
+        else:
+            (cid, arg), = checks
+            if cid in REGISTRY:
+                total += _TREE_STEP * arg[-1]
+            else:
+                total += (arg if cid in identities.REGISTRY else 2 * arg) ** 3 // _EXACT_SCALE
+    return total
+
+
 def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
               wz_grid: int) -> list[Verdict]:
     """One Verdict per selected exact check and per applicable (id, p, r)
@@ -954,16 +1230,17 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
     one per prime for the other rows; the exact checks and the windows come
     first, then the primes from the largest down, so the longest tasks start
     early.  The tasks run in min(jobs, tasks, usable_cpus()) forked worker
-    processes (_forked) when that is more than one, each worker taking the
-    next task as it finishes one, otherwise in this process, as they do
-    wherever os.fork is missing.  The first error in a worker is raised
-    here, and the other workers are killed at once.  Neither the order of
-    ids nor the scheduling changes the result.  Raises UnknownIdError for an
-    id from no family.
+    processes (_forked) when that is more than one and the sweep's
+    estimated cost (_cost) exceeds _BREAK_EVEN, each worker taking the next
+    task as it finishes one; otherwise they run in this process, as they do
+    wherever os.fork is missing, so jobs is a cap, not a demand.  The first
+    error in a worker is raised here, and the other workers are killed at
+    once.  Neither the order of ids nor the scheduling changes the result.
+    Raises UnknownIdError for an id from no family.
     """
     tasks = _tasks(ids, primes, r_max, identities_n_max, wz_grid)
     workers = min(jobs, len(tasks), usable_cpus()) if hasattr(os, "fork") else 1
-    if workers > 1:
+    if workers > 1 and _cost(tasks) > _BREAK_EVEN:
         chunks = _forked(tasks, workers)
     else:
         chunks = [_run_task(task) for task in tasks]

@@ -12,7 +12,7 @@ denominator per k (_closed_form).  eval_f, eval_g, the telescoped sums and
 closed_form_g, which no check reads, are their Fraction views.
 
 A grid check evaluates each F and G it reads once, on its closed form (the
-grids are the evidence for the G ratio that congruences._g_column steps by);
+grids are the evidence for the G ratio that congruences._g_steps folds by);
 _telescoped sums the F column once for all M, telescope_full_sum(M) is M..M.
 """
 

@@ -10,6 +10,7 @@ import pytest
 
 from supercong.cli import (_build_parser, _primes_between, collect_records, emit_report, main,
                            parse_args)
+from supercong import congruences
 from supercong.congruences import Verdict, all_ids, usable_cpus
 from supercong.exactnum import is_prime
 
@@ -309,8 +310,9 @@ def source_env() -> dict[str, str]:
 def test_launch_loads_no_pool_library(tmp_path):
     # A pooled launch forks its workers itself, so no launch pays for
     # importing concurrent.futures or multiprocessing, and a serial one
-    # loads not even pickle.
-    script = ("import json, sys\nfrom supercong.cli import main\n"
+    # loads not even pickle.  The break-even is 0, so --jobs 2 forks.
+    script = ("import json, sys\nfrom supercong import congruences\nfrom supercong.cli import main\n"
+              "congruences._BREAK_EVEN = 0\n"
               "print(json.dumps([main(sys.argv[1:]), sorted(sys.modules)]))")
     loaded = {}
     for jobs in ("1", "2"):
@@ -331,10 +333,12 @@ def test_launch_loads_no_pool_library(tmp_path):
 def test_sigterm_exits_143_and_leaves_no_process():
     # SIGTERM, as `timeout` sends it, to a launch whose workers are busy: exit
     # 143 with one error line, and its process group empty within 1 s
-    # (each worker says busy in one write, which a pipe keeps whole)
+    # (each worker says busy in one write, which a pipe keeps whole); the
+    # break-even is 0, so the launch forks
     script = ("import dataclasses, os, sys, time\n"
               "from supercong import congruences\n"
               "from supercong.cli import main\n"
+              "congruences._BREAK_EVEN = 0\n"
               "row = congruences.REGISTRY['two-power-half']\n"
               "def busy(p, r, e):\n"
               "    os.write(2, b'busy\\n')\n"
@@ -362,9 +366,11 @@ def test_sigterm_exits_143_and_leaves_no_process():
 
 
 @pytest.mark.parametrize("golden, fmt, jobs", GOLDEN_CASES)
-def test_report_matches_golden(golden, fmt, jobs, tmp_path):
+def test_report_matches_golden(golden, fmt, jobs, tmp_path, monkeypatch):
     # The report is the behaviour contract: every family, every format, and
-    # serial or pooled runs give the bytes stored in tests/golden.
+    # serial or pooled runs give the bytes stored in tests/golden.  With the
+    # break-even at 0, --jobs 2 runs in the pool.
+    monkeypatch.setattr(congruences, "_BREAK_EVEN", 0)
     out = tmp_path / f"report.{fmt}"
     argv = GOLDEN_ARGS[golden] + ["--format", fmt, "--jobs", jobs, "--out", str(out)]
     assert main(argv) == 0

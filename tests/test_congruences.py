@@ -1,22 +1,26 @@
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import json
 import os
 import re
 import signal
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from supercong import InapplicableError, UnknownIdError, check_congruence, run_suite
 from supercong import congruences as cong
-from supercong.cli import main as cli_main
+from supercong.cli import main as cli_main, parse_args
 from supercong.combinat import harmonic
 from supercong.congruences import REGISTRY, CongruenceSpec, EvaluatorError, _alt_quarter_sum, _sign, eval_series
 from supercong.exactnum import NotPIntegralError, inverse_column, padic_valuation, reduce_mod
@@ -29,7 +33,8 @@ from oracles import PAIRS_EXACT, SERIES_EXACT
 R_INDEXED = sorted(cid for cid, row in REGISTRY.items() if row.r_indexed)
 WINDOWED = ["central-2p1p", "morley", "wolstenholme-h1", "wolstenholme-h2"]
 WOLSTENHOLME_IDS = WINDOWED + ["two-power-half"]
-REFS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "refs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REFS = os.path.join(ROOT, "perfbench", "refs")
 EXACT_IDS = [f"I{i}" for i in range(1, 13)] + ["wz-pair", "wz-half-sum", "wz-full-sum", "wz-closed-form"]
 # (ids, primes, r_max) of each benchmark workload and of its set-up launch
 SCHEDULES = {
@@ -264,6 +269,131 @@ def test_no_row_inverts_inside_its_own_loop():
             and isinstance(call.args[1].op, ast.USub)
         }
     assert not offenders, f"pow with a negative exponent in a loop: {sorted(offenders)}"
+
+
+# -- the fold kernel and the folds of one task --------------------------------
+
+
+def _fold_oracle(p, e, factors, weights, stops):
+    """(sums, products) of a fold from Fraction products reduced by
+    reduce_mod, or the text of the EvaluatorError the fold raises on the
+    factors up to the last stop."""
+    t, total, out = Fraction(1), Fraction(weights[0]), {0: (Fraction(weights[0]), Fraction(1))}
+    for i, ((num, den), w) in enumerate(zip(factors[:max(stops)], weights[1:]), 1):
+        if num == 0 or den == 0:
+            return f"zero factor {num}/{den} in a product stepped mod {p}^{e}"
+        t *= Fraction(num, den)
+        if padic_valuation(t, p) < 0:
+            return f"a stepped product has {p} in its denominator (mod {p}^{e})"
+        total += w * t
+        out[i] = (total, t)
+    return ([reduce_mod(out[i][0], p, e) for i in stops], [reduce_mod(out[i][1], p, e) for i in stops])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(p=st.sampled_from([3, 5, 7]), e=st.integers(1, 4), data=st.data())
+def test_fold_equals_the_fraction_weighted_sum(p, e, data):
+    # factors p^a u / (p^b u') with a <= 4, so the valuation climbs past e
+    # and comes back down.  In three runs of four u and u' are units and
+    # b <= v + a keeps the valuation v at 0 or more; in the others b <= 4
+    # and u, u' are any ints, 0 (a zero factor) included.
+    n, capped, v, factors = data.draw(st.integers(0, 16)), data.draw(st.integers(0, 3)), 0, []
+    unit = (st.builds(lambda k, j, sign: sign * (k * p + j), st.integers(0, 9), st.integers(1, p - 1),
+                      st.sampled_from([1, -1])) if capped else st.integers(-30, 30))
+    for _ in range(n):
+        a = data.draw(st.integers(0, 4))
+        b = data.draw(st.integers(0, v + a if capped else 4))
+        v += a - b
+        factors.append((p**a * data.draw(unit), p**b * data.draw(unit)))
+    weights = data.draw(st.lists(st.integers(-50, 50), min_size=n + 1, max_size=n + 1))
+    stops = sorted(data.draw(st.sets(st.integers(0, n), min_size=1)))
+    want = _fold_oracle(p, e, factors, weights, stops)
+    if isinstance(want, str):
+        event(want.split()[0])
+        with pytest.raises(EvaluatorError) as raised:
+            cong._fold(p, e, iter(factors), iter(weights), stops)
+        assert str(raised.value) == want
+        return
+    valuations = list(accumulate(padic_valuation(Fraction(*f), p) for f in factors[:stops[-1]]))
+    event(f"valuation at e or more, then below e: {any(v >= e for v in valuations) and valuations[-1] < e}")
+    assert cong._fold(p, e, iter(factors), iter(weights), stops) == want
+    if stops[-1] == n:
+        assert cong._column(p, e, iter(factors), n) == _fold_oracle(p, e, factors, weights, range(n + 1))[1]
+
+
+def test_fold_through_a_valuation_past_e():
+    # p^e, then 1/p^e: the product is 0 mod p^e in between and 1 again after
+    p, e = 5, 2
+    factors = [(25, 1), (3, 1), (1, 25), (2, 1)]
+    assert cong._fold(p, e, iter(factors), iter([1, 1, 1, 1, 1]), [0, 1, 2, 3, 4]) == (
+        [1, 1, 1, 4, 10], [1, 0, 0, 3, 6])
+    with pytest.raises(EvaluatorError, match="^a stepped product has 5 in its denominator"):
+        cong._fold(p, e, iter([(1, 5)]), iter([1, 1]), [1])
+
+
+def _task_of(ids, p, r_max):
+    return p, [(cid, r) for cid in sorted(ids) for r in range(1, r_max + 1) if REGISTRY[cid].applicable(p, r)]
+
+
+SERIES_ROWS = ["thm-main", "thm-prime-power", "vanhamme", "sun-64", "guo-liu", "long-cxh-512", "mao-512",
+               "cxh-8-full", "remark-sun-c51", "guo-half-64", "guo-conj-full-64"]
+
+
+@pytest.mark.parametrize("p, r_max", [(5, 3), (7, 3), (11, 2)])
+def test_one_task_folds_each_sequence_once(p, r_max, monkeypatch):
+    # the r-indexed and series rows of one task: no fold's run of factors is
+    # a prefix of another's, so each sequence is folded once, and the rows
+    # read from the shared folds what they read from folds of their own
+    runs = []
+    fold, column = cong._fold, cong._column
+
+    def spied_fold(p, e, factors, weights, stops):
+        stops = list(stops)
+        factors = list(factors)[:stops[-1]]
+        runs.append(factors)
+        return fold(p, e, iter(factors), weights, stops)
+
+    def spied_column(p, e, factors, n):
+        factors = list(factors)[:n]
+        runs.append(factors)
+        return column(p, e, iter(factors), n)
+
+    task = _task_of(R_INDEXED + SERIES_ROWS, p, r_max)
+    alone = [check_congruence(cid, p, r) for cid, r in task[1]]
+    monkeypatch.setattr(cong, "_fold", spied_fold)
+    monkeypatch.setattr(cong, "_column", spied_column)
+    shared = cong._run_task(task)
+    assert [v._replace(micros=0) for v in shared] == [v._replace(micros=0) for v in alone]
+    for i, run in enumerate(runs):
+        for j, other in enumerate(runs):
+            assert i == j or other[:len(run)] != run, (i, j, run[:3])
+    # the S8, S64, S512 and Sgl terms and the column of C(2k, k) once each;
+    # morley-power, the G column, central-2pr's sum of p^r/j, ps-2's left
+    # side and neg-binom-unit's column once for each r
+    assert len(runs) == 5 + 5 * r_max
+
+
+@pytest.mark.parametrize("p, r_max", [(5, 3), (7, 3), (11, 2), (13, 2)])
+def test_rows_of_one_task_match_exact_oracle(p, r_max):
+    # every per-prime row of one task, reading the task's shared folds at
+    # the largest e of their reads, gives the residues of its exact oracle
+    ids = [cid for cid, row in REGISTRY.items() if row.window is None]
+    for v in cong._run_task(_task_of(ids, p, r_max)):
+        want = [(reduce_mod(lhs, p, v.e), reduce_mod(rhs, p, v.e)) for lhs, rhs in PAIRS_EXACT[v.id](p, v.r)]
+        assert (v.lhs, v.rhs) == cong._compared(want, p, v.e), (v.id, p, v.r)
+
+
+@pytest.mark.parametrize("cid, p, r", [("morley-power", 13, 5), ("lemma-3.3", 13, 4)])
+def test_sum_rows_hold_no_run_of_terms(cid, p, r):
+    # 185,646 and 42,840 steps, and no list of them: under 1 MB traced
+    tracemalloc.start()
+    try:
+        verdict = check_congruence(cid, p, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    assert peak < 1 << 20, peak
 
 
 class TestKnownAnswers:
@@ -516,7 +646,8 @@ class TestRunSuite:
             ("vanhamme", 5), ("vanhamme", 7),
         ]
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(cong, "_BREAK_EVEN", 0)  # fork, whatever the sweep costs
         ids = ["thm-main", "morley", "binom-16k", "I3", "I10", "wz-pair", "wz-closed-form"]
         serial = suite(ids, primes_in(5, 23), identities_n_max=6, wz_grid=4)
         parallel = suite(ids, primes_in(5, 23), jobs=2, identities_n_max=6, wz_grid=4)
@@ -526,7 +657,8 @@ class TestRunSuite:
         assert [v.id for v in exact] == ["I10", "I3", "wz-closed-form", "wz-pair"]
         assert all(v.passed and v.lhs == 0 for v in exact)
 
-    def test_parallel_matches_serial_over_batches_of_primes(self):
+    def test_parallel_matches_serial_over_batches_of_primes(self, monkeypatch):
+        monkeypatch.setattr(cong, "_BREAK_EVEN", 0)
         ids = ["wolstenholme-h1", "wolstenholme-h2", "central-2p1p", "two-power-half"]
         primes = primes_in(5, 1000)
         serial = suite(ids, primes)
@@ -576,7 +708,8 @@ class TestRunSuite:
         assert cong._tasks([cid], [3], 2, 1, 1) == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_wolstenholme_band_matches_the_benchmark_references(self, jobs):
+    def test_wolstenholme_band_matches_the_benchmark_references(self, jobs, monkeypatch):
+        monkeypatch.setattr(cong, "_BREAK_EVEN", 0)
         with open(os.path.join(REFS, "wolstenholme-sweep.jsonl"), encoding="utf-8") as handle:
             refs = [tuple(json.loads(line)) for line in handle if line.strip()]
         keys = ("id", "p", "r", "modulus", "lhs", "rhs", "pass")
@@ -600,7 +733,8 @@ class TestRunSuite:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         # records the worker count the pool is asked for, and runs the
-        # tasks in this process
+        # tasks in this process; any sweep is past the break-even
+        monkeypatch.setattr(cong, "_BREAK_EVEN", 0)
         sizes = []
 
         def forked(tasks, workers):
@@ -641,6 +775,50 @@ class TestRunSuite:
         assert pool_sizes == []
         assert [v.record(no_timing=True) for v in pooled] == [v.record(no_timing=True) for v in serial]
 
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # records the worker count of each call of the pool on two CPUs, and
+        # runs the tasks in this process
+        calls = []
+        monkeypatch.setattr(cong, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cong, "_forked", lambda tasks, workers: calls.append(workers)
+                            or [cong._run_task(task) for task in tasks])
+        return calls
+
+    def test_benchmark_workloads_run_in_this_process(self, forks, capsys, monkeypatch):
+        # each workload's argv at its own --jobs, whatever window its seed
+        # picks, costs no more than the break-even
+        spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up there
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            for seed in range(100):
+                run = parse_args(workload.argv(seed))
+                tasks = cong._tasks(run.ids, run.primes, run.r_max, run.identities_n_max, run.wz_grid)
+                assert cong._cost(tasks) <= cong._BREAK_EVEN, (workload.name, seed)
+            assert cli_main(workload.argv(1)) == 0
+        capsys.readouterr()
+        assert forks == []
+
+    @pytest.mark.parametrize("ids, primes, r_max, depth", [
+        (R_INDEXED, primes_in(5, 50), 3, 1),  # 1.3 s at --jobs 2
+        (EXACT_IDS, [5], 1, 300),  # 0.9 s at --jobs 2, 1.5 s in this process
+    ], ids=["r-indexed-5-50-r3", "exact-300"])
+    def test_large_sweeps_fork(self, ids, primes, r_max, depth, forks, monkeypatch):
+        # --jobs 2, run here on a stub
+        monkeypatch.setattr(cong, "_run_task", lambda task: [])
+        suite(ids, primes, r_max=r_max, jobs=2, identities_n_max=depth, wz_grid=depth // 3)
+        assert forks == [2]
+
+    @pytest.mark.parametrize("past, pooled", [(0, []), (1, [2])], ids=["at", "past"])
+    def test_a_cost_at_the_break_even_runs_in_this_process(self, past, pooled, forks, monkeypatch):
+        monkeypatch.setattr(cong, "_cost", lambda tasks: cong._BREAK_EVEN + past)
+        verdicts = suite(["two-power-half"], [5, 7], jobs=2)
+        assert forks == pooled
+        assert [v.record(no_timing=True) for v in verdicts] == [
+            v.record(no_timing=True) for v in suite(["two-power-half"], [5, 7])]
+
     def test_forked_pool_runs_every_task_once(self, monkeypatch):
         # more workers than cores, and more task indices than a pipe holds, as
         # a sweep of the 17,982 primes from 5 to 2 10^5 has
@@ -654,10 +832,12 @@ class TestRunSuite:
     def row_does(self, monkeypatch):
         # two-power-half, a row checked prime by prime, first calls act(p) in
         # the worker that checks p; the forked workers inherit the patch.  act
-        # never runs in this process, so a worker may kill itself.
+        # never runs in this process, so a worker may kill itself.  Any sweep
+        # is past the break-even, so the pool runs it.
         row = REGISTRY["two-power-half"]
         parent = os.getpid()
         monkeypatch.setattr(cong, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cong, "_BREAK_EVEN", 0)
 
         def patch(act):
             def pairs(p, r, e):
