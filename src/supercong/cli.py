@@ -61,6 +61,15 @@ def _id_list(text: str) -> tuple[str, ...]:
     return ids
 
 
+# The most work a --primes sieve may take, in steps: one per number of the
+# window and one per divisor up to sqrt(hi) (_primes_between).  A larger
+# window is a usage error before anything is allocated.  Measured in
+# parse_args (2 vCPUs, Python 3.11.7): 5:3000000 took 0.2 s and 28 MB, and
+# 5:9990000, just below the bound, 0.7 s and 53 MB; 5:30000000 took 1.9 s and
+# 122 MB, and the one-number window at 10^18 would take about 17 minutes.
+_SIEVE_STEPS = 10_000_000
+
+
 def _prime_window(text: str) -> tuple[int, ...]:
     match = re.fullmatch(r"(-?\d+):(-?\d+)", text)
     if not match:
@@ -68,6 +77,8 @@ def _prime_window(text: str) -> tuple[int, ...]:
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty prime range {lo}:{hi}")
+    if hi - max(lo, 2) + 1 + math.isqrt(max(hi, 0)) > _SIEVE_STEPS:
+        raise argparse.ArgumentTypeError(f"prime range {lo}:{hi} takes more than {_SIEVE_STEPS} steps to sieve")
     try:
         return _primes_between(lo, hi)
     except MemoryError:

@@ -8,17 +8,23 @@ congruences (REGISTRY here, checked per (p, r)), identities
 certificates (wz.REGISTRY, checked up to a grid depth).  all_ids() lists
 the ids of all three, and run_suite() runs any selection of them.
 
-Row contract: each row is one _row declaration on its evaluator
-pairs(p, r, e), giving the row's id, its statement and its modulus
-exponent e, an int or a function of r; rows enter REGISTRY, and so
-all_ids(), in the order they are declared.  A row that is another row's
-r = 1 case shares that row's evaluator (vanhamme with guo-half-64).
-check_congruence computes e once and calls pairs(p, r, e).  Each side of
-each pair is an int, taken mod p^e; check_congruence compares each pair as
-two ints in [0, p^e), and that is the only comparison.  A side of any other
-type makes a failed row with a diagnostic.  Sides known only mod p (the
-Euler and Bernoulli values of lemma-2.6b and lemma-2.6-altsum) are ints
-mod p, so those rows fix e = 1.
+Row contract: each row is one _row declaration on its evaluator, giving
+the row's id, its statement, its modulus exponent e (an int or a function
+of r) and what the row reads from its prime: the series it sums (series),
+its reads of the G column or of the column of C(2k, k) (reads), and its
+values of p alone (values: E_{p-3}(1/4), E_{p-3} and the lemma sums).  The
+declaration is the only place a row names them: the evaluator takes them
+as arguments after (p, r, e), and the row's pairs(p, r, e) makes the reads
+and calls it.  Rows enter REGISTRY, and so all_ids(), in the order they are
+declared.  A row that is another row's r = 1 case shares that row's
+evaluator (vanhamme with guo-half-64).  check_congruence computes e once
+and calls pairs(p, r, e).  Each side of each pair is an int, taken mod p^e;
+check_congruence compares each pair as two ints in [0, p^e), and that is
+the only comparison.  A side of any other type makes a failed row with a
+diagnostic.  Sides known only mod p (the Euler and Bernoulli values of
+lemma-2.6b and lemma-2.6-altsum) are ints mod p, so those rows fix e = 1.
+Those values depend only on the residues of their arguments, so 1/4,
+{(4-p)/8} and {-p/8} enter as residues mod p, and no row builds a Fraction.
 
 Windowed rows: wolstenholme-h1, wolstenholme-h2, central-2p1p and morley
 are declared on window(primes, e), which gives the pairs of every prime of
@@ -45,16 +51,23 @@ EvaluatorError if p is left in a denominator, and holds no list: it keeps
 S / D and p^v N / D only at the indices read (its stops).  Only a
 per-index row keeps every index, as a column (_column; ps-1/2/3, ps-2's
 left side, neg-binom-unit, binom-16k), and hands its pairs to the check one
-at a time (_Pairs).  Within one per-prime task each shared term sequence is
+at a time (_Pairs); so does the one pass that weighs the quarter terms four
+ways (_quarter_sums).  Within one per-prime task each shared term sequence is
 folded once, at the largest e its rows read and to the furthest index, with
-a stop at each index read (_TaskFolds, built from each row's declared
-reads): the S8, S64 and S512 terms serve their half and full series at
+a stop at each index read (_TaskFolds, built from each row's declared series
+and reads): the S8, S64 and S512 terms serve their half and full series at
 every r, the G column of p^r serves lemma-3.2 and lemma-3.3, and the column
-of C(2k, k) serves central-2pr and ps-1/2/3.  Every reciprocal 1/k in a sum
-comes from the column exactnum.inverse_column, and a remainder tree's S / D
-inverts its unit D once per prime (_quotient; the windowed rows, and
-central-2pr's H_{p-1} mod p).  The exact Fraction form of every row is the
-test oracle (PAIRS_EXACT in tests/oracles.py).
+of C(2k, k) serves central-2pr and ps-1/2/3.  The same task object computes
+each declared value once, on its first read (_value): E_{p-3}(1/4) serves
+thm-main, lemma-2.6b and lemma-2.7; E_{p-3} serves sun-64, guo-liu, mao-512
+and cxh-8-full; the four weighted sums of one pass over the quarter terms
+C((p-1)/2,2k) C(2k,k) / 4^k (_quarter_sums) serve lemma-2.2, 2.3, 2.4 and
+2.6a; and the 64-sum serves lemma-2.6a and 2.6b.  Nothing is kept from one
+task to the next.  Every reciprocal 1/k in a sum comes from the column
+exactnum.inverse_column, and a remainder tree's S / D inverts its unit D
+once per prime (_quotient; the windowed rows, and central-2pr's H_{p-1}
+mod p).  The exact Fraction form of every row is the test oracle
+(PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
@@ -96,16 +109,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from itertools import accumulate, chain, count, islice, repeat
 from math import perm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import identities, wz
-from .combinat import binomial, frac_part
+from .combinat import binomial
 from .exactnum import NotPIntegralError, UnknownIdError, inverse_column, is_prime
-from .identities import W_H, W_H2, W_HH, W_ONE
 from .special import (
     bernoulli_diff_mod_p,
     euler_number_mod_p,
@@ -195,7 +206,8 @@ class CongruenceSpec:
     # stated at r = 1 and a fixed e whose pairs come from one remainder tree
     window: Callable[[tuple[int, ...], int], list[list[tuple[int, int]]]] | None = None
     # reads(p, r, e): the reads of shared term sequences that pairs(p, r, e)
-    # makes, so that one per-prime task folds each sequence once (_TaskFolds)
+    # makes (the series and reads its _row declares), so that one per-prime
+    # task folds each sequence once (_TaskFolds)
     reads: Callable[[int, int, int], list[_Read]] = _reads_nothing
     # cost(p, r): the work of pairs(p, r, e) in fold steps, for the runner
     cost: Callable[[int, int], int] = _p_to_the_r
@@ -299,14 +311,16 @@ _SUM, _PRODUCT, _COLUMN = 0, 1, 2
 
 class _TaskFolds:
     """The sequences that the rows of one per-prime task read, each folded
-    once.  A sequence is folded at the largest e its reads name, with a stop
-    at each index read, or, when some read takes a column, as one column to
-    the furthest index read."""
+    once, and the values of p those rows read, each computed once.  A
+    sequence is folded at the largest e its reads name, with a stop at each
+    index read, or, when some read takes a column, as one column to the
+    furthest index read."""
 
     def __init__(self, p: int, reads) -> None:
         self.p = p
         self.plans: dict[tuple, list] = {}  # sequence -> [e, indices read, a column?]
         self.folds: dict[tuple, tuple] = {}  # sequence -> (stops, sums, products)
+        self.values: dict[Callable, object] = {}  # value -> value(p), filled by _value
         for seq, index, e, take in reads:
             plan = self.plans.setdefault(seq, [e, set(), False])
             plan[0] = max(plan[0], e)
@@ -355,6 +369,15 @@ def _read(p: int, seq: tuple, index: int, e: int, take: int):
         if got is not None:
             return got
     return _TaskFolds(p, [(seq, index, e, take)]).read(seq, index, e, take)
+
+
+def _value(p: int, value: Callable[[int], object]):
+    """value(p): the running task's one computation of it, or one for this
+    read alone."""
+    values = _task.values if _task is not None and _task.p == p else {}
+    if value not in values:
+        values[value] = value(p)
+    return values[value]
 
 
 # -- one row over a window of primes -----------------------------------------
@@ -464,11 +487,10 @@ class _Series:
     ratio: tuple[int, int, int]
     bound: Callable[[int], int]
 
-    @property
-    def terms(self) -> tuple:
-        """The term sequence, one for every bound: a half and a full series
-        are two reads of one fold."""
-        return (_series_steps, self.weight, self.base, self.ratio)
+    def read(self, p: int, r: int, e: int) -> _Read:
+        """The read of this sum at p^r, mod p^e, from the fold of its terms:
+        a half and a full series are two reads of one fold."""
+        return (_series_steps, self.weight, self.base, self.ratio), self.bound(p**r), e, _SUM
 
 
 _CENTRAL = (4, -2, 1)  # t_n = C(2n, n)
@@ -489,14 +511,6 @@ _SERIES: dict[str, _Series] = {
 }
 
 
-def _series_reads(*series_ids: str):
-    """reads(p, r, e) of a row whose sides read these series at p^r."""
-    def reads(p: int, r: int, e: int) -> list[_Read]:
-        return [(_SERIES[s].terms, _SERIES[s].bound(p**r), e, _SUM) for s in series_ids]
-
-    return reads
-
-
 def eval_series(series_id: str, p: int, r: int, e: int) -> int:
     """Partial sum of the named series at its upper bound for p^r, mod p^e,
     as an int in [0, p^e).
@@ -515,7 +529,7 @@ def eval_series(series_id: str, p: int, r: int, e: int) -> int:
         raise ValueError(f"r must be positive, got {r}")
     if e < 1:
         raise ValueError(f"exponent must be positive, got {e}")
-    return _read(p, series.terms, series.bound(p**r), e, _SUM) % p**e
+    return _read(p, *series.read(p, r, e)) % p**e
 
 
 # -- shared pieces -------------------------------------------------------------
@@ -525,37 +539,35 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-@lru_cache(maxsize=1)  # the rows of one prime run in one task
 def _euler_quarter(p: int) -> int:
-    # E_{p-3}(1/4) mod p, lifted to [0, p); any lift works inside the p^3-scaled
-    # terms below because shifting by p only moves the product by p^4/4.
-    return euler_poly_mod_p(p - 3, Fraction(1, 4), p)
+    # E_{p-3}(1/4) mod p, lifted to [0, p), from the residue of 1/4 mod p, on
+    # which alone it depends; any lift works inside the p^3-scaled terms below
+    # because shifting by p only moves the product by p^4/4.
+    return euler_poly_mod_p(p - 3, pow(4, -1, p), p)
 
 
-@lru_cache(maxsize=1)
 def _euler_number(p: int) -> int:
     return euler_number_mod_p(p - 3, p)
 
 
-def _rhs_central_quarter(p: int, e: int) -> int:
+def _rhs_central_quarter(p: int, e: int, euler_quarter: int) -> int:
     # p (-1|p) + (p^3/4) (2|p) E_{p-3}(1/4)
-    return p * legendre_symbol(-1, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_quarter(p)
+    return p * legendre_symbol(-1, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * euler_quarter
 
 
-def _half_fold(p: int, e: int, weight) -> int:
-    """sum_{k<=(p-1)/4} C(h,k) C(h-k,k) w(H_k, H_k^(2)) / 4^k mod p^e, h = (p-1)/2,
-    from weight at u = 1 (oracle: half_fold in tests/oracles.py): every
-    C(h,k) C(h-k,k) / 4^k and H_k with k < p is a unit or p-integral."""
+def _quarter_sums(p: int, e: int = 3) -> tuple[int, int, int, int]:
+    """sum_{k<=(p-1)/4} C(h,2k) C(2k,k) w_k / 4^k mod p^e, h = (p-1)/2, for the
+    weights w_k = 1, H_k, H_k^2 + H_k^(2) and H_k^(2), in that order, from one
+    pass over the column of terms (oracle: half_fold in tests/oracles.py):
+    every term and every H_k with k < p is a unit or p-integral."""
     m, h, f = p**e, (p - 1) // 2, (p - 1) // 4
-
-    def weights():  # u = 1: a weight homogeneous of degree 2 is then w(H_k, H_k^(2)) itself
-        h1 = h2 = 0
-        for inv in inverse_column(f, p, e):
-            h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
-            yield weight(1, h1, h2)
-
-    factors = (((h - 2 * k + 2) * (h - 2 * k + 1), 4 * k * k) for k in range(1, f + 1))
-    return _fold(p, e, factors, weights(), (f,))[0][0]
+    terms = _column(p, e, (((h - 2 * k + 2) * (h - 2 * k + 1), 4 * k * k) for k in range(1, f + 1)), f)
+    h1 = h2 = by_h = by_hh = by_h2 = 0
+    for t, inv in zip(terms, inverse_column(f, p, e)):
+        h1, h2 = (h1 + inv) % m, (h2 + inv * inv) % m
+        th = t * h1 % m
+        by_h, by_hh, by_h2 = by_h + th, by_hh + th * h1, by_h2 + t * h2
+    return sum(terms) % m, by_h % m, (by_hh + by_h2) % m, by_h2 % m
 
 
 def _sum64_h2(p: int) -> int:
@@ -598,6 +610,11 @@ def _central_read(n: int, e: int, take: int) -> _Read:
     return (_central_steps,), n, e, take
 
 
+def _central_below(p: int, r: int, e: int) -> _Read:
+    # the column C(2k, k), k < p^r, of the ps rows
+    return _central_read(p**r - 1, e, _COLUMN)
+
+
 # -- per-row pair evaluators ---------------------------------------------------
 
 REGISTRY: dict[str, CongruenceSpec] = {}
@@ -617,16 +634,33 @@ class _Pairs:
 
 def _row(cid: str, statement: str, e: int | Callable[[int], int], *,
          min_prime: int = 5, r_indexed: bool = False, windowed: bool = False,
-         reads: Callable[[int, int, int], list[_Read]] = _reads_nothing,
+         series: tuple[str, ...] = (), reads: tuple[Callable[[int, int, int], _Read], ...] = (),
+         values: tuple[Callable[[int], object], ...] = (),
          cost: Callable[[int, int], int] = _p_to_the_r):
     """Decorator: enter the evaluator below it into REGISTRY as the row cid,
     stated at modulus p^e; e is an int, or a function of r for a row whose
-    modulus grows with r.  A windowed row's evaluator is window(primes, e),
-    and the name it is bound to becomes pairs(p, r, e), its one-prime
-    window.  reads(p, r, e) lists the reads of shared sequences that the
-    evaluator makes through _read, and cost(p, r) is its work in fold
-    steps."""
+    modulus grows with r.  cost(p, r) is the row's work in fold steps.
+
+    This is the one place a row names what it reads from its prime.  The
+    evaluator takes its reads after (p, r, e), in this order: each series of
+    series, as eval_series gives it at p^r; each read(p, r, e) of reads, a
+    read of the G column or of the column of C(2k, k) (_read); and each
+    value(p) of values, a value of p alone (_value).  In a per-prime task
+    the series and reads come from the task's one fold of each sequence, and
+    each value is computed once.  The row's pairs(p, r, e) makes the reads
+    and calls the evaluator, and the name the evaluator is bound to stays
+    the evaluator, so that another row can share it.  A windowed row's
+    evaluator is window(primes, e), and the name it is bound to becomes
+    pairs(p, r, e), its one-prime window."""
     exponent = e if callable(e) else lambda r: e
+    # the reads of shared sequences that pairs makes, and what it passes the
+    # evaluator, in order; each looks up eval_series, _SERIES and _read when
+    # it is called, so that a replacement of them takes effect (the
+    # benchmark's tracer wraps eval_series)
+    folds = [lambda p, r, e, s=s: _SERIES[s].read(p, r, e) for s in series] + list(reads)
+    inputs = ([lambda p, r, e, s=s: eval_series(s, p, r, e) for s in series]
+              + [lambda p, r, e, read=read: _read(p, *read(p, r, e)) for read in reads]
+              + [lambda p, r, e, value=value: _value(p, value) for value in values])
 
     def register(evaluator):
         pairs, window = evaluator, None
@@ -635,34 +669,38 @@ def _row(cid: str, statement: str, e: int | Callable[[int], int], *,
 
             def pairs(p, r, e):
                 return window((p,), e)[0]
+        elif inputs:
+            @wraps(evaluator)
+            def pairs(p, r, e):
+                return evaluator(p, r, e, *[get(p, r, e) for get in inputs])
 
         REGISTRY[cid] = CongruenceSpec(cid, statement, exponent, pairs, min_prime, r_indexed, window,
-                                       reads, cost)
-        return pairs
+                                       lambda p, r, e: [read(p, r, e) for read in folds], cost)
+        return pairs if windowed else evaluator
 
     return register
 
 
 @_row("thm-main",
       "sum_{n<=(p-1)/2} (3n+1)(-8)^-n C(2n,n)^3 == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)", 4,
-      reads=_series_reads("S8-half"))
-def _pairs_thm_main(p, r, e):
-    return [(eval_series("S8-half", p, r, e), _rhs_central_quarter(p, e))]
+      series=("S8-half",), values=(_euler_quarter,))
+def _pairs_thm_main(p, r, e, s8_half, euler_quarter):
+    return [(s8_half, _rhs_central_quarter(p, e, euler_quarter))]
 
 
 @_row("thm-prime-power",
       "sum_{n<p^r} (3n+1)(-8)^-n C(2n,n)^3 == (-1)^((p^r-1)/2) p^r (mod p^(r+2))",
-      lambda r: r + 2, r_indexed=True, reads=_series_reads("S8-full"))
-def _pairs_thm_prime_power(p, r, e):
-    return [(eval_series("S8-full", p, r, e), _sign((p**r - 1) // 2) * p**r)]
+      lambda r: r + 2, r_indexed=True, series=("S8-full",))
+def _pairs_thm_prime_power(p, r, e, s8_full):
+    return [(s8_full, _sign((p**r - 1) // 2) * p**r)]
 
 
 # vanhamme is the r = 1 case of guo-half-64, which is declared further down
 @_row("vanhamme",
       "sum_{k<=(p-1)/2} (4k+1)(-1)^k ((1/2)_k/k!)^3 == (-1)^((p-1)/2) p (mod p^3)", 3, min_prime=3,
-      reads=_series_reads("S64-half"))
-def _pairs_guo_half_64(p, r, e):
-    return [(eval_series("S64-half", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
+      series=("S64-half",))
+def _pairs_guo_half_64(p, r, e, s64_half):
+    return [(s64_half, _sign((p - 1) // 2 * r) * p**r)]
 
 
 @_row("wolstenholme-h1", "H_{p-1} == 0 (mod p^2)", 2, windowed=True)
@@ -685,65 +723,63 @@ def _pairs_central_2p1p(primes, e):
             for p in primes]
 
 
-def _rhs_sign_euler(p: int) -> int:
+def _rhs_sign_euler(p: int, euler: int) -> int:
     # (-1)^((p-1)/2) p + p^3 E_{p-3}, the right side of sun-64 and cxh-8-full
-    return _sign((p - 1) // 2) * p + p**3 * _euler_number(p)
+    return _sign((p - 1) // 2) * p + p**3 * euler
 
 
 @_row("sun-64",
       "sum_{k<p} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)/2) p + p^3 E_{p-3} (mod p^4)", 4,
-      reads=_series_reads("S64-full"))
-def _pairs_sun_64(p, r, e):
-    return [(eval_series("S64-full", p, r, e), _rhs_sign_euler(p))]
+      series=("S64-full",), values=(_euler_number,))
+def _pairs_sun_64(p, r, e, s64_full, euler):
+    return [(s64_full, _rhs_sign_euler(p, euler))]
 
 
 @_row("guo-liu",
       "sum_{k<=(p+1)/2} (-1)^k (4k-1)(-1/2)_k^3/k!^3 == p(-1)^((p+1)/2) + p^3(2 - E_{p-3}) (mod p^4)", 4,
-      reads=_series_reads("Sgl"))
-def _pairs_guo_liu(p, r, e):
-    rhs = p * _sign((p + 1) // 2) + p**3 * (2 - _euler_number(p))
-    return [(eval_series("Sgl", p, r, e), rhs)]
+      series=("Sgl",), values=(_euler_number,))
+def _pairs_guo_liu(p, r, e, sgl, euler):
+    return [(sgl, p * _sign((p + 1) // 2) + p**3 * (2 - euler))]
 
 
 # mao-512 sharpens this row to p^4, but its E_{p-3} mod p needs p >= 5, and
 # this row is stated at p = 3 too
 @_row("long-cxh-512", "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) (mod p^2)", 2, min_prime=3,
-      reads=_series_reads("S512-half"))
-def _pairs_long_cxh_512(p, r, e):
-    return [(eval_series("S512-half", p, r, e), p * legendre_symbol(-2, p))]
+      series=("S512-half",))
+def _pairs_long_cxh_512(p, r, e, s512_half):
+    return [(s512_half, p * legendre_symbol(-2, p))]
 
 
 @_row("mao-512",
       "sum_{n<=(p-1)/2} (6n+1)(-512)^-n C(2n,n)^3 == p(-2|p) + (p^3/4)(2|p) E_{p-3} (mod p^4)", 4,
-      reads=_series_reads("S512-half"))
-def _pairs_mao_512(p, r, e):
-    rhs = p * legendre_symbol(-2, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * _euler_number(p)
-    return [(eval_series("S512-half", p, r, e), rhs)]
+      series=("S512-half",), values=(_euler_number,))
+def _pairs_mao_512(p, r, e, s512_half, euler):
+    rhs = p * legendre_symbol(-2, p) + p**3 * pow(4, -1, p**e) * legendre_symbol(2, p) * euler
+    return [(s512_half, rhs)]
 
 
 @_row("cxh-8-full", "sum_{k<p} (3k+1)(-8)^-k C(2k,k)^3 == p(-1)^((p-1)/2) + p^3 E_{p-3} (mod p^4)", 4,
-      reads=_series_reads("S8-full"))
-def _pairs_cxh_8_full(p, r, e):
-    return [(eval_series("S8-full", p, r, e), _rhs_sign_euler(p))]
+      series=("S8-full",), values=(_euler_number,))
+def _pairs_cxh_8_full(p, r, e, s8_full, euler):
+    return [(s8_full, _rhs_sign_euler(p, euler))]
 
 
 @_row("remark-sun-c51", "half 8-sum == 4(2|p) * full 512-sum - 3p(-1|p) (mod p^4)", 4,
-      reads=_series_reads("S8-half", "S512-full"))
-def _pairs_remark_sun_c51(p, r, e):
-    rhs = 4 * legendre_symbol(2, p) * eval_series("S512-full", p, r, e) - 3 * p * legendre_symbol(-1, p)
-    return [(eval_series("S8-half", p, r, e), rhs)]
+      series=("S8-half", "S512-full"))
+def _pairs_remark_sun_c51(p, r, e, s8_half, s512_full):
+    return [(s8_half, 4 * legendre_symbol(2, p) * s512_full - 3 * p * legendre_symbol(-1, p))]
 
 
 _row("guo-half-64",
      "sum_{k<=(p^r-1)/2} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
-     lambda r: r + 2, r_indexed=True, reads=_series_reads("S64-half"))(_pairs_guo_half_64)
+     lambda r: r + 2, r_indexed=True, series=("S64-half",))(_pairs_guo_half_64)
 
 
 @_row("guo-conj-full-64",
       "sum_{k<p^r} (4k+1)(-64)^-k C(2k,k)^3 == (-1)^((p-1)r/2) p^r (mod p^(r+2))",
-      lambda r: r + 2, r_indexed=True, reads=_series_reads("S64-full"))
-def _pairs_guo_conj_full_64(p, r, e):
-    return [(eval_series("S64-full", p, r, e), _sign((p - 1) // 2 * r) * p**r)]
+      lambda r: r + 2, r_indexed=True, series=("S64-full",))
+def _pairs_guo_conj_full_64(p, r, e, s64_full):
+    return [(s64_full, _sign((p - 1) // 2 * r) * p**r)]
 
 
 @_row("morley", "C(p-1,(p-1)/2) == (-1)^((p-1)/2) 4^(p-1) (mod p^3)", 3, windowed=True)
@@ -766,42 +802,42 @@ def _pairs_morley_power(p, r, e):
 
 @_row("lemma-2.2",
       "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)/4^k == (-1)^((p-1)/2)(1 + 6pq + 15p^2q^2) (mod p^3), q = q_p(2)",
-      3)
-def _pairs_lemma_2_2(p, r, e):
+      3, values=(_quarter_sums,))
+def _pairs_lemma_2_2(p, r, e, quarter_sums):
     q = fermat_quotient2(p)
-    lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_ONE)
     rhs = _sign((p - 1) // 2) * (1 + 6 * p * q + 15 * p * p * q * q)
-    return [(lhs, rhs)]
+    return [(pow(2, (9 * p - 9) // 2, p**e) * quarter_sums[0], rhs)]
 
 
 @_row("lemma-2.3",
-      "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)H_k/4^k == -3(-1)^((p-1)/2)(2q + 11pq^2) (mod p^2)", 2)
-def _pairs_lemma_2_3(p, r, e):
+      "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)H_k/4^k == -3(-1)^((p-1)/2)(2q + 11pq^2) (mod p^2)", 2,
+      values=(_quarter_sums,))
+def _pairs_lemma_2_3(p, r, e, quarter_sums):
     q = fermat_quotient2(p)
-    lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_H)
     rhs = -3 * _sign((p - 1) // 2) * (2 * q + 11 * p * q * q)
-    return [(lhs, rhs)]
+    return [(pow(2, (9 * p - 9) // 2, p**e) * quarter_sums[1], rhs)]
 
 
 @_row("lemma-2.4",
-      "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)(H_k^2+H_k^(2))/4^k == 36(-1)^((p-1)/2) q^2 (mod p)", 1)
-def _pairs_lemma_2_4(p, r, e):
+      "2^((9p-9)/2) sum C((p-1)/2,2k)C(2k,k)(H_k^2+H_k^(2))/4^k == 36(-1)^((p-1)/2) q^2 (mod p)", 1,
+      values=(_quarter_sums,))
+def _pairs_lemma_2_4(p, r, e, quarter_sums):
     q = fermat_quotient2(p)
-    lhs = pow(2, (9 * p - 9) // 2, p**e) * _half_fold(p, e, W_HH)
     rhs = 36 * _sign((p - 1) // 2) * q * q
-    return [(lhs, rhs)]
+    return [(pow(2, (9 * p - 9) // 2, p**e) * quarter_sums[2], rhs)]
 
 
 @_row("lemma-2.6a",
       "sum C((p-1)/2,2k)C(2k,k)H_k^(2)/4^k == sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k (mod p)",
-      1)
-def _pairs_lemma_2_6a(p, r, e):
-    return [(_half_fold(p, e, W_H2), _sum64_h2(p))]
+      1, values=(_quarter_sums, _sum64_h2))
+def _pairs_lemma_2_6a(p, r, e, quarter_sums, sum64):
+    return [(quarter_sums[3], sum64)]
 
 
-@_row("lemma-2.6b", "sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k == -E_{p-3}(1/4) (mod p)", 1)
-def _pairs_lemma_2_6b(p, r, e):
-    return [(_sum64_h2(p), -_euler_quarter(p))]
+@_row("lemma-2.6b", "sum_{k<=floor((p-1)/4)} C(4k,2k)C(2k,k)H_k^(2)/64^k == -E_{p-3}(1/4) (mod p)", 1,
+      values=(_sum64_h2, _euler_quarter))
+def _pairs_lemma_2_6b(p, r, e, sum64, euler_quarter):
+    return [(sum64, -euler_quarter)]
 
 
 @_row("lemma-2.6-altsum",
@@ -810,16 +846,20 @@ def _pairs_lemma_2_6b(p, r, e):
 def _pairs_lemma_2_6_altsum(p, r, e):
     f = (p - 1) // 4
     lhs = -2 * _sign(f) * _alt_quarter_sum(p)
-    diff = bernoulli_diff_mod_p(p - 2, frac_part(Fraction(4 - p, 8)), frac_part(Fraction(-p, 8)), p)
+    # {(4-p)/8} = ((4-p) mod 8) / 8 and {-p/8} = (-p mod 8) / 8, passed as
+    # their residues mod p, on which alone the difference depends
+    eighth = pow(8, -1, p)
+    diff = bernoulli_diff_mod_p(p - 2, (4 - p) % 8 * eighth % p, -p % 8 * eighth % p, p)
     return [(lhs, -_sign(f) * pow(4, -1, p) * diff)]
 
 
+# sum_{k<=(n+1)/2} G(n, k), n = (p+1)/2: G(n, k) = 0 for every k past the
+# column, up to (p-1)/2
 @_row("lemma-2.7",
-      "sum_{k<=(p-1)/2} G((p+1)/2,k) == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)", 4)
-def _pairs_lemma_2_7(p, r, e):
-    # G((p+1)/2, k) = 0 for every k past the column, up to (p-1)/2
-    n = (p + 1) // 2
-    return [(_read(p, *_g_read(n, e, (n + 1) // 2, _SUM)), _rhs_central_quarter(p, e))]
+      "sum_{k<=(p-1)/2} G((p+1)/2,k) == p(-1|p) + (p^3/4)(2|p) E_{p-3}(1/4) (mod p^4)", 4,
+      reads=(lambda p, r, e: _g_read((p + 1) // 2, e, (p + 3) // 4, _SUM),), values=(_euler_quarter,))
+def _pairs_lemma_2_7(p, r, e, g_sum, euler_quarter):
+    return [(g_sum, _rhs_central_quarter(p, e, euler_quarter))]
 
 
 @_row("binom-16k", "C((p-1)/2, 2k) == C(4k,2k)/16^k (mod p) for every 0 <= k <= floor((p-1)/4)", 1)
@@ -862,35 +902,24 @@ def _pairs_two_power_half(p, r, e):
     return [(pow(2, (p - 1) // 2, m), rhs)]
 
 
-def _g_last(p: int, r: int, e: int) -> _Read:
-    # G(n, (n+1)/2), n = p^r, the last entry of the G column
-    n = p**r
-    return _g_read(n, e, (n + 1) // 2, _PRODUCT)
-
-
 @_row("lemma-3.2", "G(p^r, (p^r+1)/2) == (-1)^((p^r-1)/2) p^r (mod p^(r+2))", lambda r: r + 2, r_indexed=True,
-      reads=lambda p, r, e: [_g_last(p, r, e)])
-def _pairs_lemma_3_2(p, r, e):
-    return [(_read(p, *_g_last(p, r, e)), _sign((p**r - 1) // 2) * p**r)]
-
-
-def _g_but_last(p: int, r: int, e: int) -> _Read:
-    # sum_{k<=(n-1)/2} G(n, k), n = p^r: every k of the G column but its last
-    n = p**r
-    return _g_read(n, e, (n - 1) // 2, _SUM)
+      reads=(lambda p, r, e: _g_read(p**r, e, (p**r + 1) // 2, _PRODUCT),))
+def _pairs_lemma_3_2(p, r, e, g_last):
+    # G(n, (n+1)/2), n = p^r, the last entry of the G column
+    return [(g_last, _sign((p**r - 1) // 2) * p**r)]
 
 
 @_row("lemma-3.3", "sum_{k<=(p^r-1)/2} G(p^r,k) == 0 (mod p^(r+2))", lambda r: r + 2, r_indexed=True,
-      reads=lambda p, r, e: [_g_but_last(p, r, e)])
-def _pairs_lemma_3_3(p, r, e):
-    return [(_read(p, *_g_but_last(p, r, e)), 0)]
+      reads=(lambda p, r, e: _g_read(p**r, e, (p**r - 1) // 2, _SUM),))
+def _pairs_lemma_3_3(p, r, e, g_but_last):
+    # sum_{k<=(n-1)/2} G(n, k), n = p^r: every k of the G column but its last
+    return [(g_but_last, 0)]
 
 
 @_row("central-2pr", "C(2p^r,p^r) == 2 - 4p^r H_{p^r-1} == 2 - 4p H_{p-1} == 2 (mod p^2), chained", 2,
-      r_indexed=True, reads=lambda p, r, e: [_central_read(p**r, e, _PRODUCT)])
-def _pairs_central_2pr(p, r, e):
+      r_indexed=True, reads=(lambda p, r, e: _central_read(p**r, e, _PRODUCT),))
+def _pairs_central_2pr(p, r, e, a):
     n = p**r
-    a = _read(p, *_central_read(n, e, _PRODUCT))
     # the sum of n/j for j = 1 .. n-1, folded by j/(j+1) from n/1
     (s,), _ = _fold(p, e, chain([(n, 1)], zip(range(1, n - 1), range(2, n))), chain([0], repeat(1)), (n - 1,))
     b = 2 - 4 * s
@@ -898,34 +927,26 @@ def _pairs_central_2pr(p, r, e):
     return [(a, b), (b, c), (c, 2)]
 
 
-def _central_below(p: int, r: int, e: int) -> _Read:
-    # the column C(2k, k), k < p^r, of the ps rows
-    return _central_read(p**r - 1, e, _COLUMN)
-
-
 @_row("ps-1", "l C(2l,l) C(2k,k) == -2p^r (mod p^(r+1)) for all k+l = p^r, 0 < l < p^r/2",
-      lambda r: r + 1, r_indexed=True, reads=lambda p, r, e: [_central_below(p, r, e)])
-def _pairs_ps_1(p, r, e):
+      lambda r: r + 1, r_indexed=True, reads=(_central_below,))
+def _pairs_ps_1(p, r, e, c):
     n = p**r
-    c = _read(p, *_central_below(p, r, e))
     return _Pairs(lambda: ((l * c[l] * c[n - l], -2 * n) for l in range(1, (n + 1) // 2)))
 
 
 @_row("ps-2", "-2p^r/(l C(2l,l)) == C(2k,k) (mod p^2) for all k+l = p^r, 0 < l < p^r/2", 2, r_indexed=True,
-      reads=lambda p, r, e: [_central_below(p, r, e)])
-def _pairs_ps_2(p, r, e):
+      reads=(_central_below,))
+def _pairs_ps_2(p, r, e, c):
     # -2p^r / (l C(2l, l)) is -p^r at l = 1, times (l-1) / (2(2l-1)) per step
     n = p**r
-    c = _read(p, *_central_below(p, r, e))
     lhs = _column(p, e, chain([(-n, 1)], zip(range(1, (n - 1) // 2), range(6, 2 * n, 4))), (n - 1) // 2)
     return _Pairs(lambda: ((lhs[l], c[n - l]) for l in range(1, (n + 1) // 2)))
 
 
 @_row("ps-3", "C(2p^r-2l, p^r-l) == 0 (mod p) for all 0 < l < p^r/2", 1, r_indexed=True,
-      reads=lambda p, r, e: [_central_below(p, r, e)])
-def _pairs_ps_3(p, r, e):
+      reads=(_central_below,))
+def _pairs_ps_3(p, r, e, c):
     n = p**r
-    c = _read(p, *_central_below(p, r, e))
     return _Pairs(lambda: ((c[n - l], 0) for l in range(1, (n + 1) // 2)))
 
 

@@ -255,6 +255,38 @@ class TestMain:
         assert err.value.code == 2
         assert "5:10000000000000" in capsys.readouterr().err
 
+    def test_sieve_out_of_memory_within_its_bound_is_a_usage_error(self, capsys, monkeypatch):
+        def out_of_memory(lo, hi):
+            raise MemoryError
+
+        monkeypatch.setattr("supercong.cli._primes_between", out_of_memory)
+        with pytest.raises(SystemExit) as err:
+            main(["--primes", "5:9000000", "--ids", "morley"])
+        assert err.value.code == 2
+        assert "prime range 5:9000000 is too wide to sieve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["5:30000000", "1000000000000000003:1000000000000000003"],
+                             ids=["wide", "one-huge-number"])
+    def test_sieve_past_its_bound_is_refused_at_once(self, window, capsys, monkeypatch):
+        # a window of 3e7 numbers, and one number whose divisors up to its
+        # square root number 1e9: each is a usage error before the sieve runs
+        def sieve(lo, hi):
+            raise AssertionError("the sieve ran")
+
+        monkeypatch.setattr("supercong.cli._primes_between", sieve)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            parse_args(["--primes", window])
+        assert time.perf_counter() - start < 0.1
+        assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith("verify: error: argument --primes:") and window in message
+
+    def test_sieve_bound_admits_the_largest_documented_window(self, monkeypatch):
+        # 5:3000000, the largest window the windowed rows are run on
+        monkeypatch.setattr("supercong.cli._primes_between", lambda lo, hi: (lo, hi))
+        assert parse_args(["--primes", "5:3000000"]).primes == (5, 3000000)
+
     def test_unwritable_out_path_exits_three(self, capsys, tmp_path):
         code = main(["--primes", "5:5", "--ids", "morley",
                      "--out", str(tmp_path / "missing-dir" / "x.jsonl")])

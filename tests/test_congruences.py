@@ -27,7 +27,7 @@ from supercong.exactnum import NotPIntegralError, inverse_column, padic_valuatio
 from supercong.special import euler_poly_mod_p
 from supercong.wz import telescope_half_sum
 from conftest import primes_in
-from oracles import PAIRS_EXACT, SERIES_EXACT
+from oracles import PAIRS_EXACT, SERIES_EXACT, half_fold
 
 
 R_INDEXED = sorted(cid for cid, row in REGISTRY.items() if row.r_indexed)
@@ -136,8 +136,11 @@ def test_every_statement_names_the_modulus_it_is_checked_at():
 
 
 def test_every_evaluator_belongs_to_a_row():
+    # a row's pairs wraps the evaluator that takes its declared reads, and
+    # vanhamme and guo-half-64 share theirs
     evaluators = {f for name, f in vars(cong).items() if name.startswith("_pairs_")}
-    assert evaluators == {row.pairs for row in REGISTRY.values()}
+    assert evaluators == {inspect.unwrap(row.pairs) for row in REGISTRY.values()}
+    assert inspect.unwrap(REGISTRY["vanhamme"].pairs) is inspect.unwrap(REGISTRY["guo-half-64"].pairs)
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
@@ -339,11 +342,9 @@ SERIES_ROWS = ["thm-main", "thm-prime-power", "vanhamme", "sun-64", "guo-liu", "
                "cxh-8-full", "remark-sun-c51", "guo-half-64", "guo-conj-full-64"]
 
 
-@pytest.mark.parametrize("p, r_max", [(5, 3), (7, 3), (11, 2)])
-def test_one_task_folds_each_sequence_once(p, r_max, monkeypatch):
-    # the r-indexed and series rows of one task: no fold's run of factors is
-    # a prefix of another's, so each sequence is folded once, and the rows
-    # read from the shared folds what they read from folds of their own
+@pytest.fixture
+def fold_runs(monkeypatch):
+    """The run of factors of each _fold and _column call from here on."""
     runs = []
     fold, column = cong._fold, cong._column
 
@@ -358,19 +359,89 @@ def test_one_task_folds_each_sequence_once(p, r_max, monkeypatch):
         runs.append(factors)
         return column(p, e, iter(factors), n)
 
-    task = _task_of(R_INDEXED + SERIES_ROWS, p, r_max)
-    alone = [check_congruence(cid, p, r) for cid, r in task[1]]
     monkeypatch.setattr(cong, "_fold", spied_fold)
     monkeypatch.setattr(cong, "_column", spied_column)
+    return runs
+
+
+def _run_task_once_each(task, runs):
+    """The task's verdicts, checked against its rows run alone, with runs
+    holding only the task's folds, none of them a prefix of another."""
+    p, checks = task
+    alone = [check_congruence(cid, p, r) for cid, r in checks]
+    runs.clear()
     shared = cong._run_task(task)
     assert [v._replace(micros=0) for v in shared] == [v._replace(micros=0) for v in alone]
     for i, run in enumerate(runs):
         for j, other in enumerate(runs):
             assert i == j or other[:len(run)] != run, (i, j, run[:3])
+    return shared
+
+
+@pytest.mark.parametrize("p, r_max", [(5, 3), (7, 3), (11, 2)])
+def test_one_task_folds_each_sequence_once(p, r_max, fold_runs):
+    # the r-indexed and series rows of one task: no fold's run of factors is
+    # a prefix of another's, so each sequence is folded once, and the rows
+    # read from the shared folds what they read from folds of their own
+    _run_task_once_each(_task_of(R_INDEXED + SERIES_ROWS, p, r_max), fold_runs)
     # the S8, S64, S512 and Sgl terms and the column of C(2k, k) once each;
     # morley-power, the G column, central-2pr's sum of p^r/j, ps-2's left
     # side and neg-binom-unit's column once for each r
-    assert len(runs) == 5 + 5 * r_max
+    assert len(fold_runs) == 5 + 5 * r_max
+
+
+LEMMA_ROWS = ["lemma-2.2", "lemma-2.3", "lemma-2.4", "lemma-2.6a", "lemma-2.6b", "lemma-2.6-altsum"]
+PER_PRIME = [cid for cid, row in REGISTRY.items() if row.window is None]
+
+
+@pytest.mark.parametrize("p, r_max", [(5, 3), (7, 3), (11, 2)])
+def test_one_task_computes_each_fold_and_value_once(p, r_max, fold_runs, monkeypatch):
+    # every per-prime row in one task: no fold or column runs twice (the
+    # quarter sums of the lemma rows and their 64-sum among them), and
+    # E_{p-3}(1/4) and E_{p-3} are each computed once within the task
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(cong, name)
+
+        def spy(*args):
+            calls[name] += cong._task is not None
+            return real(*args)
+        return spy
+
+    for name in ("euler_poly_mod_p", "euler_number_mod_p"):
+        monkeypatch.setattr(cong, name, counted(name))
+    assert all(v.passed for v in _run_task_once_each(_task_of(PER_PRIME, p, r_max), fold_runs))
+    assert calls == {"euler_poly_mod_p": 1, "euler_number_mod_p": 1}
+    # the six lemma rows alone fold the quarter terms and the 64-sum once each
+    _run_task_once_each(_task_of(LEMMA_ROWS, p, 1), fold_runs)
+    assert len(fold_runs) == 2
+
+
+def test_quarter_sums_match_the_half_fold_oracle():
+    # the four weights of lemma-2.2, 2.3, 2.4 and 2.6a, from one pass
+    weights = [lambda h1, h2: 1, lambda h1, h2: h1, lambda h1, h2: h1 * h1 + h2, lambda h1, h2: h2]
+    for p in primes_in(5, 199):
+        exact = [half_fold(p, weight) for weight in weights]
+        for e in (1, 2, 3):
+            assert cong._quarter_sums(p, e) == tuple(reduce_mod(x, p, e) for x in exact), (p, e)
+
+
+def test_rows_name_their_reads_only_where_declared():
+    # no evaluator reads a series or a fold itself, no value is cached in
+    # module state, and no Fraction is built on the way to a residue
+    tree = ast.parse(inspect.getsource(cong))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def called(node):
+        return {getattr(call.func, "id", getattr(call.func, "attr", None))
+                for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+    assert [fn.name for fn in functions if fn.name.startswith("_pairs_") and called(fn) & {"_read", "eval_series"}] == []
+    assert [fn.name for fn in functions if any("cache" in ast.unparse(d) for d in fn.decorator_list)] == []
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not {"Fraction", "frac_part"} & (named | imported)
 
 
 @pytest.mark.parametrize("p, r_max", [(5, 3), (7, 3), (11, 2), (13, 2)])
@@ -450,8 +521,6 @@ class TestKnownAnswers:
                 return fn(*args)
             return wrapper
 
-        cong._euler_number.cache_clear()
-        cong._euler_quarter.cache_clear()
         monkeypatch.setattr(cong, "euler_number_mod_p", counted("number", cong.euler_number_mod_p))
         monkeypatch.setattr(cong, "euler_poly_mod_p", counted("poly", cong.euler_poly_mod_p))
         verdicts = suite(["sun-64", "guo-liu", "mao-512", "cxh-8-full",

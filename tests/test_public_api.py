@@ -13,6 +13,7 @@ ENTRY_POINTS = {"all_ids", "run_suite", "check_congruence", "check_identity", "c
 # them by module attribute: each is named by its defining module alone.
 PINNED_ORACLES = {
     "binomial_rational": "combinat",
+    "frac_part": "combinat",
     "harmonic": "combinat",
     "pochhammer": "combinat",
     "recip_factorial": "combinat",
