@@ -19,12 +19,12 @@ and calls it.  Rows enter REGISTRY, and so all_ids(), in the order they are
 declared.  A row that is another row's r = 1 case shares that row's
 evaluator (vanhamme with guo-half-64).  check_congruence computes e once
 and calls pairs(p, r, e).  Each side of each pair is an int, taken mod p^e;
-check_congruence compares each pair as two ints in [0, p^e), and that is
-the only comparison.  A side of any other type makes a failed row with a
-diagnostic.  Sides known only mod p (the Euler and Bernoulli values of
-lemma-2.6b and lemma-2.6-altsum) are ints mod p, so those rows fix e = 1.
-Those values depend only on the residues of their arguments, so 1/4,
-{(4-p)/8} and {-p/8} enter as residues mod p, and no row builds a Fraction.
+_compared compares each pair as two ints in [0, p^e), and that is the only
+comparison.  A side of any other type makes a failed row with a diagnostic.
+Sides known only mod p (the Euler and Bernoulli values of lemma-2.6b and
+lemma-2.6-altsum) are ints mod p, so those rows fix e = 1.  Those values
+depend only on the residues of their arguments, so 1/4, {(4-p)/8} and
+{-p/8} enter as residues mod p, and no row builds a Fraction.
 
 Windowed rows: wolstenholme-h1, wolstenholme-h2, central-2p1p and morley
 are declared on window(primes, e), which gives the pairs of every prime of
@@ -52,21 +52,27 @@ S / D and p^v N / D only at the indices read (its stops).  Only a
 per-index row keeps every index, as a column (_column; ps-1/2/3, ps-2's
 left side, neg-binom-unit, binom-16k), and hands its pairs to the check one
 at a time (_Pairs); so does the one pass that weighs the quarter terms four
-ways (_quarter_sums).  Within one per-prime task each shared term sequence is
-folded once, at the largest e its rows read and to the furthest index, with
-a stop at each index read (_TaskFolds, built from each row's declared series
-and reads): the S8, S64 and S512 terms serve their half and full series at
-every r, the G column of p^r serves lemma-3.2 and lemma-3.3, and the column
-of C(2k, k) serves central-2pr and ps-1/2/3.  The same task object computes
-each declared value once, on its first read (_value): E_{p-3}(1/4) serves
-thm-main, lemma-2.6b and lemma-2.7; E_{p-3} serves sun-64, guo-liu, mao-512
-and cxh-8-full; the four weighted sums of one pass over the quarter terms
-C((p-1)/2,2k) C(2k,k) / 4^k (_quarter_sums) serve lemma-2.2, 2.3, 2.4 and
-2.6a; and the 64-sum serves lemma-2.6a and 2.6b.  Nothing is kept from one
-task to the next.  Every reciprocal 1/k in a sum comes from the column
-exactnum.inverse_column, and a remainder tree's S / D inverts its unit D
-once per prime (_quotient; the windowed rows, and central-2pr's H_{p-1}
-mod p).  The exact Fraction form of every row is the test oracle
+ways (_quarter_sums).  A row reads every shared input of its prime from one
+table (_TaskFolds), which it gets one way (_table): in a per-prime task, the
+task's one table, planned with every read that the task's rows declare;
+outside a task, a table planned with the row's own reads.  The table folds
+each term sequence once, at the largest e its reads name, with a stop at
+each index read or as one column to the furthest index read, and computes
+each value of p once, on its first read.  A read outside the plan (an
+unknown sequence, an unplanned index, an e above the planned e) raises
+EvaluatorError naming the read, and so fails its row with a diagnostic; it
+never folds a second time.  The S8, S64 and S512 terms serve their half and
+full series at every r, the G column of p^r serves lemma-3.2 and lemma-3.3,
+and the column of C(2k, k) serves central-2pr and ps-1/2/3.  E_{p-3}(1/4)
+serves thm-main, lemma-2.6b and lemma-2.7; E_{p-3} serves sun-64, guo-liu,
+mao-512 and cxh-8-full; the four weighted sums of one pass over the quarter
+terms C((p-1)/2,2k) C(2k,k) / 4^k (_quarter_sums) serve lemma-2.2, 2.3, 2.4
+and 2.6a; the 64-sum serves lemma-2.6a and 2.6b; and the column of 1/k mod p
+for k <= (p-1)/4 serves the 64-sum and lemma-2.6-altsum.  Nothing is kept
+from one task to the next.  Every reciprocal 1/k in a sum comes from the
+column exactnum.inverse_column, and a remainder tree's S / D inverts its
+unit D once per prime (_quotient; the windowed rows, and central-2pr's
+H_{p-1} mod p).  The exact Fraction form of every row is the test oracle
 (PAIRS_EXACT in tests/oracles.py).
 
 Independence rule: a row whose statement is a Bernoulli or Euler value
@@ -310,74 +316,67 @@ _SUM, _PRODUCT, _COLUMN = 0, 1, 2
 
 
 class _TaskFolds:
-    """The sequences that the rows of one per-prime task read, each folded
-    once, and the values of p those rows read, each computed once.  A
-    sequence is folded at the largest e its reads name, with a stop at each
-    index read, or, when some read takes a column, as one column to the
-    furthest index read."""
+    """The table of one prime's shared inputs: the reads it was planned
+    with, each sequence folded once, and the values of p, each computed
+    once.
+
+    A sequence is planned once, at the largest e of its reads: as one fold
+    with a stop at each index read, or, when some read takes a column, as
+    one column to the furthest index read.  It is folded on its first read,
+    and its sums and products are kept by (index, take).  A read the plan
+    does not hold (an unknown sequence, an unplanned index or take, an e
+    above the planned e) raises EvaluatorError naming the read, so it never
+    folds a sequence a second time or gives a residue at a lower e."""
 
     def __init__(self, p: int, reads) -> None:
         self.p = p
-        self.plans: dict[tuple, list] = {}  # sequence -> [e, indices read, a column?]
-        self.folds: dict[tuple, tuple] = {}  # sequence -> (stops, sums, products)
-        self.values: dict[Callable, object] = {}  # value -> value(p), filled by _value
+        self.plans: dict[tuple, tuple[int, set]] = {}  # sequence -> (e, {(index, take) read})
+        self.folds: dict[tuple, dict] = {}  # sequence -> {(index, take): what the read takes}
+        self.values: dict[Callable, object] = {}  # value -> value(p)
         for seq, index, e, take in reads:
-            plan = self.plans.setdefault(seq, [e, set(), False])
-            plan[0] = max(plan[0], e)
-            plan[1].add(index)
-            plan[2] = plan[2] or take == _COLUMN
+            top_e, held = self.plans.get(seq, (e, set()))
+            held.add((index, take))
+            self.plans[seq] = max(top_e, e), held
 
     def read(self, seq: tuple, index: int, e: int, take: int):
-        """The read from this task's fold of seq, or None when the task's
-        plan for seq does not hold it."""
-        plan = self.plans.get(seq)
-        if plan is None:
-            return None
-        top_e, indices, column = plan
-        if column:  # a column holds every product to its end, and no sum
-            held = take != _SUM and index <= max(indices)
-        else:
-            held = take != _COLUMN and index in indices
-        if e > top_e or not held:
-            return None
-        if seq not in self.folds:
-            steps, *args = seq
-            factors, weights = steps(*args, max(indices))
-            if column:
-                self.folds[seq] = (None, None, _column(self.p, top_e, factors, max(indices)))
-            else:
-                stops = sorted(indices)
-                self.folds[seq] = (stops, *_fold(self.p, top_e, factors, weights, stops))
-        stops, sums, products = self.folds[seq]
-        if take == _COLUMN:
-            return products
-        return (sums, products)[take][index if column else stops.index(index)]
+        """What the planned read (seq, index, e, take) takes, mod p^E for
+        the planned E >= e: S_index, t_index, or the column t_0 .. t_top."""
+        steps, *args = seq
+        top_e, held = self.plans.get(seq, (0, ()))
+        if e <= top_e:
+            if seq not in self.folds:
+                top = max(i for i, _ in held)
+                factors, weights = steps(*args, top)
+                if any(t == _COLUMN for _, t in held):  # a column holds no sums
+                    column = _column(self.p, top_e, factors, top)
+                    self.folds[seq] = {(i, t): column if t == _COLUMN else column[i] for i, t in held if t != _SUM}
+                else:
+                    stops = sorted({i for i, _ in held})
+                    sums, products = _fold(self.p, top_e, factors, weights, stops)
+                    self.folds[seq] = {(i, t): (sums, products)[t][stops.index(i)] for i, t in held}
+            if (index, take) in self.folds[seq]:
+                return self.folds[seq][index, take]
+        raise EvaluatorError(f"the {('sum', 'product', 'column')[take]} at index {index} of "
+                             f"{steps.__name__}{tuple(args)} mod {self.p}^{e} is outside this task's plan")
+
+    def value(self, value: Callable[[int], object]):
+        """value(p), computed on its first read."""
+        if value not in self.values:
+            self.values[value] = value(self.p)
+        return self.values[value]
 
 
-# The folds of the per-prime task that _run_task is running; None outside one.
-# A module variable, since pairs(p, r, e) and eval_series keep their
-# signatures: tests call them directly, and the benchmark's tracer wraps them.
+# The table of the per-prime task that _run_task is running; None outside one.
+# A module variable, since pairs(p, r, e), eval_series and check_congruence
+# keep the signatures that the public API and the tests call.
 _task: _TaskFolds | None = None
 
 
-def _read(p: int, seq: tuple, index: int, e: int, take: int):
-    """The read (seq, index, e, take) at p, mod p^E for some E >= e: from
-    the running task's one fold of seq when the task's rows declared the
-    read, otherwise from a fold of seq for this read alone."""
-    if _task is not None and _task.p == p:
-        got = _task.read(seq, index, e, take)
-        if got is not None:
-            return got
-    return _TaskFolds(p, [(seq, index, e, take)]).read(seq, index, e, take)
-
-
-def _value(p: int, value: Callable[[int], object]):
-    """value(p): the running task's one computation of it, or one for this
-    read alone."""
-    values = _task.values if _task is not None and _task.p == p else {}
-    if value not in values:
-        values[value] = value(p)
-    return values[value]
+def _table(p: int, reads) -> _TaskFolds:
+    """The running task's table when that task is at p, which was planned
+    with every read its rows declare; otherwise a table planned with the
+    caller's own reads."""
+    return _task if _task is not None and _task.p == p else _TaskFolds(p, reads)
 
 
 # -- one row over a window of primes -----------------------------------------
@@ -517,8 +516,9 @@ def eval_series(series_id: str, p: int, r: int, e: int) -> int:
 
     The term t_n^3 / (-base)^n is folded in Z/p^e by its ratio, p split out
     of every factor; within a per-prime task the sum is read from the task's
-    one fold of the series' terms.  Equal to the exact rational sum reduced
-    mod p^e.  Raises EvaluatorError if some t_n has p in its denominator.
+    table (_table), which holds one fold of the series' terms.  Equal to the
+    exact rational sum reduced mod p^e.  Raises EvaluatorError if some t_n
+    has p in its denominator.
     """
     series = _SERIES.get(series_id)
     if series is None:
@@ -529,7 +529,8 @@ def eval_series(series_id: str, p: int, r: int, e: int) -> int:
         raise ValueError(f"r must be positive, got {r}")
     if e < 1:
         raise ValueError(f"exponent must be positive, got {e}")
-    return _read(p, *series.read(p, r, e)) % p**e
+    read = series.read(p, r, e)
+    return _table(p, [read]).read(*read) % p**e
 
 
 # -- shared pieces -------------------------------------------------------------
@@ -570,16 +571,23 @@ def _quarter_sums(p: int, e: int = 3) -> tuple[int, int, int, int]:
     return sum(terms) % m, by_h % m, (by_hh + by_h2) % m, by_h2 % m
 
 
+def _quarter_inverses(p: int) -> list[int]:
+    # 1/k mod p for k <= floor((p-1)/4), read by the 64-sum and the
+    # alternating sum from the table of p
+    return inverse_column((p - 1) // 4, p, 1)
+
+
 def _sum64_h2(p: int) -> int:
     # sum_{k=1}^{floor((p-1)/4)} C(4k,2k) C(2k,k) H_k^(2) / 64^k mod p
     f = (p - 1) // 4
     factors = (((4 * k - 1) * (4 * k - 3), 16 * k * k) for k in range(1, f + 1))
-    return _fold(p, 1, factors, accumulate(inv * inv for inv in inverse_column(f, p, 1)), (f,))[0][0]
+    inverses = _table(p, ()).value(_quarter_inverses)
+    return _fold(p, 1, factors, accumulate(inv * inv for inv in inverses), (f,))[0][0]
 
 
 def _alt_quarter_sum(p: int) -> int:
     # sum_{k=1}^{floor((p-1)/4)} (-1)^k / k^2 mod p: the even k less the odd k
-    inverses = inverse_column((p - 1) // 4, p, 1)
+    inverses = _table(p, ()).value(_quarter_inverses)
     return (sum(inv * inv for inv in inverses[2::2]) - sum(inv * inv for inv in inverses[1::2])) % p
 
 
@@ -642,25 +650,21 @@ def _row(cid: str, statement: str, e: int | Callable[[int], int], *,
     modulus grows with r.  cost(p, r) is the row's work in fold steps.
 
     This is the one place a row names what it reads from its prime.  The
-    evaluator takes its reads after (p, r, e), in this order: each series of
-    series, as eval_series gives it at p^r; each read(p, r, e) of reads, a
-    read of the G column or of the column of C(2k, k) (_read); and each
-    value(p) of values, a value of p alone (_value).  In a per-prime task
-    the series and reads come from the task's one fold of each sequence, and
-    each value is computed once.  The row's pairs(p, r, e) makes the reads
-    and calls the evaluator, and the name the evaluator is bound to stays
-    the evaluator, so that another row can share it.  A windowed row's
-    evaluator is window(primes, e), and the name it is bound to becomes
-    pairs(p, r, e), its one-prime window."""
+    evaluator takes its inputs after (p, r, e), in this order: each series
+    of series, as eval_series gives it at p^r; each read(p, r, e) of reads,
+    a read of the G column or of the column of C(2k, k); and each value(p)
+    of values, a value of p alone.  The row's pairs(p, r, e) passes them in
+    one call, the reads and values from the one table of p (_table): in a
+    per-prime task, the task's table, planned with every read the task's
+    rows declare (the row's reads field), so that each sequence is folded
+    once and each value computed once.  The name the evaluator is bound to
+    stays the evaluator, so that another row can share it.  A windowed
+    row's evaluator is window(primes, e), and the name it is bound to
+    becomes pairs(p, r, e), its one-prime window."""
     exponent = e if callable(e) else lambda r: e
-    # the reads of shared sequences that pairs makes, and what it passes the
-    # evaluator, in order; each looks up eval_series, _SERIES and _read when
-    # it is called, so that a replacement of them takes effect (the
-    # benchmark's tracer wraps eval_series)
-    folds = [lambda p, r, e, s=s: _SERIES[s].read(p, r, e) for s in series] + list(reads)
-    inputs = ([lambda p, r, e, s=s: eval_series(s, p, r, e) for s in series]
-              + [lambda p, r, e, read=read: _read(p, *read(p, r, e)) for read in reads]
-              + [lambda p, r, e, value=value: _value(p, value) for value in values])
+
+    def planned(p, r, e):  # _SERIES is looked up here, so that a replaced series takes effect
+        return [_SERIES[s].read(p, r, e) for s in series] + [read(p, r, e) for read in reads]
 
     def register(evaluator):
         pairs, window = evaluator, None
@@ -669,13 +673,17 @@ def _row(cid: str, statement: str, e: int | Callable[[int], int], *,
 
             def pairs(p, r, e):
                 return window((p,), e)[0]
-        elif inputs:
+        elif series or reads or values:
+            # eval_series is looked up when it is called, so that the
+            # benchmark's tracer, which wraps it, counts every series read
             @wraps(evaluator)
             def pairs(p, r, e):
-                return evaluator(p, r, e, *[get(p, r, e) for get in inputs])
+                folds = [read(p, r, e) for read in reads]
+                table = _table(p, folds)
+                return evaluator(p, r, e, *[eval_series(s, p, r, e) for s in series],
+                                 *[table.read(*fold) for fold in folds], *map(table.value, values))
 
-        REGISTRY[cid] = CongruenceSpec(cid, statement, exponent, pairs, min_prime, r_indexed, window,
-                                       lambda p, r, e: [read(p, r, e) for read in folds], cost)
+        REGISTRY[cid] = CongruenceSpec(cid, statement, exponent, pairs, min_prime, r_indexed, window, planned, cost)
         return pairs if windowed else evaluator
 
     return register
@@ -842,10 +850,10 @@ def _pairs_lemma_2_6b(p, r, e, sum64, euler_quarter):
 
 @_row("lemma-2.6-altsum",
       "-2(-1)^floor((p-1)/4) sum (-1)^k/k^2 == -(1/4)(-1)^floor((p-1)/4) "
-      "(B_{p-2}({(4-p)/8}) - B_{p-2}({-p/8})) (mod p)", 1)
-def _pairs_lemma_2_6_altsum(p, r, e):
+      "(B_{p-2}({(4-p)/8}) - B_{p-2}({-p/8})) (mod p)", 1, values=(_alt_quarter_sum,))
+def _pairs_lemma_2_6_altsum(p, r, e, alt_sum):
     f = (p - 1) // 4
-    lhs = -2 * _sign(f) * _alt_quarter_sum(p)
+    lhs = -2 * _sign(f) * alt_sum
     # {(4-p)/8} = ((4-p) mod 8) / 8 and {-p/8} = (-p mod 8) / 8, passed as
     # their residues mod p, on which alone the difference depends
     eighth = pow(8, -1, p)
@@ -982,24 +990,17 @@ def _require(cid: str) -> CongruenceSpec:
     return row
 
 
-def _reduce_side(value: int, p: int, e: int) -> int:
-    """A side as an int in [0, p^e); a side of any other type is an
-    EvaluatorError."""
-    if isinstance(value, int):
-        return value % p**e
-    raise EvaluatorError(f"evaluator returned a side of type {type(value).__name__}, not an int mod {p}^{e}")
-
-
 def _compared(pairs, p: int, e: int) -> tuple[int, int]:
     """A row's two residues: its first unequal pair, or the sums of its
     pairs, mod p^e, when every pair is equal.  The pairs are taken one at a
-    time, and none past the first unequal one."""
+    time, and none past the first unequal one.  A side that is not an int
+    is an EvaluatorError."""
     m, total = p**e, 0
     for lhs, rhs in pairs:
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            lhs, rhs = lhs % m, rhs % m
-        else:  # a side that is not an int: _reduce_side raises
-            lhs, rhs = _reduce_side(lhs, p, e), _reduce_side(rhs, p, e)
+        if not (isinstance(lhs, int) and isinstance(rhs, int)):
+            bad = rhs if isinstance(lhs, int) else lhs
+            raise EvaluatorError(f"evaluator returned a side of type {type(bad).__name__}, not an int mod {p}^{e}")
+        lhs, rhs = lhs % m, rhs % m
         if lhs != rhs:
             return lhs, rhs
         total += lhs

@@ -14,7 +14,8 @@ whose left side has the oracle fold(t, n, w) in tests/oracles.py, for three
 weights w and factors F, both homogeneous of degree 2 with H_k^(2) counted
 as degree 2: weight(u, u H_k, u^2 H_k^(2)) = u^2 w(H_k, H_k^(2)) and
 factor(u, u H_t, u^2 H_t^(2), u H_2t, u^2 H_2t^(2)) = u^2 F(t).
-A range passes u = lcm(1..N); congruences._half_fold passes u = 1 in Z/p^e.
+A range passes u = lcm(1..N).  congruences._quarter_sums sums the left side
+at t = (p-1)/2 in Z/p^e, with weights of its own.
 
 Provenance of I1-I9 is numerical evidence, not proof: the registry records
 them as assumptions-with-evidence and the range checks are the evidence.
@@ -69,11 +70,10 @@ def _fold_sum(top: int, n: int, ws: list[int]) -> int:
     return total
 
 
-# w = 1, H_k, H_k^2 + H_k^(2) and H_k^(2), each made homogeneous of degree 2
+# w = 1, H_k and H_k^2 + H_k^(2), each made homogeneous of degree 2
 W_ONE = lambda u, h1, h2: u * u
 W_H = lambda u, h1, h2: u * h1
 W_HH = lambda u, h1, h2: h1 * h1 + h2
-W_H2 = lambda u, h1, h2: h2
 
 # F = 1, 3H_t - 2H_2t and (5H_t^(2) - 4H_2t^(2)) + (3H_t - 2H_2t)^2, likewise
 _F_ONE = lambda u, a1, a2, b1, b2: u * u

@@ -143,6 +143,13 @@ def test_every_evaluator_belongs_to_a_row():
     assert inspect.unwrap(REGISTRY["vanhamme"].pairs) is inspect.unwrap(REGISTRY["guo-half-64"].pairs)
 
 
+def _reduced(pairs, p, e):
+    """Each pair mod p^e, every side an int as the row contract says."""
+    pairs = list(pairs)
+    assert all(isinstance(side, int) for pair in pairs for side in pair), pairs
+    return [(lhs % p**e, rhs % p**e) for lhs, rhs in pairs]
+
+
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_row_matches_exact_oracle(cid):
     # pair by pair: r = 1 for p <= 61, r = 2 for p <= 31, r = 3 for p in {5, 7},
@@ -152,8 +159,7 @@ def test_row_matches_exact_oracle(cid):
     cases = [(p, r) for p, r in cases + [(5, 3), (7, 3), (5, 4)] if row.applicable(p, r)]
     for p, r in cases:
         e = row.modulus_exponent(r)
-        got = [(cong._reduce_side(lhs, p, e), cong._reduce_side(rhs, p, e))
-               for lhs, rhs in row.pairs(p, r, e)]
+        got = _reduced(row.pairs(p, r, e), p, e)
         want = [(reduce_mod(lhs, p, e), reduce_mod(rhs, p, e))
                 for lhs, rhs in PAIRS_EXACT[cid](p, r)]
         assert got == want, (cid, p, r)
@@ -229,9 +235,7 @@ def test_window_equals_its_one_prime_windows(cid, lo, width, e):
     got = row.window(window, e)
     assert len(got) == len(window)
     for p, pairs in zip(window, got):
-        reduced = [(cong._reduce_side(lhs, p, e), cong._reduce_side(rhs, p, e)) for lhs, rhs in pairs]
-        alone = [(cong._reduce_side(lhs, p, e), cong._reduce_side(rhs, p, e))
-                 for lhs, rhs in row.pairs(p, 1, e)]
+        reduced, alone = _reduced(pairs, p, e), _reduced(row.pairs(p, 1, e), p, e)
         assert reduced == alone, (cid, p, e)
         if p <= 61:
             assert reduced == [(reduce_mod(lhs, p, e), reduce_mod(rhs, p, e))
@@ -418,6 +422,46 @@ def test_one_task_computes_each_fold_and_value_once(p, r_max, fold_runs, monkeyp
     assert len(fold_runs) == 2
 
 
+@pytest.mark.parametrize("p, r_max", [(7, 3), (11, 2), (101, 1)])
+def test_one_task_builds_one_table_and_each_column_of_inverses_once(p, r_max, monkeypatch):
+    # every per-prime row in one task: one _TaskFolds, and no column of 1/k
+    # built twice (at p = 5 poch-expansion's column to (p-3)/2 mod p^3 is the
+    # quarter sums' column to (p-1)/4, built once for each)
+    tables, columns = [], []
+
+    class Spied(cong._TaskFolds):
+        def __init__(self, *args):
+            tables.append(args[0])
+            super().__init__(*args)
+
+    def column(top, q, e):
+        columns.append((top, q, e))
+        return inverse_column(top, q, e)
+
+    monkeypatch.setattr(cong, "_TaskFolds", Spied)
+    monkeypatch.setattr(cong, "inverse_column", column)
+    assert all(v.passed for v in cong._run_task(_task_of(PER_PRIME, p, r_max)))
+    assert tables == [p]
+    assert ((p - 1) // 4, p, 1) in columns and len(columns) == len(set(columns)), columns
+
+
+@pytest.mark.parametrize("cid, reads, diagnostic", [
+    ("lemma-3.3", cong._reads_nothing, "the sum at index 9 of _g_steps(7,) mod 7^3"),
+    ("lemma-3.2", lambda p, r, e: [cong._g_read(p, e, (p - 1) // 2, cong._PRODUCT)],
+     "the product at index 10 of _g_steps(7,) mod 7^3"),
+    ("thm-main", lambda p, r, e: [cong._SERIES["S8-half"].read(p, r, e - 1)],
+     "the sum at index 3 of _series_steps((3, 1), 8, (4, -2, 1)) mod 7^4"),
+], ids=["unknown sequence", "unplanned index", "e above the plan"])
+def test_read_outside_the_plan_is_a_failed_row(cid, reads, diagnostic, fold_runs, monkeypatch):
+    # a task whose plan does not hold a read of its row: the row fails with
+    # a diagnostic naming the read, and no sequence is folded twice
+    monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(REGISTRY[cid], reads=reads))
+    (verdict,) = cong._run_task((7, [(cid, 1)]))
+    assert not verdict.passed and verdict.lhs is None
+    assert verdict.diagnostic == diagnostic + " is outside this task's plan"
+    assert len(fold_runs) <= 1
+
+
 def test_quarter_sums_match_the_half_fold_oracle():
     # the four weights of lemma-2.2, 2.3, 2.4 and 2.6a, from one pass
     weights = [lambda h1, h2: 1, lambda h1, h2: h1, lambda h1, h2: h1 * h1 + h2, lambda h1, h2: h2]
@@ -437,7 +481,7 @@ def test_rows_name_their_reads_only_where_declared():
         return {getattr(call.func, "id", getattr(call.func, "attr", None))
                 for call in ast.walk(node) if isinstance(call, ast.Call)}
 
-    assert [fn.name for fn in functions if fn.name.startswith("_pairs_") and called(fn) & {"_read", "eval_series"}] == []
+    assert [fn.name for fn in functions if fn.name.startswith("_pairs_") and called(fn) & {"_table", "eval_series"}] == []
     assert [fn.name for fn in functions if any("cache" in ast.unparse(d) for d in fn.decorator_list)] == []
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from supercong import UnknownIdError, check_identity, check_identity_range, combinat, identities, special, wz
 from supercong.special import bernoulli_poly_exact
-from supercong.identities import REGISTRY, W_H, W_H2, W_HH, W_ONE
+from supercong.identities import REGISTRY, W_H, W_HH, W_ONE
 
 
 def test_registry_shape():
@@ -107,7 +107,10 @@ def test_range_verdict_reports_bounds(monkeypatch):
     assert check_identity_range("I12", 7) == (1, 3, 5, 7)
 
 
-# each homogeneous package weight with the plain weight w(H_k, H_k^(2)) it scales
+# H_k^(2) made homogeneous of degree 2, like the package weights of I1-I6
+W_H2 = lambda u, h1, h2: h2
+
+# each homogeneous weight with the plain weight w(H_k, H_k^(2)) it scales
 WEIGHTS = (
     (W_ONE, lambda h1, h2: 1),
     (W_H, lambda h1, h2: h1),
