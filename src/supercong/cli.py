@@ -18,14 +18,17 @@ their modulus, at each odd prime the row is stated for (p = 2 is dropped
 with a warning; p = 3 is kept for the rows stated at 3).  Identity and
 grid-certificate rows are exact (no modulus); they report with p = 0, r = 0,
 modulus "exact", lhs = number of failing points and rhs = "0".
+
+A launch loads only the code its checks run: the exact families
+(identities, wz, and with them fractions) load on first use, when an id
+outside congruences.REGISTRY is named or --ids is all; csv loads only for
+--format csv, and json only for a row that carries a diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import re
 import signal
@@ -49,13 +52,15 @@ def _jobs(text: str) -> int:
 
 
 def _id_list(text: str) -> tuple[str, ...]:
-    known = congruences.all_ids()
     if text.strip() == "all":
-        return known
+        return congruences.all_ids()
     ids = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     if not ids:
         raise argparse.ArgumentTypeError(f"must name at least one id, got {text!r}")
-    for cid in ids:
+    # congruence ids first: the exact families load only for an id outside REGISTRY
+    rest = [cid for cid in ids if cid not in congruences.REGISTRY]
+    known = congruences.all_ids() if rest else ()
+    for cid in rest:
         if cid not in known:
             raise argparse.ArgumentTypeError(f"unknown id {cid!r}")
     return ids
@@ -155,21 +160,27 @@ def _cells(records: list[dict], yes: str, no: str, missing: str) -> list[list[st
                                for rec in records]
 
 
-# One jsonl line: json.dumps(v.record(no_timing)) + "\n", byte for byte, with
-# the string fields (id, diagnostic) quoted by json.dumps
+# One jsonl line: json.dumps(v.record(no_timing)) + "\n", byte for byte.  An id
+# is quoted as it stands (no id holds a character that JSON escapes); a
+# diagnostic, free text, is quoted by json.dumps
 _JSONL = '{"id": %s, "p": %d, "r": %d, "modulus": %s, "lhs": %s, "rhs": %s, "pass": %s, "micros": %d%s}\n'
 
 
 def _jsonl(rows: list[congruences.Verdict], no_timing: bool) -> str:
-    quoted = {cid: json.dumps(cid) for cid in {v.id for v in rows}}
     lines = []
     for v in rows:
         cid, p, r, lhs, rhs, e, micros, diagnostic = v
-        lines.append(_JSONL % (quoted[cid], p, r, '"exact"' if e is None else f'"{p}^{e}"',
+        lines.append(_JSONL % (f'"{cid}"', p, r, '"exact"' if e is None else f'"{p}^{e}"',
                                "null" if lhs is None else f'"{lhs}"', "null" if rhs is None else f'"{rhs}"',
                                "true" if v.passed else "false", 0 if no_timing else micros,
-                               "" if diagnostic is None else ', "diagnostic": ' + json.dumps(diagnostic)))
+                               "" if diagnostic is None else ', "diagnostic": ' + _quoted(diagnostic)))
     return "".join(lines)
+
+
+def _quoted(text: str) -> str:
+    import json  # loaded only for a row that failed in evaluation
+
+    return json.dumps(text)
 
 
 def _render(rows: list[congruences.Verdict], fmt: str, no_timing: bool) -> str:
@@ -177,6 +188,8 @@ def _render(rows: list[congruences.Verdict], fmt: str, no_timing: bool) -> str:
         return _jsonl(rows, no_timing)
     records = [row.record(no_timing) for row in rows]
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(_cells(records, "true", "false", ""))
         return buf.getvalue()

@@ -3,12 +3,17 @@ harmonic numbers, fractional parts.  All exact.
 
 Each rational kernel runs its product or sum in integers over a denominator
 fixed before the loop (d^k k! for a = u/d, k!^order for H_n) and builds one
-Fraction at the end, so no gcd runs per step."""
+Fraction at the end, so no gcd runs per step.  Only binomial serves the
+congruence rows; the rational kernels import fractions where they build a
+Fraction, so a launch that checks congruences never loads it."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def factorial(n: int) -> int:
@@ -20,6 +25,8 @@ def recip_factorial(n: int) -> Fraction:
     """1/n!, with 1/(negative)! = 0 -- the convention under which the closed
     form of wz.closed_form_g is total (it matches the vanishing of the
     corresponding binomial coefficient)."""
+    from fractions import Fraction
+
     if n < 0:
         return Fraction(0)
     return Fraction(1, math.factorial(n))
@@ -42,17 +49,21 @@ def binomial(n: int, k: int) -> int:
 
 def binomial_rational(a: Fraction | int, k: int) -> Fraction:
     """a(a-1)...(a-k+1)/k! = prod_{j<k} (u - j d) / (d^k k!) for a = u/d, k >= 0."""
+    from fractions import Fraction
+
     if k < 0:
         raise ValueError(f"lower index must be nonnegative, got {k}")
-    num, den = Fraction(a).as_integer_ratio()
+    num, den = a.as_integer_ratio()
     return Fraction(math.prod(num - j * den for j in range(k)), den**k * math.factorial(k))
 
 
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """(a)_n = a(a+1)...(a+n-1) = prod_{j<n} (u + j d) / d^n for a = u/d; (a)_0 = 1."""
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
-    num, den = Fraction(a).as_integer_ratio()
+    num, den = a.as_integer_ratio()
     return Fraction(math.prod(num + j * den for j in range(n)), den**n)
 
 
@@ -61,6 +72,8 @@ def harmonic(n: int, order: int = 1) -> Fraction:
 
     The sum runs as one integer numerator over the unreduced denominator
     n!^order, so the only gcd is the one of the single Fraction returned."""
+    from fractions import Fraction
+
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if n < 0:
@@ -71,5 +84,7 @@ def harmonic(n: int, order: int = 1) -> Fraction:
 
 def frac_part(q: Fraction | int) -> Fraction:
     """q - floor(q), in [0, 1)."""
+    from fractions import Fraction
+
     q = Fraction(q)
     return q - math.floor(q)

@@ -6,7 +6,10 @@ Three families of checks exist, each with its own table keyed by id:
 congruences (REGISTRY here, checked per (p, r)), identities
 (identities.REGISTRY, checked for every n up to a depth) and the WZ grid
 certificates (wz.REGISTRY, checked up to a grid depth).  all_ids() lists
-the ids of all three, and run_suite() runs any selection of them.
+the ids of all three, and run_suite() runs any selection of them.  The
+modules of the two exact families are imported on first use, by all_ids()
+or by a sweep that selects an exact check, so a launch that checks only
+congruences never compiles them.
 
 Row contract: each row is one _row declaration on its evaluator, giving
 the row's id, its statement, its modulus exponent e (an int or a function
@@ -24,7 +27,8 @@ comparison.  A side of any other type makes a failed row with a diagnostic.
 Sides known only mod p (the Euler and Bernoulli values of lemma-2.6b and
 lemma-2.6-altsum) are ints mod p, so those rows fix e = 1.  Those values
 depend only on the residues of their arguments, so 1/4, {(4-p)/8} and
-{-p/8} enter as residues mod p, and no row builds a Fraction.
+{-p/8} enter as residues mod p, and no row builds a Fraction (nor does
+special.py on their way: fractions is never imported).
 
 Windowed rows: wolstenholme-h1, wolstenholme-h2, central-2p1p and morley
 are declared on window(primes, e), which gives the pairs of every prime of
@@ -75,6 +79,27 @@ unit D once per prime (_quotient; the windowed rows, and central-2pr's
 H_{p-1} mod p).  The exact Fraction form of every row is the test oracle
 (PAIRS_EXACT in tests/oracles.py).
 
+Series sums in a sweep: before any task runs (and so before any fork),
+run_suite computes every r = 1 read of a series, the S8, S64 and S512 terms
+to their half and full bounds and the Sgl terms, from one accumulating
+remainder tree per term sequence over the sweep's primes (_series_sums).
+Its advance (_advance_series) takes the fold's own steps over the state
+(N, S, D), N and D the products of the numerators and denominators and
+S / D the weighted sum; each prime queries it at its bound and at p^E, E
+the e its task plans, and inverts its unit D once (_quotient).  Each
+per-prime task's table starts with those sums, so eval_series reads them
+per prime and the task folds no series; the sums are dropped when
+run_suite returns.  The tree won at one prime too: 0.61 ms against the
+fold's 0.78 ms for S8-half mod p^4 at p = 2011, 37 ms against 44 ms at
+p = 100003; with the trees alone, the Euler values still raised as
+powers, the 11 series rows on 99000:99400 took 4.7 s against 15.0 s (2
+vCPUs, Python 3.11.7).  The fold stays the route for
+the reads at r >= 2 (a sequence read at r >= 2 is folded whole, its r = 1
+stops included), for eval_series and check_congruence outside a sweep,
+and for a prime where some factor is 0 or some denominator holds p: the
+tree gives that prime no sum, and its fold raises the EvaluatorError of
+its row.  The fold is also the tree's oracle in the tests.
+
 Independence rule: a row whose statement is a Bernoulli or Euler value
 never computes that value through its own left-hand sum.  Every such value
 on a right side comes from special.py's power sums (bernoulli_diff_mod_p);
@@ -97,7 +122,8 @@ forking was 8-11 % slower at 5:79 r <= 2 (466,000 steps) and 10-30 % faster
 at 5:29 r <= 3 (603,000).  The four windowed rows cross near 5:15000, about
 60,000 tree steps, and an exact check grows about as the cube of its depth:
 2.7 ms for an identity at depth 80 or a grid at 40 (0.45 us a step), 85 ms
-for an identity at 300 and 265 ms for a grid at 150.  The forked children
+for an identity at 300 and 265 ms for a grid at 150.  The pool is its own
+module (pool.py), imported only by a sweep that forks.  The forked children
 inherit the tasks, take task indices from one shared pipe, and each sends
 back one pickled payload, its verdicts or the exception it caught.  The
 first error is raised in the parent, which kills the other workers at once.
@@ -120,7 +146,6 @@ from itertools import accumulate, chain, count, islice, repeat
 from math import perm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import identities, wz
 from .combinat import binomial
 from .exactnum import NotPIntegralError, UnknownIdError, inverse_column, is_prime
 from .special import (
@@ -326,12 +351,14 @@ class _TaskFolds:
     and its sums and products are kept by (index, take).  A read the plan
     does not hold (an unknown sequence, an unplanned index or take, an e
     above the planned e) raises EvaluatorError naming the read, so it never
-    folds a sequence a second time or gives a residue at a lower e."""
+    folds a sequence a second time or gives a residue at a lower e.  A
+    sequence whose reads the sweep's remainder trees computed (folds, from
+    _series_sums) is never folded."""
 
-    def __init__(self, p: int, reads) -> None:
+    def __init__(self, p: int, reads, folds=None) -> None:
         self.p = p
         self.plans: dict[tuple, tuple[int, set]] = {}  # sequence -> (e, {(index, take) read})
-        self.folds: dict[tuple, dict] = {}  # sequence -> {(index, take): what the read takes}
+        self.folds: dict[tuple, dict] = dict(folds or {})  # sequence -> {(index, take): what the read takes}
         self.values: dict[Callable, object] = {}  # value -> value(p)
         for seq, index, e, take in reads:
             top_e, held = self.plans.get(seq, (e, set()))
@@ -467,17 +494,64 @@ def _harmonic(primes, e: int, power: int) -> list[int]:
 # -- series ------------------------------------------------------------------
 
 
-def _series_steps(weight: tuple[int, int], base: int, ratio: tuple[int, int, int], n: int):
+def _series_steps(weight: tuple[int, int], base: int, ratio: tuple[int, int, int], n: int, lo: int = 0):
     """The steps t_k^3 / (-base)^k over t_{k-1}^3 / (-base)^(k-1) for
-    k = 1 .. n, and the weights a k + b, (a, b) = weight."""
+    k = lo+1 .. n, and the weights a k + b from k = lo, (a, b) = weight."""
     (a, b), (c, d, g) = weight, ratio
     # x = c k + d and y = g k, both stepped along k
-    xs, ys = range(c + d, c * n + d + 1, c), range(g, g * n + 1, g)
-    return ((x * x * x, -base * y * y * y) for x, y in zip(xs, ys)), count(b, a)
+    xs, ys = range(c * (lo + 1) + d, c * n + d + 1, c), range(g * (lo + 1), g * n + 1, g)
+    return ((x * x * x, -base * y * y * y) for x, y in zip(xs, ys)), count(a * lo + b, a)
 
 
-@dataclass(frozen=True)
-class _Series:
+def _advance_series(seq: tuple):
+    """The advance of the state (N, S, D) over the steps of the term
+    sequence seq: N = prod num, D = prod den and S / D the weighted sum, so
+    that a step is [N, S, D] -> [N num, S den + w N num, D den].  A run of
+    _RUN steps is one exact (A, B, C), and the state takes it as
+    [N A, S C + B N, D C].  A zero factor sets D to 0: D is a unit exactly
+    where the fold of the same steps does not raise."""
+    steps, *args = seq
+
+    def advance(state, lo: int, hi: int, m: int) -> tuple[int, int, int]:
+        n, s, d = state
+        factors, weights = steps(*args, hi, lo)
+        run_of = zip(factors, islice(weights, 1, None))  # w_lo is in the state
+        while run := list(islice(run_of, _RUN)):
+            a, b, c = 1, 0, 1
+            for (num, den), w in run:
+                a, c = a * num, c * den
+                b = b * den + w * a
+            n, s, d = n * a % m, (s * c + b * n) % m, d * c % m if a else 0
+        return n, s, d
+
+    return advance
+
+
+def _series_sums(tasks) -> dict[int, dict[tuple, dict]]:
+    """{p: {sequence: {(index, _SUM): S_index mod p^E}}} for each per-prime
+    task whose plan reads a series' terms only as sums below p, the r = 1
+    reads, at the plan's E: one remainder tree per sequence over the
+    sweep's primes.  A prime whose D is not a unit (a factor p in a
+    denominator, or a zero factor) gets no sums, so its fold raises."""
+    wanted: dict[tuple, list] = {}  # sequence -> [(p, E, indices read)]
+    for p, checks in tasks:
+        if p:
+            for seq, (e, held) in _TaskFolds(p, _task_reads(p, checks)).plans.items():
+                if seq[0] is _series_steps and all(t == _SUM and i < p for i, t in held):
+                    wanted.setdefault(seq, []).append((p, e, [i for i, _ in held]))
+    sums: dict[int, dict[tuple, dict]] = {}
+    for seq, reads in wanted.items():
+        steps, *args = seq
+        start = (1, next(steps(*args, 0)[1]), 1)
+        tree = _remainder_tree([(i, p**e) for p, e, held in reads for i in held], _advance_series(seq), start)
+        for p, e, held in reads:
+            states = [tree[i, p**e] for i in held]
+            if all(d % p for _, _, d in states):
+                sums.setdefault(p, {})[seq] = {(i, _SUM): _quotient(s, d, p**e) for i, (_, s, d) in zip(held, states)}
+    return sums
+
+
+class _Series(NamedTuple):
     """sum_{n=0}^{bound(p^r)} (a n + b) t_n^3 / (-base)^n, where t_0 = 1
     and t_n / t_{n-1} = (c n + d) / (g n) with (c, d, g) = ratio."""
 
@@ -487,8 +561,9 @@ class _Series:
     bound: Callable[[int], int]
 
     def read(self, p: int, r: int, e: int) -> _Read:
-        """The read of this sum at p^r, mod p^e, from the fold of its terms:
-        a half and a full series are two reads of one fold."""
+        """The read of this sum at p^r, mod p^e, from the fold of its terms
+        or, at r = 1 in a sweep, their remainder tree: a half and a full
+        series are two reads of one sequence."""
         return (_series_steps, self.weight, self.base, self.ratio), self.bound(p**r), e, _SUM
 
 
@@ -516,9 +591,10 @@ def eval_series(series_id: str, p: int, r: int, e: int) -> int:
 
     The term t_n^3 / (-base)^n is folded in Z/p^e by its ratio, p split out
     of every factor; within a per-prime task the sum is read from the task's
-    table (_table), which holds one fold of the series' terms.  Equal to the
-    exact rational sum reduced mod p^e.  Raises EvaluatorError if some t_n
-    has p in its denominator.
+    table (_table), which holds one fold of the series' terms, or, at r = 1
+    in a sweep, the sums of the sweep's remainder tree.  Equal to the exact
+    rational sum reduced mod p^e.  Raises EvaluatorError if some t_n has p
+    in its denominator.
     """
     series = _SERIES.get(series_id)
     if series is None:
@@ -980,6 +1056,8 @@ def _pairs_neg_binom_unit(p, r, e):
 
 def all_ids() -> tuple[str, ...]:
     """Every check id: congruences, then identities, then WZ certificates."""
+    from . import identities, wz  # the exact families load on first use
+
     return (*REGISTRY, *identities.REGISTRY, *wz.REGISTRY)
 
 
@@ -1051,18 +1129,20 @@ _Task = tuple[int, list[tuple[str, int | tuple[int, ...]]]]
 
 
 def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list[_Task]:
-    known = set(all_ids())
-    for cid in ids:
-        if cid not in known:
-            raise UnknownIdError(f"unknown check id: {cid}")
+    exact = [cid for cid in ids if cid not in REGISTRY]
+    if exact:  # only then are the exact families imported
+        from . import identities, wz
+
+        for cid in exact:
+            if cid not in identities.REGISTRY and cid not in wz.REGISTRY:
+                raise UnknownIdError(f"unknown check id: {cid}")
     ids = sorted(set(ids))
     primes = [p for p in sorted(set(primes)) if is_prime(p)]
     tasks: list[_Task] = []
     for cid in ids:
-        if cid in identities.REGISTRY:
-            tasks.append((0, [(cid, max(identities_n_max, identities.REGISTRY[cid].n_min))]))
-        elif cid in wz.REGISTRY:
-            tasks.append((0, [(cid, wz_grid)]))
+        if cid not in REGISTRY:
+            depth = max(identities_n_max, identities.REGISTRY[cid].n_min) if cid in identities.REGISTRY else wz_grid
+            tasks.append((0, [(cid, depth)]))
         elif REGISTRY[cid].window is not None:
             window = tuple(p for p in primes if REGISTRY[cid].applicable(p, 1))
             if window:
@@ -1077,6 +1157,8 @@ def _tasks(ids, primes, r_max: int, identities_n_max: int, wz_grid: int) -> list
 
 
 def _check_exact(cid: str, depth: int) -> Verdict:
+    from . import identities, wz
+
     start = time.perf_counter_ns()
     if cid in identities.REGISTRY:
         failures = len(identities.check_identity_range(cid, depth))
@@ -1086,14 +1168,24 @@ def _check_exact(cid: str, depth: int) -> Verdict:
     return Verdict(cid, 0, 0, failures, 0, None, micros)
 
 
+def _task_reads(p: int, checks) -> list[_Read]:
+    """Every read that the rows of the per-prime task (p, checks) declare."""
+    return [read for cid, r in checks for read in REGISTRY[cid].reads(p, r, REGISTRY[cid].modulus_exponent(r))]
+
+
+# The series sums of the sweep that run_suite is running, {p: the folds its
+# task starts with} (_series_sums); empty outside run_suite.
+_sweep_sums: dict[int, dict[tuple, dict]] = {}
+
+
 def _run_task(task: _Task) -> list[Verdict]:
     """The Verdicts of one task.  The rows of a per-prime task share its
-    folds (_TaskFolds), which are dropped when the task ends."""
+    folds (_TaskFolds), which start with the sweep's series sums at p and
+    are dropped when the task ends."""
     global _task
     p, checks = task
     if p:
-        _task = _TaskFolds(p, [read for cid, r in checks
-                               for read in REGISTRY[cid].reads(p, r, REGISTRY[cid].modulus_exponent(r))])
+        _task = _TaskFolds(p, _task_reads(p, checks), _sweep_sums.get(p))
         try:
             return [check_congruence(cid, p, r) for cid, r in checks]
         finally:
@@ -1110,107 +1202,13 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _work(tasks: list[_Task], todo_r: int, todo_w: int, result_w: int) -> None:
-    """The body of a forked worker; it never returns.  It runs _run_task on
-    each task index it reads from the pipe todo_r, 4 bytes at a time, until
-    EOF, then writes one pickled payload to the pipe result_w:
-    [(index, verdicts), ...], or the exception it caught.  SIGINT is left to
-    the parent, which kills its workers, and os._exit skips the atexit
-    handlers and the stdout buffer this process inherited."""
-    import pickle
-    import signal
-
-    status = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        os.close(todo_w)  # the parent's write end: while open here, no EOF
-        try:
-            payload = []
-            while chunk := os.read(todo_r, 4):
-                index = int.from_bytes(chunk, "little")
-                payload.append((index, _run_task(tasks[index])))
-        except Exception as exc:
-            payload = exc
-        with open(result_w, "wb") as out:
-            pickle.dump(payload, out)
-        status = 0
-    finally:
-        os._exit(status)  # never unwind into the caller's frames
-
-
 def _forked(tasks: list[_Task], workers: int) -> list[list[Verdict]]:
     """_run_task of each task, in order, computed by `workers` forked child
-    processes.
+    processes (pool.forked); the pool's module is imported here, so only a
+    sweep that forks compiles it."""
+    from .pool import forked
 
-    The children inherit the tasks by fork, so no task is pickled.  After
-    forking, the parent writes the task indices into one pipe that all
-    children read, 4 bytes each; reads and writes of 4 bytes are atomic, so
-    each child takes the next index in order, and the indices are written
-    as the pipe drains, so no list is too long for it.  Each child sends
-    back one pickled payload on its own pipe (_work).  The first exception
-    a child sends is raised here unchanged; a child that dies or exits
-    without a payload raises RuntimeError naming its signal or status.
-    However this call ends, every child still running is killed and every
-    child is reaped, so none outlives it.  A fork copies only the calling
-    thread, so the caller must run no other thread (verify runs none).
-    """
-    import pickle
-    import select
-    import signal
-
-    todo = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
-    done: dict[int, list[Verdict]] = {}
-    fds: set[int] = set()  # pipe ends open in this process
-    children: dict[int, tuple[int, bytearray]] = {}  # result pipe -> (pid, bytes read)
-    try:
-        todo_r, todo_w = os.pipe()
-        fds.update((todo_r, todo_w))
-        for _ in range(workers):
-            result_r, result_w = os.pipe()
-            fds.update((result_r, result_w))
-            pid = os.fork()
-            if pid == 0:
-                _work(tasks, todo_r, todo_w, result_w)
-            os.close(result_w)
-            fds.discard(result_w)
-            children[result_r] = (pid, bytearray())
-        os.close(todo_r)
-        fds.discard(todo_r)
-        while children:
-            readable, writable, _ = select.select(
-                list(children), [todo_w] if todo_w in fds else [], [])
-            for fd in readable:
-                pid, payload = children[fd]
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    payload += chunk
-                    continue
-                os.close(fd)
-                fds.discard(fd)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[fd]
-                if code < 0:
-                    raise RuntimeError(f"a worker process was killed by signal {-code} "
-                                       f"({signal.Signals(-code).name})")
-                if code or not payload:
-                    raise RuntimeError(f"a worker process exited with status {code} "
-                                       "and no result")
-                payload = pickle.loads(payload)
-                if isinstance(payload, BaseException):
-                    raise payload
-                done.update(payload)
-            if writable:  # after the reads: a child that ended early says why first
-                todo = todo[os.write(todo_w, todo[:select.PIPE_BUF]):]
-                if not todo:
-                    os.close(todo_w)
-                    fds.discard(todo_w)
-    finally:
-        for fd in fds:
-            os.close(fd)
-        for pid, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return [done[i] for i in range(len(tasks))]
+    return forked(tasks, workers)
 
 
 # The runner's cost model, in fold steps, and the break-even past which
@@ -1234,6 +1232,8 @@ def _cost(tasks: list[_Task]) -> int:
             if cid in REGISTRY:
                 total += _TREE_STEP * arg[-1]
             else:
+                from . import identities
+
                 total += (arg if cid in identities.REGISTRY else 2 * arg) ** 3 // _EXACT_SCALE
     return total
 
@@ -1260,12 +1260,17 @@ def run_suite(ids, primes, *, r_max: int, jobs: int, identities_n_max: int,
     once.  Neither the order of ids nor the scheduling changes the result.
     Raises UnknownIdError for an id from no family.
     """
+    global _sweep_sums
     tasks = _tasks(ids, primes, r_max, identities_n_max, wz_grid)
     workers = min(jobs, len(tasks), usable_cpus()) if hasattr(os, "fork") else 1
-    if workers > 1 and _cost(tasks) > _BREAK_EVEN:
-        chunks = _forked(tasks, workers)
-    else:
-        chunks = [_run_task(task) for task in tasks]
+    _sweep_sums = _series_sums(tasks)  # before any fork, so that the workers inherit them
+    try:
+        if workers > 1 and _cost(tasks) > _BREAK_EVEN:
+            chunks = _forked(tasks, workers)
+        else:
+            chunks = [_run_task(task) for task in tasks]
+    finally:
+        _sweep_sums = {}
     verdicts = [v for chunk in chunks for v in chunk]
     verdicts.sort(key=lambda v: (v.id, v.p, v.r))
     return verdicts

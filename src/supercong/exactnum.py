@@ -1,9 +1,10 @@
 """Exact rational arithmetic and prime-power modular reduction.
 
 The congruence rows and the special values of special.py work mod p^e from
-the start.  reduce_mod serves only the rational arguments of special.py's
-values and the tests: it takes a rational into Z/p^e, where a p-divisible
-denominator surfaces as NotPIntegralError.  inverse_column is the one table
+the start.  reduce_mod serves only the arguments of special.py's values and
+the tests: it takes an int or a rational (anything with as_integer_ratio,
+so no Fraction is built) into Z/p^e, where a p-divisible denominator
+surfaces as NotPIntegralError.  inverse_column is the one table
 of reciprocals 1/k mod p^e: the harmonic sums of the congruence rows and the
 mod-p Bernoulli recurrence of special.py read every 1/k from it.
 
@@ -13,8 +14,11 @@ context (a congruence row declares its e), so no type carries it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class UnknownIdError(KeyError):
@@ -49,8 +53,8 @@ def padic_valuation(q: Fraction | int, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    q = Fraction(q)
-    if q == 0:
+    num, den = q.as_integer_ratio()
+    if num == 0:
         raise ValueError("p-adic valuation of zero is undefined")
 
     def count(n: int) -> int:
@@ -60,7 +64,7 @@ def padic_valuation(q: Fraction | int, p: int) -> int:
             v += 1
         return v
 
-    return count(abs(q.numerator)) - count(q.denominator)
+    return count(abs(num)) - count(den)
 
 
 def reduce_mod(q: Fraction | int, p: int, e: int) -> int:
@@ -70,17 +74,15 @@ def reduce_mod(q: Fraction | int, p: int, e: int) -> int:
     Raises NotPIntegralError when p divides the denominator, which signals
     that the congruence being evaluated is ill-posed at this prime.
     """
-    q = Fraction(q)
+    num, den = q.as_integer_ratio()
     if e < 1:
         raise ValueError(f"exponent must be positive, got {e}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if q.denominator % p == 0:
-        raise NotPIntegralError(
-            f"denominator {q.denominator} is divisible by {p}; not reducible mod {p}^{e}"
-        )
+    if den % p == 0:
+        raise NotPIntegralError(f"denominator {den} is divisible by {p}; not reducible mod {p}^{e}")
     m = p**e
-    return q.numerator * pow(q.denominator, -1, m) % m
+    return num * pow(den, -1, m) % m
 
 
 def inverse_column(top: int, p: int, e: int) -> list[int]:

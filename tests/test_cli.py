@@ -339,27 +339,61 @@ def source_env() -> dict[str, str]:
     return env
 
 
+# The modules a launch of `verify` has loaded when main returns, and its exit
+# code; the break-even is 0, so --jobs 2 forks.
+LOADED_BY_LAUNCH = ("import sys\nfrom supercong import congruences\nfrom supercong.cli import main\n"
+                    "congruences._BREAK_EVEN = 0\n"
+                    "code = main(sys.argv[1:])\nloaded = sorted(sys.modules)\n"
+                    "import json\nprint(json.dumps([code, loaded]))")
+
+
+def _loaded(argv: list[str], tmp_path) -> set[str]:
+    done = subprocess.run([sys.executable, "-c", LOADED_BY_LAUNCH, *argv, "--no-timing",
+                           "--out", str(tmp_path / "report")],
+                          env=source_env(), capture_output=True, text=True, timeout=120)
+    code, modules = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return set(modules)
+
+
 def test_launch_loads_no_pool_library(tmp_path):
     # A pooled launch forks its workers itself, so no launch pays for
     # importing concurrent.futures or multiprocessing, and a serial one
-    # loads not even pickle.  The break-even is 0, so --jobs 2 forks.
-    script = ("import json, sys\nfrom supercong import congruences\nfrom supercong.cli import main\n"
-              "congruences._BREAK_EVEN = 0\n"
-              "print(json.dumps([main(sys.argv[1:]), sorted(sys.modules)]))")
-    loaded = {}
-    for jobs in ("1", "2"):
-        argv = ["--primes", "5:7", "--ids", "two-power-half", "--r-max", "1", "--no-timing",
-                "--jobs", jobs, "--out", str(tmp_path / f"jobs-{jobs}.jsonl")]
-        done = subprocess.run([sys.executable, "-c", script, *argv], env=source_env(),
-                              capture_output=True, text=True, timeout=120)
-        code, modules = json.loads(done.stdout)
-        assert code == 0
-        loaded[jobs] = set(modules)
+    # loads not even pickle.
+    loaded = {jobs: _loaded(["--primes", "5:7", "--ids", "two-power-half", "--r-max", "1", "--jobs", jobs],
+                            tmp_path)
+              for jobs in ("1", "2")}
     for modules in loaded.values():
         assert not {"concurrent.futures", "multiprocessing"} & modules
     assert "pickle" not in loaded["1"]
     if usable_cpus() > 1:  # the launch at --jobs 2 did fork, and so loaded pickle
         assert "pickle" in loaded["2"]
+
+
+EXACT_FAMILIES = {"supercong.identities", "supercong.wz"}
+UNUSED_LIBRARIES = {"fractions", "decimal", "csv", "json"}
+
+
+@pytest.mark.parametrize("ids", ["two-power-half", "thm-main"])
+def test_congruence_launch_loads_only_what_its_checks_run(ids, tmp_path):
+    # no exact family, no Fraction, and neither csv nor json for a jsonl
+    # report with no diagnostic
+    loaded = _loaded(["--primes", "5:13", "--ids", ids, "--r-max", "1"], tmp_path)
+    assert not (EXACT_FAMILIES | UNUSED_LIBRARIES) & loaded
+
+
+@pytest.mark.parametrize("argv, needed", [
+    (["--ids", "I1"], {"supercong.identities"}),
+    (["--ids", "all", "--identities-n-max", "4", "--wz-grid", "3"], EXACT_FAMILIES | {"fractions"}),
+    (["--ids", "two-power-half", "--format", "csv"], {"csv"}),
+], ids=["identity", "all", "csv"])
+def test_launch_loads_what_its_checks_need(argv, needed, tmp_path):
+    assert needed <= _loaded(["--primes", "5:7", "--r-max", "1", *argv], tmp_path)
+
+
+def test_ids_need_no_json_quoting():
+    # the jsonl report quotes each id as it stands
+    assert all(json.dumps(cid) == f'"{cid}"' for cid in all_ids())
 
 
 def test_sigterm_exits_143_and_leaves_no_process():

@@ -498,6 +498,65 @@ def test_rows_of_one_task_match_exact_oracle(p, r_max):
         assert (v.lhs, v.rhs) == cong._compared(want, p, v.e), (v.id, p, v.r)
 
 
+@pytest.mark.parametrize("lo, hi", [(3, 400), (10007, 10103)], ids=["3-400", "near-10^4"])
+def test_tree_sums_equal_the_folds(lo, hi):
+    # every r = 1 read of the 7 series at every prime, from one remainder
+    # tree per term sequence, is the fold's sum at the task's planned e
+    primes = primes_in(lo, hi)
+    tasks = cong._tasks(SERIES_ROWS, primes, 1, 1, 1)
+    sums = cong._series_sums(tasks)
+    read = Counter()
+    for p, checks in tasks:
+        for seq, (e, held) in cong._TaskFolds(p, cong._task_reads(p, checks)).plans.items():
+            for i, take in held:
+                steps, *args = seq
+                factors, weights = steps(*args, i)
+                assert sums[p][seq][i, take] == cong._fold(p, e, factors, weights, [i])[0][0], (p, seq, i)
+                read[p] += 1
+    assert set(sums) == set(primes) and all(read[p] == (7 if p > 3 else 2) for p in primes)
+
+
+@pytest.mark.parametrize("ratio, failing", [((4, -2, 5), [5]), ((1, -3, 1), primes_in(7, 13))],
+                         ids=["p-divides-g", "zero-factor"])
+def test_a_prime_whose_fold_fails_gets_no_tree_sum(ratio, failing, monkeypatch):
+    # t_k = ((4k-2)/5k)^3 has 5 in its denominators at p = 5; t_k = ((k-3)/k)^3
+    # is 0 from k = 3, which the half sum reaches from p = 7.  Those primes
+    # get no tree sum, so their fold fails the row with its diagnostic, as
+    # check_congruence does; the other primes read the tree
+    monkeypatch.setitem(cong._SERIES, "S8-half", cong._Series((3, 1), 8, ratio, cong._HALF))
+    primes = primes_in(5, 13)
+    assert set(cong._series_sums(cong._tasks(["thm-main"], primes, 1, 1, 1))) == set(primes) - set(failing)
+    swept = suite(["thm-main"], primes)
+    assert [v._replace(micros=0) for v in swept] == [check_congruence("thm-main", p)._replace(micros=0)
+                                                     for p in primes]
+    assert [v.p for v in swept if v.diagnostic] == failing
+
+
+def test_sweep_sums_end_with_their_sweep():
+    # S8-full at r = 1 is summed mod p^3 for thm-prime-power and mod p^4 for
+    # cxh-8-full: a sweep never reads the sums of the sweep before it
+    for cid in ("thm-prime-power", "cxh-8-full", "thm-prime-power"):
+        swept = suite([cid], primes_in(5, 60))
+        assert all(v.passed for v in swept)
+        assert [v._replace(micros=0) for v in swept] == [check_congruence(cid, v.p)._replace(micros=0)
+                                                         for v in swept]
+        assert cong._sweep_sums == {}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_series_rows_of_a_sweep_fold_nothing(jobs, monkeypatch):
+    # at r = 1 every series sum comes from the sweep's trees, in the forked
+    # workers too, which inherit them: a fold there would fail the sweep
+    def no_fold(*args):
+        raise AssertionError("a series was folded")
+
+    monkeypatch.setattr(cong, "_fold", no_fold)
+    monkeypatch.setattr(cong, "_column", no_fold)
+    monkeypatch.setattr(cong, "_BREAK_EVEN", 0)
+    swept = suite(SERIES_ROWS, primes_in(3, 100), jobs=jobs)
+    assert all(v.passed for v in swept) and len(swept) == 11 * 23 + 2
+
+
 @pytest.mark.parametrize("cid, p, r", [("morley-power", 13, 5), ("lemma-3.3", 13, 4)])
 def test_sum_rows_hold_no_run_of_terms(cid, p, r):
     # 185,646 and 42,840 steps, and no list of them: under 1 MB traced

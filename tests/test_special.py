@@ -187,6 +187,17 @@ class TestPowerSumRoute:
             a, b = frac_part(Fraction(4 - p, 8)), frac_part(Fraction(-p, 8))
             assert bernoulli_diff_mod_p(p - 2, a, b, p) == _table_bernoulli_diff(p - 2, a, b, p)
 
+    def test_inverse_squares_at_n_p_minus_2(self):
+        # at n = p-2 > 1 the terms are read as inverse squares: every (x, y)
+        # mod p, the arcs that wrap past p-1 (and so meet Y + j = 0) among
+        # them, gives the raised power sum; p = 3 (n = 1) raises
+        for p in primes_in(3, 31):
+            n = p - 2
+            for x in range(p):
+                for y in range(p):
+                    raised = n * sum(pow(y + j, n - 1, p) for j in range((x - y) % p)) % p
+                    assert bernoulli_diff_mod_p(n, x, y, p) == raised, (p, x, y)
+
     def test_guards(self):
         with pytest.raises(ValueError):
             bernoulli_diff_mod_p(6, 0, 1, 7)  # needs n <= p-2
