@@ -28,6 +28,8 @@ outside congruences.REGISTRY is named or --ids is all; csv loads only for
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import io
 import math
 import re
@@ -199,13 +201,34 @@ def _render(rows: list[congruences.Verdict], fmt: str, no_timing: bool) -> str:
                    for row in cells)
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout, every byte of it, or raise OSError.  The bytes go
+    through sys.stdout.buffer until all are written: with PYTHONUNBUFFERED
+    that is the raw file, whose write may be short, and the text layer
+    would report the whole length written after a short write.  A stdout
+    without a buffer (a StringIO in its place) takes the text as it is."""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        written = out.write(data)
+        if not written:  # None: a non-blocking stdout that would block
+            raise BlockingIOError(errno.EAGAIN, "stdout would block")
+        data = data[written:]
+    out.flush()
+
+
 def emit_report(rows: list[congruences.Verdict], fmt: str, out_path: str | None = None,
                 no_timing: bool = False) -> int:
     """Write one line per check; 0 when everything passed, 1 otherwise.
-    I/O failures propagate as OSError (mapped to exit code 3 by main)."""
+    I/O failures, a reader that closes stdout early among them, propagate
+    as OSError (mapped to exit code 3 by main)."""
     text = _render(rows, fmt, no_timing)
     if out_path is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -248,5 +271,14 @@ def main(argv: list[str] | None = None) -> int:
         signal.signal(signal.SIGTERM, previous)
 
 
+def script() -> int:
+    """The verify command: main(), then gc.freeze(), so that the process ends
+    without collecting the heap it leaves behind.  main() itself never
+    freezes, since callers that run it in their own process keep theirs."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

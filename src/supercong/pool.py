@@ -2,8 +2,8 @@
 
 run_suite forks only for a sweep past the break-even (congruences._cost and
 _BREAK_EVEN), and imports this module only then, so that a launch whose
-checks run in one process never compiles it.  Each worker runs
-congruences._run_task, looked up when it is called.
+checks run in one process never compiles it.  Each worker runs the
+runner's function of one task, which it inherits by fork with the tasks.
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ import os
 import pickle
 import select
 import signal
+from typing import Callable
 
-from . import congruences
 
-
-def _work(tasks: list[congruences._Task], todo_r: int, todo_w: int, result_w: int) -> None:
-    """The body of a forked worker; it never returns.  It runs _run_task on
-    each task index it reads from the pipe todo_r, 4 bytes at a time, until
-    EOF, then writes one pickled payload to the pipe result_w:
+def _work(tasks: list, run: Callable[[object], list], todo_r: int, todo_w: int, result_w: int) -> None:
+    """The body of a forked worker; it never returns.  It runs run on the
+    task of each index it reads from the pipe todo_r, 4 bytes at a time,
+    until EOF, then writes one pickled payload to the pipe result_w:
     [(index, verdicts), ...], or the exception it caught.  SIGINT is left to
     the parent, which kills its workers, and os._exit skips the atexit
     handlers and the stdout buffer this process inherited."""
@@ -31,7 +30,7 @@ def _work(tasks: list[congruences._Task], todo_r: int, todo_w: int, result_w: in
             payload = []
             while chunk := os.read(todo_r, 4):
                 index = int.from_bytes(chunk, "little")
-                payload.append((index, congruences._run_task(tasks[index])))
+                payload.append((index, run(tasks[index])))
         except Exception as exc:
             payload = exc
         with open(result_w, "wb") as out:
@@ -41,8 +40,8 @@ def _work(tasks: list[congruences._Task], todo_r: int, todo_w: int, result_w: in
         os._exit(status)  # never unwind into the caller's frames
 
 
-def forked(tasks: list[congruences._Task], workers: int) -> list[list[congruences.Verdict]]:
-    """_run_task of each task, in order, computed by `workers` forked child
+def forked(tasks: list, workers: int, run: Callable[[object], list]) -> list[list]:
+    """run(task) of each task, in order, computed by `workers` forked child
     processes.
 
     The children inherit the tasks by fork, so no task is pickled.  After
@@ -58,7 +57,7 @@ def forked(tasks: list[congruences._Task], workers: int) -> list[list[congruence
     thread, so the caller must run no other thread (verify runs none).
     """
     todo = b"".join(i.to_bytes(4, "little") for i in range(len(tasks)))
-    done: dict[int, list[congruences.Verdict]] = {}
+    done: dict[int, list] = {}
     fds: set[int] = set()  # pipe ends open in this process
     children: dict[int, tuple[int, bytearray]] = {}  # result pipe -> (pid, bytes read)
     try:
@@ -69,7 +68,7 @@ def forked(tasks: list[congruences._Task], workers: int) -> list[list[congruence
             fds.update((result_r, result_w))
             pid = os.fork()
             if pid == 0:
-                _work(tasks, todo_r, todo_w, result_w)
+                _work(tasks, run, todo_r, todo_w, result_w)
             os.close(result_w)
             fds.discard(result_w)
             children[result_r] = (pid, bytearray())

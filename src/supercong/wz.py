@@ -12,8 +12,10 @@ denominator per k (_closed_form).  eval_f, eval_g, the telescoped sums and
 closed_form_g, which no check reads, are their Fraction views.
 
 A grid check evaluates each F and G it reads once, on its closed form (the
-grids are the evidence for the G ratio that congruences._g_steps folds by);
-_telescoped sums the F column once for all M, telescope_full_sum(M) is M..M.
+grids are the evidence for the G ratio that the description
+congruences._g_terms steps by, so _f8 and _g8 stay closed forms: deriving
+them from that ratio would make the evidence circular); _telescoped sums
+the F column once for all M, telescope_full_sum(M) is M..M.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from supercong.wz import (
     upper_tail_vanishes,
 )
 from supercong.cli import main
-from supercong.congruences import _alt_quarter_sum, _sign
+from supercong.congruences import _TaskFolds, _alt_quarter_sum, _quarter_column, _sign
 from conftest import primes_in
 
 PRIMES_199 = primes_in(5, 199)
@@ -126,7 +126,7 @@ def test_criterion_7_dual_route_euler_agreement():
     for p in primes_in(5, 499):
         euler = euler_poly_mod_p(p - 3, Fraction(1, 4), p)
         f = (p - 1) // 4
-        alt_route = reduce_mod(2 * _sign(f) * _alt_quarter_sum(p), p, 1)
+        alt_route = reduce_mod(2 * _sign(f) * _alt_quarter_sum(_TaskFolds(p, [_quarter_column(p, 1)])), p, 1)
         b1 = bernoulli_poly_mod_p(p - 2, Fraction(4 - p, 8) % 1, p)
         b2 = bernoulli_poly_mod_p(p - 2, Fraction(-p, 8) % 1, p)
         bern_route = _sign(f) * pow(4, -1, p) * (b1 - b2) % p

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import os
 import signal
@@ -185,7 +186,7 @@ class TestEmitReport:
         from supercong import congruences as cong
 
         monkeypatch.setitem(cong._SERIES, "S8-half",
-                            cong._Series((3, 1), 8, (1, 0, 5), lambda q: 2))
+                            cong._Series(cong._cubes("S8", (3, 1), 2, (1, 0, 5)), lambda q: 2))
         rows = self._records()
         assert emit_report(rows, "jsonl", None, no_timing=True) == 1
         recs = {(rec["id"], rec["p"]): rec
@@ -331,6 +332,37 @@ def test_module_entry_point_exit_codes(argv, code, rows):
     assert all(json.loads(line)["pass"] for line in done.stdout.splitlines())
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_that_closes_early_is_an_io_error(unbuffered):
+    # a report of about 130 kB, more than a pipe holds, to a reader that takes
+    # 10 bytes and closes: exit 3 with one error line, whether stdout is
+    # unbuffered (PYTHONUNBUFFERED, whose raw file writes short) or buffered
+    env = source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "supercong.cli", "--primes", "5:10000",
+                             "--ids", "two-power-half", "--no-timing"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, head, err) == (3, b'{"id": "tw', b"error: [Errno 32] Broken pipe\n")
+
+
+def test_only_the_command_freezes_the_heap(capsys, tmp_path):
+    # main() in this process leaves the collector as it was; the verify
+    # command (cli.script) freezes the heap once main() has returned
+    assert main(["--primes", "5:7", "--ids", "two-power-half", "--no-timing"]) == 0
+    assert gc.get_freeze_count() == 0
+    script = ("import gc, sys\nfrom supercong.cli import script\n"
+              "sys.argv[1:] = ['--primes', '5:7', '--ids', 'two-power-half', '--out', sys.argv[1]]\n"
+              "code = script()\nprint(code, gc.get_freeze_count() > 0)")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "report")], env=source_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout == "0 True\n", done.stderr
+
+
 def source_env() -> dict[str, str]:
     """The environment with this source tree's src first on PYTHONPATH."""
     env = dict(os.environ)
@@ -406,7 +438,7 @@ def test_sigterm_exits_143_and_leaves_no_process():
               "from supercong.cli import main\n"
               "congruences._BREAK_EVEN = 0\n"
               "row = congruences.REGISTRY['two-power-half']\n"
-              "def busy(p, r, e):\n"
+              "def busy(p, r, e, table=None):\n"
               "    os.write(2, b'busy\\n')\n"
               "    time.sleep(30)\n"
               "congruences.REGISTRY[row.id] = dataclasses.replace(row, pairs=busy)\n"

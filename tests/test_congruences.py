@@ -12,7 +12,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import event, given, settings
@@ -27,7 +27,7 @@ from supercong.exactnum import NotPIntegralError, inverse_column, padic_valuatio
 from supercong.special import euler_poly_mod_p
 from supercong.wz import telescope_half_sum
 from conftest import primes_in
-from oracles import PAIRS_EXACT, SERIES_EXACT, half_fold
+from oracles import PAIRS_EXACT, SERIES_EXACT, g_exact, half_fold
 
 
 R_INDEXED = sorted(cid for cid, row in REGISTRY.items() if row.r_indexed)
@@ -106,7 +106,7 @@ class TestEvalSeries:
         from supercong import congruences as cong
 
         monkeypatch.setitem(cong._SERIES, "S8-half",
-                            cong._Series((3, 1), 8, (1, 0, 5), lambda q: 2))
+                            cong._Series(cong._cubes("S8", (3, 1), 2, (1, 0, 5)), lambda q: 2))
         with pytest.raises(EvaluatorError):
             eval_series("S8-half", 5, 1, 4)
         verdict = check_congruence("thm-main", 5)
@@ -281,6 +281,14 @@ def test_no_row_inverts_inside_its_own_loop():
 # -- the fold kernel and the folds of one task --------------------------------
 
 
+def _terms_of(factors, weights=None):
+    """The description whose step i is the constant factors[i-1], weighted
+    weights[i] (0 without weights): one segment per index."""
+    weights = weights or [0] * (len(factors) + 1)
+    return cong._Terms("factors", (cong._Segment(0, weight=(0, weights[0])),) + tuple(
+        cong._Segment(i, scale=f, weight=(0, w)) for i, (f, w) in enumerate(zip(factors, weights[1:]), 1)))
+
+
 def _fold_oracle(p, e, factors, weights, stops):
     """(sums, products) of a fold from Fraction products reduced by
     reduce_mod, or the text of the EvaluatorError the fold raises on the
@@ -318,24 +326,107 @@ def test_fold_equals_the_fraction_weighted_sum(p, e, data):
     if isinstance(want, str):
         event(want.split()[0])
         with pytest.raises(EvaluatorError) as raised:
-            cong._fold(p, e, iter(factors), iter(weights), stops)
+            cong._fold(p, e, _terms_of(factors, weights), stops)
         assert str(raised.value) == want
         return
     valuations = list(accumulate(padic_valuation(Fraction(*f), p) for f in factors[:stops[-1]]))
     event(f"valuation at e or more, then below e: {any(v >= e for v in valuations) and valuations[-1] < e}")
-    assert cong._fold(p, e, iter(factors), iter(weights), stops) == want
+    assert cong._fold(p, e, _terms_of(factors, weights), stops) == want
+    # the weights of the description, or the same weights from an iterator
+    assert cong._fold(p, e, _terms_of(factors), stops, iter(weights)) == want
     if stops[-1] == n:
-        assert cong._column(p, e, iter(factors), n) == _fold_oracle(p, e, factors, weights, range(n + 1))[1]
+        assert cong._column(p, e, _terms_of(factors), n) == _fold_oracle(p, e, factors, weights, range(n + 1))[1]
 
 
 def test_fold_through_a_valuation_past_e():
     # p^e, then 1/p^e: the product is 0 mod p^e in between and 1 again after
     p, e = 5, 2
     factors = [(25, 1), (3, 1), (1, 25), (2, 1)]
-    assert cong._fold(p, e, iter(factors), iter([1, 1, 1, 1, 1]), [0, 1, 2, 3, 4]) == (
+    assert cong._fold(p, e, _terms_of(factors, [1, 1, 1, 1, 1]), [0, 1, 2, 3, 4]) == (
         [1, 1, 1, 4, 10], [1, 0, 0, 3, 6])
     with pytest.raises(EvaluatorError, match="^a stepped product has 5 in its denominator"):
-        cong._fold(p, e, iter([(1, 5)]), iter([1, 1]), [1])
+        cong._fold(p, e, _terms_of([(1, 5)], [1, 1]), [1])
+
+
+def _neg_half(i):
+    # (-1/2)_i / i! = -C(2i, i) / ((2i - 1) 4^i)
+    return Fraction(-comb(2 * i, i), (2 * i - 1) * 4**i)
+
+
+def _g_column(n):
+    # t_0 = 1, t_i = (-1)^(n+1) (2n-1) (C(2i-2, i-1) / 2^(i-1))^3 for i <= n,
+    # which is G(n, 1) at i = n, and t_{n+k-1} = G(n, k)
+    return lambda i: (1 if i == 0 else g_exact(n, i - n + 1) if i >= n
+                      else _sign(n + 1) * (2 * n - 1) * Fraction(comb(2 * i - 2, i - 1), 2 ** (i - 1)) ** 3)
+
+
+def _descriptions():
+    """(description, its oracle term t_i, its oracle weight w_i, a last index
+    n) for every term sequence that the rows step."""
+    p, q = 53, 13**2  # a prime, and n = p^r
+    h = (p - 1) // 2
+    zero = lambda i: 0
+    binom_16k = cong._binom_16k_terms(p)
+    return [
+        (cong._SERIES["S8-half"].terms, lambda i: Fraction(comb(2 * i, i) ** 3, (-8) ** i), lambda i: 3 * i + 1, 40),
+        (cong._SERIES["S64-half"].terms, lambda i: Fraction(comb(2 * i, i) ** 3, (-64) ** i), lambda i: 4 * i + 1, 40),
+        (cong._SERIES["S512-half"].terms, lambda i: Fraction(comb(2 * i, i) ** 3, (-512) ** i), lambda i: 6 * i + 1,
+         40),
+        (cong._SERIES["Sgl"].terms, lambda i: (-1) ** i * _neg_half(i) ** 3, lambda i: 4 * i - 1, 40),
+        *[(cong._g_terms(n), _g_column(n), lambda i, n=n: int(i >= n), n + (n + 1) // 2 - 1) for n in (3, 8, 27, q)],
+        (cong._CENTRAL_TERMS, lambda i: comb(2 * i, i), zero, 40),
+        (cong._quarter_terms(p), lambda i: Fraction(comb(h, 2 * i) * comb(2 * i, i), 4**i), zero, (p - 1) // 4),
+        (cong._TERMS_64, lambda i: Fraction(comb(4 * i, 2 * i) * comb(2 * i, i), 64**i), zero, 40),
+        (binom_16k[0], lambda i: comb(h, 2 * i), zero, (p - 1) // 4),
+        (binom_16k[1], lambda i: Fraction(comb(4 * i, 2 * i), 16**i), zero, 40),
+        (cong._morley_terms(q), lambda i: comb(q - 1, i), zero, (q - 1) // 2),
+        (cong._n_over_j_terms(q), lambda i: Fraction(q, i) if i else 1, lambda i: int(i > 0), q - 1),
+        (cong._ps_2_terms(q), lambda i: Fraction(-2 * q, i * comb(2 * i, i)) if i else 1, zero, (q - 1) // 2),
+        (cong._neg_binom_terms(q), lambda i: comb(q + 2 * i - 1, 2 * i - 1) if i else 1, zero, (q - 1) // 2),
+        (cong._FACTORIALS, factorial, zero, 40),
+    ]
+
+
+@pytest.mark.parametrize("terms, term, weight, n", _descriptions(), ids=[d[0].name for d in _descriptions()])
+def test_description_steps_are_the_ratios_of_the_oracle_terms(terms, term, weight, n):
+    # the step builder from index 0 and from the middle of the run: each step
+    # is t_i / t_{i-1} and each weight w_i of the sequence's exact terms
+    assert term(0) == 1
+    for lo in (0, n // 3, n // 2 + 1):
+        w, nums, dens, weights = cong._steps(terms, lo, n)
+        steps = list(zip(nums, dens, weights))
+        assert w == weight(lo) and len(steps) == n - lo, (terms.name, lo)
+        for i, (num, den, w) in enumerate(steps, lo + 1):
+            assert (Fraction(num, den), w) == (Fraction(term(i)) / term(i - 1), weight(i)), (terms.name, lo, i)
+
+
+def test_tree_of_each_product_equals_its_fold():
+    # the description advance of each product (every weight 0), over two
+    # primes at once and from index 0, gives N / D = t_i at each query, as
+    # the fold gives t_i
+    for terms, _, _, n in _descriptions():
+        if any(segment.weight != (0, 0) for segment in terms.segments):
+            continue
+        indices = range(0, n + 1, max(1, n // 7))
+        tree = cong._remainder_tree([(i, p**3) for p in (1009, 1013) for i in indices], cong._advance(terms), (1, 0, 1))
+        for p in (1009, 1013):
+            _, products = cong._fold(p, 3, terms, list(indices))
+            assert [cong._quotient(tree[i, p**3][0], tree[i, p**3][2], p**3) for i in indices] == products, terms.name
+
+
+def test_eval_series_outside_a_sweep_folds_nothing(monkeypatch):
+    # at r = 1 each series is a read of sums below p, so outside a sweep it
+    # comes from a remainder tree of p alone, and that equals the fold
+    fold = cong._fold
+
+    def no_fold(*args):
+        raise AssertionError("a series was folded")
+
+    monkeypatch.setattr(cong, "_fold", no_fold)
+    for p in primes_in(5, 999):
+        e = 1 + p % 4
+        for series_id, series in cong._SERIES.items():
+            assert eval_series(series_id, p, 1, e) == fold(p, e, series.terms, [series.bound(p)])[0][0], (series_id, p)
 
 
 def _task_of(ids, p, r_max):
@@ -346,25 +437,34 @@ SERIES_ROWS = ["thm-main", "thm-prime-power", "vanhamme", "sun-64", "guo-liu", "
                "cxh-8-full", "remark-sun-c51", "guo-half-64", "guo-conj-full-64"]
 
 
+def _run_of(terms, n):
+    """The steps (num, den) of terms up to index n."""
+    _, nums, dens, _ = cong._steps(terms, 0, n)
+    return list(zip(nums, dens))
+
+
 @pytest.fixture
 def fold_runs(monkeypatch):
-    """The run of factors of each _fold and _column call from here on."""
+    """The run of factors (num, den) of each _fold, _column and _tree_sums
+    call from here on, each to the furthest index it reads."""
     runs = []
-    fold, column = cong._fold, cong._column
+    fold, column, tree_sums = cong._fold, cong._column, cong._tree_sums
 
-    def spied_fold(p, e, factors, weights, stops):
-        stops = list(stops)
-        factors = list(factors)[:stops[-1]]
-        runs.append(factors)
-        return fold(p, e, iter(factors), weights, stops)
+    def spied_fold(p, e, terms, stops, weights=None):
+        runs.append(_run_of(terms, stops[-1]))
+        return fold(p, e, terms, stops, weights)
 
-    def spied_column(p, e, factors, n):
-        factors = list(factors)[:n]
-        runs.append(factors)
-        return column(p, e, iter(factors), n)
+    def spied_column(p, e, terms, n):
+        runs.append(_run_of(terms, n))
+        return column(p, e, terms, n)
+
+    def spied_tree_sums(terms, reads):
+        runs.append(_run_of(terms, max(i for _, _, held in reads for i in held)))
+        return tree_sums(terms, reads)
 
     monkeypatch.setattr(cong, "_fold", spied_fold)
     monkeypatch.setattr(cong, "_column", spied_column)
+    monkeypatch.setattr(cong, "_tree_sums", spied_tree_sums)
     return runs
 
 
@@ -388,7 +488,8 @@ def test_one_task_folds_each_sequence_once(p, r_max, fold_runs):
     # a prefix of another's, so each sequence is folded once, and the rows
     # read from the shared folds what they read from folds of their own
     _run_task_once_each(_task_of(R_INDEXED + SERIES_ROWS, p, r_max), fold_runs)
-    # the S8, S64, S512 and Sgl terms and the column of C(2k, k) once each;
+    # the S8, S64, S512 and Sgl terms and the column of C(2k, k) once each
+    # (the S512 and Sgl terms, read at r = 1 only, by a tree of p);
     # morley-power, the G column, central-2pr's sum of p^r/j, ps-2's left
     # side and neg-binom-unit's column once for each r
     assert len(fold_runs) == 5 + 5 * r_max
@@ -403,30 +504,32 @@ def test_one_task_computes_each_fold_and_value_once(p, r_max, fold_runs, monkeyp
     # every per-prime row in one task: no fold or column runs twice (the
     # quarter sums of the lemma rows and their 64-sum among them), and
     # E_{p-3}(1/4) and E_{p-3} are each computed once within the task
+    assert all(v.passed for v in _run_task_once_each(_task_of(PER_PRIME, p, r_max), fold_runs))
     calls = Counter()
 
     def counted(name):
         real = getattr(cong, name)
 
         def spy(*args):
-            calls[name] += cong._task is not None
+            calls[name] += 1
             return real(*args)
         return spy
 
     for name in ("euler_poly_mod_p", "euler_number_mod_p"):
         monkeypatch.setattr(cong, name, counted(name))
-    assert all(v.passed for v in _run_task_once_each(_task_of(PER_PRIME, p, r_max), fold_runs))
+    assert all(v.passed for v in cong._run_task(_task_of(PER_PRIME, p, r_max)))
     assert calls == {"euler_poly_mod_p": 1, "euler_number_mod_p": 1}
     # the six lemma rows alone fold the quarter terms and the 64-sum once each
     _run_task_once_each(_task_of(LEMMA_ROWS, p, 1), fold_runs)
     assert len(fold_runs) == 2
 
 
-@pytest.mark.parametrize("p, r_max", [(7, 3), (11, 2), (101, 1)])
+@pytest.mark.parametrize("p, r_max", [(5, 3), (7, 3), (11, 2), (101, 1)])
 def test_one_task_builds_one_table_and_each_column_of_inverses_once(p, r_max, monkeypatch):
-    # every per-prime row in one task: one _TaskFolds, and no column of 1/k
-    # built twice (at p = 5 poch-expansion's column to (p-3)/2 mod p^3 is the
-    # quarter sums' column to (p-1)/4, built once for each)
+    # every per-prime row in one task: one _TaskFolds, and one column of 1/k,
+    # planned to the furthest index and at the largest e that the task's
+    # rows read: poch-expansion's to (p-3)/2 mod p^3, which holds the quarter
+    # sums' column to (p-1)/4 mod p^3 and the 64-sum's mod p
     tables, columns = [], []
 
     class Spied(cong._TaskFolds):
@@ -442,15 +545,19 @@ def test_one_task_builds_one_table_and_each_column_of_inverses_once(p, r_max, mo
     monkeypatch.setattr(cong, "inverse_column", column)
     assert all(v.passed for v in cong._run_task(_task_of(PER_PRIME, p, r_max)))
     assert tables == [p]
-    assert ((p - 1) // 4, p, 1) in columns and len(columns) == len(set(columns)), columns
+    assert columns == [((p - 3) // 2, p, 3)]
+    # the lemma rows alone read the column to (p-1)/4, mod p^3 at the largest
+    columns.clear()
+    assert all(v.passed for v in cong._run_task(_task_of(LEMMA_ROWS, p, 1)))
+    assert columns == [((p - 1) // 4, p, 3)]
 
 
 @pytest.mark.parametrize("cid, reads, diagnostic", [
-    ("lemma-3.3", cong._reads_nothing, "the sum at index 9 of _g_steps(7,) mod 7^3"),
+    ("lemma-3.3", cong._reads_nothing, "the sum at index 9 of the G column of 7 mod 7^3"),
     ("lemma-3.2", lambda p, r, e: [cong._g_read(p, e, (p - 1) // 2, cong._PRODUCT)],
-     "the product at index 10 of _g_steps(7,) mod 7^3"),
+     "the product at index 10 of the G column of 7 mod 7^3"),
     ("thm-main", lambda p, r, e: [cong._SERIES["S8-half"].read(p, r, e - 1)],
-     "the sum at index 3 of _series_steps((3, 1), 8, (4, -2, 1)) mod 7^4"),
+     "the sum at index 3 of the S8 terms mod 7^4"),
 ], ids=["unknown sequence", "unplanned index", "e above the plan"])
 def test_read_outside_the_plan_is_a_failed_row(cid, reads, diagnostic, fold_runs, monkeypatch):
     # a task whose plan does not hold a read of its row: the row fails with
@@ -468,7 +575,8 @@ def test_quarter_sums_match_the_half_fold_oracle():
     for p in primes_in(5, 199):
         exact = [half_fold(p, weight) for weight in weights]
         for e in (1, 2, 3):
-            assert cong._quarter_sums(p, e) == tuple(reduce_mod(x, p, e) for x in exact), (p, e)
+            table = cong._TaskFolds(p, [cong._quarter_column(p, e)])
+            assert cong._quarter_sums(table, e) == tuple(reduce_mod(x, p, e) for x in exact), (p, e)
 
 
 def test_rows_name_their_reads_only_where_declared():
@@ -481,7 +589,7 @@ def test_rows_name_their_reads_only_where_declared():
         return {getattr(call.func, "id", getattr(call.func, "attr", None))
                 for call in ast.walk(node) if isinstance(call, ast.Call)}
 
-    assert [fn.name for fn in functions if fn.name.startswith("_pairs_") and called(fn) & {"_table", "eval_series"}] == []
+    assert [fn.name for fn in functions if fn.name.startswith("_pairs_") and called(fn) & {"_TaskFolds", "eval_series"}] == []
     assert [fn.name for fn in functions if any("cache" in ast.unparse(d) for d in fn.decorator_list)] == []
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -504,16 +612,24 @@ def test_tree_sums_equal_the_folds(lo, hi):
     # tree per term sequence, is the fold's sum at the task's planned e
     primes = primes_in(lo, hi)
     tasks = cong._tasks(SERIES_ROWS, primes, 1, 1, 1)
-    sums = cong._series_sums(tasks)
+    sums = cong._sweep_trees(tasks)
     read = Counter()
     for p, checks in tasks:
         for seq, (e, held) in cong._TaskFolds(p, cong._task_reads(p, checks)).plans.items():
             for i, take in held:
-                steps, *args = seq
-                factors, weights = steps(*args, i)
-                assert sums[p][seq][i, take] == cong._fold(p, e, factors, weights, [i])[0][0], (p, seq, i)
+                assert sums[p][seq][i, take] == cong._fold(p, e, seq, [i])[0][0], (p, seq.name, i)
                 read[p] += 1
     assert set(sums) == set(primes) and all(read[p] == (7 if p > 3 else 2) for p in primes)
+
+
+def test_a_sequence_of_one_task_is_left_to_its_task():
+    # lemma-2.7 reads the G column of (p+1)/2, another sequence at each prime,
+    # so the sweep sums none of them before its tasks run (a forked worker
+    # sums its own); thm-main's S8 terms, read at every prime, come from the
+    # sweep's one tree
+    primes = primes_in(5, 60)
+    sums = cong._sweep_trees(cong._tasks(["lemma-2.7", "thm-main"], primes, 1, 1, 1))
+    assert set(sums) == set(primes) and all(list(seqs) == [cong._S8] for seqs in sums.values())
 
 
 @pytest.mark.parametrize("ratio, failing", [((4, -2, 5), [5]), ((1, -3, 1), primes_in(7, 13))],
@@ -523,9 +639,9 @@ def test_a_prime_whose_fold_fails_gets_no_tree_sum(ratio, failing, monkeypatch):
     # is 0 from k = 3, which the half sum reaches from p = 7.  Those primes
     # get no tree sum, so their fold fails the row with its diagnostic, as
     # check_congruence does; the other primes read the tree
-    monkeypatch.setitem(cong._SERIES, "S8-half", cong._Series((3, 1), 8, ratio, cong._HALF))
+    monkeypatch.setitem(cong._SERIES, "S8-half", cong._Series(cong._cubes("S8", (3, 1), 2, ratio), cong._HALF))
     primes = primes_in(5, 13)
-    assert set(cong._series_sums(cong._tasks(["thm-main"], primes, 1, 1, 1))) == set(primes) - set(failing)
+    assert set(cong._sweep_trees(cong._tasks(["thm-main"], primes, 1, 1, 1))) == set(primes) - set(failing)
     swept = suite(["thm-main"], primes)
     assert [v._replace(micros=0) for v in swept] == [check_congruence("thm-main", p)._replace(micros=0)
                                                      for p in primes]
@@ -540,7 +656,6 @@ def test_sweep_sums_end_with_their_sweep():
         assert all(v.passed for v in swept)
         assert [v._replace(micros=0) for v in swept] == [check_congruence(cid, v.p)._replace(micros=0)
                                                          for v in swept]
-        assert cong._sweep_sums == {}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -610,6 +725,18 @@ class TestKnownAnswers:
         verdict = check_congruence("thm-main", 1019)
         assert verdict.passed
         assert verdict.rhs == 1078193565302 == 1019**4 - 1019
+
+    @pytest.mark.parametrize("cid, p, lhs", [
+        ("lemma-2.7", 1019, 1019**4 - 1019), ("lemma-2.6b", 1019, 0),
+        ("sun-64", 149, 149), ("cxh-8-full", 149, 149), ("guo-liu", 149, 6615749),
+        ("sun-64", 241, 241), ("mao-512", 241, 241),
+    ])
+    def test_rows_where_an_euler_value_vanishes(self, cid, p, lhs):
+        # E_{p-3}(1/4) == 0 (mod p) at 1019 and E_{p-3} == 0 (mod p) at 149 and
+        # 241, so the right side is its term in p alone: guo-liu's
+        # p(-1)^((p+1)/2) + 2p^3 is 6615749 at 149, and lemma-2.6b's is 0
+        verdict = check_congruence(cid, p)
+        assert verdict.passed and verdict.lhs == verdict.rhs == lhs
 
     def test_every_row_passes_at_1009(self):
         for cid in REGISTRY:
@@ -734,7 +861,7 @@ class TestCheckCongruence:
             "tmp-ill-posed",
             "denominator divisible by p on purpose",
             lambda r: 2,
-            lambda p, r, e: [(reduce_mod(Fraction(1, p), p, e), 0)],
+            lambda p, r, e, table=None: [(reduce_mod(Fraction(1, p), p, e), 0)],
         )
         REGISTRY[row.id] = row
         try:
@@ -753,7 +880,7 @@ class TestCheckCongruence:
     def test_side_breaking_the_contract_is_a_failed_row(self, side, named, monkeypatch):
         # run at e = 2: neither side is reduced or coerced, and the suite goes on
         row = CongruenceSpec("tmp-bad-side", "a side outside the contract",
-                             lambda r: 2, lambda p, r, e: [(side, 1)])
+                             lambda r: 2, lambda p, r, e, table=None: [(side, 1)])
         monkeypatch.setitem(REGISTRY, row.id, row)
         verdicts = suite([row.id, "morley"], [5])
         assert [v.id for v in verdicts] == ["morley", row.id]
@@ -791,7 +918,8 @@ class TestCrossChecks:
         for p in primes_in(5, 61):
             euler = euler_poly_mod_p(p - 3, Fraction(1, 4), p)
             f = (p - 1) // 4
-            alt = reduce_mod(2 * _sign(f) * _alt_quarter_sum(p), p, 1)
+            table = cong._TaskFolds(p, [cong._quarter_column(p, 1)])
+            alt = reduce_mod(2 * _sign(f) * _alt_quarter_sum(table), p, 1)
             assert euler == alt
 
 
@@ -848,8 +976,7 @@ class TestRunSuite:
         n_exact = firsts.count(0)
         assert firsts[:n_exact] == [0] * n_exact
         assert firsts[n_exact:] == sorted(set(firsts[n_exact:]), reverse=True)
-        monkeypatch.setattr(cong, "_run_task", lambda task: [task])
-        assert cong._forked(tasks, workers) == [[task] for task in tasks]
+        assert cong._forked(tasks, workers, lambda task: [task]) == [[task] for task in tasks]
         self.assert_no_child_left()
 
     def test_primality_decided_once_per_prime(self, monkeypatch):
@@ -909,9 +1036,9 @@ class TestRunSuite:
         monkeypatch.setattr(cong, "_BREAK_EVEN", 0)
         sizes = []
 
-        def forked(tasks, workers):
+        def forked(tasks, workers, run):
             sizes.append(workers)
-            return [cong._run_task(task) for task in tasks]
+            return [run(task) for task in tasks]
 
         monkeypatch.setattr(cong, "_forked", forked)
         return sizes
@@ -953,8 +1080,8 @@ class TestRunSuite:
         # runs the tasks in this process
         calls = []
         monkeypatch.setattr(cong, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(cong, "_forked", lambda tasks, workers: calls.append(workers)
-                            or [cong._run_task(task) for task in tasks])
+        monkeypatch.setattr(cong, "_forked", lambda tasks, workers, run: calls.append(workers)
+                            or [run(task) for task in tasks])
         return calls
 
     def test_benchmark_workloads_run_in_this_process(self, forks, capsys, monkeypatch):
@@ -979,7 +1106,7 @@ class TestRunSuite:
     ], ids=["r-indexed-5-50-r3", "exact-300"])
     def test_large_sweeps_fork(self, ids, primes, r_max, depth, forks, monkeypatch):
         # --jobs 2, run here on a stub
-        monkeypatch.setattr(cong, "_run_task", lambda task: [])
+        monkeypatch.setattr(cong, "_run_task", lambda task, sums: [])
         suite(ids, primes, r_max=r_max, jobs=2, identities_n_max=depth, wz_grid=depth // 3)
         assert forks == [2]
 
@@ -994,10 +1121,9 @@ class TestRunSuite:
     def test_forked_pool_runs_every_task_once(self, monkeypatch):
         # more workers than cores, and more task indices than a pipe holds, as
         # a sweep of the 17,982 primes from 5 to 2 10^5 has
-        monkeypatch.setattr(cong, "_run_task", lambda task: [task[0]])
         tasks = [(i, []) for i in range(20_000)]
         assert 4 * len(tasks) > 65536
-        assert cong._forked(tasks, cong.usable_cpus() + 1) == [[i] for i in range(20_000)]
+        assert cong._forked(tasks, cong.usable_cpus() + 1, lambda task: [task[0]]) == [[i] for i in range(20_000)]
         self.assert_no_child_left()
 
     @pytest.fixture
@@ -1012,10 +1138,10 @@ class TestRunSuite:
         monkeypatch.setattr(cong, "_BREAK_EVEN", 0)
 
         def patch(act):
-            def pairs(p, r, e):
+            def pairs(p, r, e, table=None):
                 if os.getpid() != parent:
                     act(p)
-                return row.pairs(p, r, e)
+                return row.pairs(p, r, e, table=table)
 
             monkeypatch.setitem(REGISTRY, "two-power-half", dataclasses.replace(row, pairs=pairs))
 
